@@ -278,13 +278,14 @@ def run_analytic_descent(
         return trace
 
     inner_exits = []
+    schedule = query_schedule(nu)
     for outer in range(1, config.max_outer + 1):
         g_reference = energy_gradient(current, zeros, h)
         g_norm = float(np.linalg.norm(g_reference))
         levels = precision_policy(g_norm, nu, noise) if noise.enabled else None
         model = estimate_coefficients(
             CircuitOracle(current, h),
-            query_schedule(nu),
+            schedule,
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
             max_workers=config.max_workers,
@@ -300,13 +301,13 @@ def run_analytic_descent(
         for inner in range(1, config.max_inner + 1):
             metric = frozen if frozen is not None else qfi_exact(current, theta)
             g_model = eval_gradient(model, theta)
-            if float(np.max(np.abs(g_model))) < _STATIONARY_GRADIENT:
+            if np.abs(g_model).max() < _STATIONARY_GRADIENT:
                 exit_reason = "stationary"
                 break
             direction = regularized_natural_direction(metric, config.eta, g_model)
             theta = theta - config.step_size * direction
             inner_done = inner
-            if not np.all(np.isfinite(theta)):
+            if not np.isfinite(theta).all():
                 raise DivergenceError(
                     f"non-finite parameters at outer {outer} inner {inner}; "
                     f"step_size {config.step_size} diverged",
@@ -327,7 +328,7 @@ def run_analytic_descent(
                         tuple(current.theta_ref + theta) if config.store_theta else None,
                     )
                 )
-            if float(np.max(np.abs(theta))) >= config.trust_radius:
+            if np.abs(theta).max() >= config.trust_radius:
                 exit_reason = "trust_radius"
                 break
             if config.feedback_period and inner % config.feedback_period == 0:

@@ -10,10 +10,11 @@ defaults to the exact metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .ansatz import AnsatzCircuit, prepare_state
 from .simulator import _state_and_tangents, overlap
@@ -25,10 +26,16 @@ _PSD_TOLERANCE = -1e-8
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric PSD ν×ν metric; validated on construction."""
+    """Symmetric PSD ν×ν metric; validated on construction.
+
+    ``regularized_natural_direction`` keeps the Cholesky factor of
+    (F + ηI) here, keyed by η, so a metric reused across solves is
+    factorized once per η.
+    """
 
     nu: int
     entries: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -157,19 +164,32 @@ def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
 
 
 def regularized_natural_direction(F: MetricTensor, eta: float, g) -> np.ndarray:
-    """Solve (F + ηI)·d = g with a symmetric positive-definite factorization."""
+    """Solve (F + ηI)·d = g with a symmetric positive-definite factorization.
+
+    The Cholesky factor of F + ηI is computed on the first solve at a given
+    η and cached on ``F``; later solves with the same metric and η reuse it,
+    so a metric frozen over an inner loop is factorized once.
+    """
     if eta < 0.0:
         raise ValueError(f"regularization must be >= 0, got {eta}")
     g = np.asarray(g, dtype=float)
     if g.shape != (F.nu,):
         raise ValueError(f"expected gradient of length {F.nu}, got shape {g.shape}")
-    shifted = F.entries + eta * np.eye(F.nu)
-    try:
-        factor = cho_factor(shifted, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(shifted)[0])
-        raise LinAlgError(
-            f"regularized metric is not positive definite "
-            f"(smallest eigenvalue {smallest:.6g}, eta={eta})"
-        ) from exc
-    return cho_solve(factor, g, check_finite=False)
+    factor = F._factors.get(eta)
+    if factor is None:
+        shifted = F.entries + eta * np.eye(F.nu)
+        try:
+            factor, _ = cho_factor(shifted, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            smallest = float(np.linalg.eigvalsh(shifted)[0])
+            raise LinAlgError(
+                f"regularized metric is not positive definite "
+                f"(smallest eigenvalue {smallest:.6g}, eta={eta})"
+            ) from exc
+        F._factors[eta] = factor
+    # LAPACK's potrs itself: at ν ~ 40 cho_solve's argument handling costs
+    # more than the triangular solves, and the shapes are checked above.
+    solution, info = dpotrs(factor, g, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} to the Cholesky solve")
+    return solution

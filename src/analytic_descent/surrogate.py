@@ -16,14 +16,24 @@ along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 `CircuitOracle` here additionally exposes a batched route that shares prefix
 states and Heisenberg-conjugated Hamiltonian matrices across schedule points
 (identical values, far fewer gate applications).
+
+Inside the trust region ‖θ‖∞ < π/2 every a(θₖ) ≥ 1/2, so the model is
+evaluated in closed form through the ratios u = b/a and w = c/a:
+Ê(θ) = A·(eA + u·eB + w·eC + uᵀ·eD·u) with A = ∏ a(θₖ), which is O(ν²) in
+one matrix-vector product.  Outside it (the schedule shifts ±π/2 and π
+themselves) `eval_energy` switches to a division-free route built from
+partial products of a; the gradient and variance routines are declared
+only inside the region.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,16 +175,31 @@ class SurrogateModel:
     def nu(self) -> int:
         return len(self.eB)
 
+    @cached_property
+    def _eD_symmetric(self) -> np.ndarray:
+        # eD + eDᵀ, computed once per model for the gradient's pair term
+        return self.eD + self.eD.T
+
 
 def _query_rng(rng_seed, index: int) -> np.random.Generator:
     # Counter-based stream per canonical point: identical noise regardless of
     # evaluation order or concurrency.  rng_seed may be an int or a sequence
-    # of ints (e.g. (noise seed, run seed, outer iteration, channel)).
-    if isinstance(rng_seed, (tuple, list)):
-        key = [int(part) for part in rng_seed]
-    else:
-        key = [int(rng_seed)]
-    return np.random.default_rng(key + [int(index)])
+    # of ints (e.g. (noise seed, run seed, outer iteration, channel)).  Each
+    # key part is split into little-endian 32-bit words exactly as
+    # SeedSequence splits a list of ints, so the stream equals
+    # default_rng(key + [index]) without its slower coercion of a list.
+    parts = list(rng_seed) if isinstance(rng_seed, (tuple, list)) else [rng_seed]
+    words = []
+    for part in parts + [index]:
+        part = int(part)
+        if part < 0:
+            raise ValueError(f"noise key parts must be non-negative, got {part}")
+        while True:
+            words.append(part & 0xFFFFFFFF)
+            part >>= 32
+            if not part:
+                break
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def estimate_coefficients(
@@ -202,36 +227,37 @@ def estimate_coefficients(
         )
     if len({p.index for p in schedule}) != len(schedule):
         raise ValueError("schedule contains duplicate query-point indices")
-    values = _raw_energies(oracle, schedule, max_workers)
-    # re-establish canonical order so a permuted schedule assembles (and
-    # rounds) bit-identically to the straight one
-    order = sorted(range(len(schedule)), key=lambda i: schedule[i].index)
-    schedule = [schedule[i] for i in order]
-    values = values[order]
-    if noise is not None:
-        for position, point in enumerate(schedule):
-            sigma = noise.for_kind(point.kind)
-            if sigma > 0.0:
-                values[position] += sigma * _query_rng(rng_seed, point.index).standard_normal()
-
-    eA = 0.0
-    eB = np.zeros(nu)
-    eC = np.zeros(nu)
-    eD = np.zeros((nu, nu))
+    values = _raw_energies(oracle, schedule, nu, max_workers)
+    sigmas = {
+        kind: 0.0 if noise is None else noise.for_kind(kind)
+        for kind in QueryPoint._SHIFTS
+    }
+    # Group positions and axes by kind; every coefficient is then one fixed
+    # combination of its own queries, so a permuted schedule assembles (and
+    # rounds) bit-identically to the straight one.
+    groups = {kind: ([], []) for kind in QueryPoint._SHIFTS}
     for position, point in enumerate(schedule):
-        v = values[position]
-        if point.kind == "A":
-            eA = v
-        elif point.kind == "B+":
-            eB[point.axes[0]] += v
-        elif point.kind == "B-":
-            eB[point.axes[0]] -= v
-        elif point.kind == "C":
-            eC[point.axes[0]] = v
-        else:
-            k, l = point.axes
-            sign = 1.0 if point.kind in ("D++", "D--") else -1.0
-            eD[k, l] += sign * v
+        positions, axes = groups[point.kind]
+        positions.append(position)
+        axes.append(point.axes)
+        sigma = sigmas[point.kind]
+        if sigma > 0.0:
+            values[position] += sigma * _query_rng(rng_seed, point.index).standard_normal()
+
+    def scattered(kind, shape):
+        positions, axes = groups[kind]
+        index = np.array(axes, dtype=np.intp).reshape(-1, len(shape))
+        out = np.zeros(shape)
+        out[tuple(index.T)] = values[positions]
+        return out
+
+    eA = float(values[groups["A"][0][0]])
+    single, pair = (nu,), (nu, nu)
+    eB = scattered("B+", single) - scattered("B-", single)
+    eC = scattered("C", single)
+    eD = (
+        (scattered("D++", pair) + scattered("D--", pair)) - scattered("D-+", pair)
+    ) - scattered("D+-", pair)
 
     if noise is None:
         varA, varB, varC, varD = 0.0, None, None, None
@@ -248,9 +274,8 @@ def estimate_coefficients(
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
-def _raw_energies(oracle, schedule, max_workers) -> np.ndarray:
+def _raw_energies(oracle, schedule, nu, max_workers) -> np.ndarray:
     batched = getattr(oracle, "schedule_energies", None)
-    nu = max((axis for p in schedule for axis in p.axes), default=-1) + 1
 
     def pointwise(point):
         try:
@@ -281,11 +306,6 @@ def _raw_energies(oracle, schedule, max_workers) -> np.ndarray:
     return out
 
 
-def oracle_for(circuit: AnsatzCircuit, h) -> "CircuitOracle":
-    """Noiseless schedule oracle around the circuit's current reference."""
-    return CircuitOracle(circuit, h)
-
-
 class CircuitOracle:
     """Energy oracle E(θ₀ + shift) with a batched schedule route.
 
@@ -311,6 +331,8 @@ class CircuitOracle:
             dim <= _FAST_ORACLE_DIM and nu * dim * dim * 16 <= _FAST_ORACLE_BYTES
         )
         self._cache = None
+        # concurrent schedule_energies chunks share one lazily built cache
+        self._cache_lock = threading.Lock()
 
     def __call__(self, shift) -> float:
         return energy(self.circuit, shift, self.h)
@@ -351,8 +373,9 @@ class CircuitOracle:
         if not self._fast:
             nu = self.circuit.num_parameters
             return np.array([self(p.shift(nu)) for p in points])
-        if self._cache is None:
-            self._build_cache()
+        with self._cache_lock:
+            if self._cache is None:
+                self._build_cache()
         prefix, conjugated = self._cache
         circuit = self.circuit
         angles = circuit.theta_ref
@@ -484,35 +507,69 @@ def _check_length(model: SurrogateModel, theta) -> np.ndarray:
 def eval_energy(model: SurrogateModel, theta) -> float:
     """Value of the truncated series at θ (relative to θ₀).
 
-    Works at arbitrary θ including the schedule shifts themselves: all
-    leave-out products come from prefix/suffix partial products, so axes
-    with a(θₖ) = 0 (θₖ = ±π) never divide.
+    Two routes, selected by the input.  Inside the trust region
+    ‖θ‖∞ < π/2, where every a(θₖ) ≥ 1/2, the closed form
+    A·(eA + u·eB + w·eC + uᵀ·eD·u) with u = b/a, w = c/a and A = ∏ a(θₖ)
+    is used; at θ = 0 it returns eA exactly.  Outside the region (the
+    schedule shifts ±π/2 and π, for instance) the division-free route
+    takes every leave-out product from partial products of a, so axes with
+    a(θₖ) = 0 (θₖ = ±π) never divide.  The routes agree to rounding where
+    both apply, so the value is continuous across ‖θ‖∞ = π/2.
     """
     theta = _check_length(model, theta)
+    if np.abs(theta).max() >= HALF_PI:
+        return _division_free_energy(model, theta)
+    full_product, u, w, _ = _trust_region_ratios(theta)
+    value = (
+        model.eA
+        + np.dot(u, model.eB)
+        + np.dot(w, model.eC)
+        + np.dot(u, model.eD @ u)
+    )
+    return float(full_product * value)
+
+
+def _division_free_energy(model: SurrogateModel, theta: np.ndarray) -> float:
     basis = MonomialBasis.from_theta(theta)
     nu = model.nu
     value = basis.full_product * model.eA
     loo = basis.leave_one_out()
     value += float(np.dot(loo, basis.b * model.eB + basis.c * model.eC))
-    a, b = basis.a, basis.b
-    for k in range(nu - 1):
-        mids = np.empty(nu - k - 1)
-        mids[0] = 1.0
-        if nu - k - 2 > 0:
-            mids[1:] = np.cumprod(a[k + 1 : nu - 1])
-        row = basis.prefix[k] * mids * basis.suffix[k + 1 :]
-        value += b[k] * float(np.dot(b[k + 1 :] * row, model.eD[k, k + 1 :]))
+    # between[k, l] = ∏_{k<j<l} a(θⱼ): row k of one 2-D cumprod over the a's
+    # right of axis k (ones elsewhere), shifted one column to the right.
+    cols = np.arange(nu - 1)
+    between = np.ones((nu, nu))
+    between[:, 1:] = np.cumprod(
+        np.where(cols[None, :] > np.arange(nu)[:, None], basis.a[None, :-1], 1.0),
+        axis=1,
+    )
+    pair = basis.prefix[:, None] * between * basis.suffix[None, :]
+    value += float(np.dot(basis.b, (pair * model.eD) @ basis.b))
     return float(value)
 
 
-def _fast_path_basis(model: SurrogateModel, theta) -> MonomialBasis:
+def _trust_region_ratios(theta: np.ndarray):
+    """A = ∏ a(θₖ) and the ratios u = b/a, w = c/a, p = b'/a.
+
+    Only stable for |θₖ| < π/2, where a(θₖ) ≥ 1/2.
+    """
+    cos = np.cos(theta)
+    a = 0.5 * (1.0 + cos)
+    u = 0.5 * np.sin(theta) / a
+    w = 0.5 * (1.0 - cos) / a
+    p = 0.5 * cos / a
+    return float(a.prod()), u, w, p
+
+
+def _fast_path_ratios(model: SurrogateModel, theta):
     theta = _check_length(model, theta)
-    if np.max(np.abs(theta)) >= HALF_PI:
+    norm = np.abs(theta).max()
+    if norm >= HALF_PI:
         raise TrustRegionError(
-            f"‖θ‖∞ = {np.max(np.abs(theta)):.6g} is outside the |θₖ| < π/2 "
+            f"‖θ‖∞ = {norm:.6g} is outside the |θₖ| < π/2 "
             "trust region; a(θₖ) may vanish"
         )
-    return MonomialBasis.from_theta(theta)
+    return _trust_region_ratios(theta)
 
 
 def eval_gradient(model: SurrogateModel, theta) -> np.ndarray:
@@ -522,16 +579,12 @@ def eval_gradient(model: SurrogateModel, theta) -> np.ndarray:
     the shared-product division stable; at θ=0 the result is exactly eB/2,
     the parameter-shift gradient.
     """
-    basis = _fast_path_basis(model, theta)
-    u = basis.b / basis.a
-    w = basis.c / basis.a
-    p = basis.db / basis.a
-    dsym = model.eD + model.eD.T
-    r = dsym @ u
+    full_product, u, w, p = _fast_path_ratios(model, theta)
+    r = model._eD_symmetric @ u
     s_b = float(np.dot(u, model.eB))
     s_c = float(np.dot(w, model.eC))
     s_d = 0.5 * float(np.dot(u, r))
-    grad = basis.full_product * (
+    grad = full_product * (
         -u * model.eA
         + p * model.eB
         - u * (s_b - u * model.eB)
@@ -597,11 +650,8 @@ def gradient_variance(model: SurrogateModel, theta) -> np.ndarray:
 
 def gradient_variance_by_class(model: SurrogateModel, theta) -> dict[str, np.ndarray]:
     """Per-class contributions to the gradient variance (diagnostics)."""
-    basis = _fast_path_basis(model, theta)
-    u = basis.b / basis.a
-    w = basis.c / basis.a
-    p = basis.db / basis.a
-    a_sq = basis.full_product**2
+    full_product, u, w, p = _fast_path_ratios(model, theta)
+    a_sq = full_product**2
     u2 = u * u
     vdsym = model.varD + model.varD.T
     rv = vdsym @ u2

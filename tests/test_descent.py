@@ -31,6 +31,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     write_trace_csv,
 )
+from analytic_descent import metric as metric_module
 from analytic_descent.descent import NOISE_FLOOR, TRACE_COLUMNS
 from conftest import random_circuit, random_hamiltonian
 
@@ -297,6 +298,33 @@ def test_spin_ring_descent_regression():
     assert trace.final.outer <= 25
     assert trace.final.distance_to_ground < 1e-3
     assert trace.final.cumulative_cost == 2.0 * trace.final.outer
+
+
+@pytest.mark.parametrize("frozen_metric", [True, False], ids=["frozen", "per_step"])
+def test_metric_factorizations_per_step(monkeypatch, frozen_metric):
+    """A frozen metric is factorized once per outer step, a per-step metric
+    once per inner step (each inner step solves one direction)."""
+    calls = []
+    factor = metric_module.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "cho_factor", counted)
+    ring = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(4).uniform(-1, 1, 3))
+    ansatz = build_hardware_efficient(3, 1)
+    start = ansatz.rebased(
+        np.random.default_rng(6).uniform(-0.5, 0.5, ansatz.num_parameters)
+    )
+    config = OptimizerConfig(
+        step_size=0.01, max_outer=3, max_inner=40, frozen_metric=frozen_metric,
+        record_inner_every=0,
+    )
+    trace = run_analytic_descent(start, ring, config, NoiseSpec())
+    steps = [e["steps"] for e in trace.metadata["inner_exits"]]
+    assert len(steps) == 3 and min(steps) >= 1 and sum(steps) > 3
+    assert len(calls) == (len(steps) if frozen_metric else sum(steps))
 
 
 # ------------------------------------------------- natural-gradient runs

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from analytic_descent import AnsatzCircuit, PauliString, TrustRegionError
+from analytic_descent import metric as metric_module
 from analytic_descent.metric import (
     MetricSurrogate,
     MetricTensor,
@@ -167,6 +168,29 @@ def test_direction_solves_the_shifted_system():
     d = regularized_natural_direction(F, eta, g)
     residual = (F.entries + eta * np.eye(5)) @ d - g
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(g)
+
+
+def test_direction_factorizes_once_per_eta(monkeypatch):
+    calls = []
+    factor = metric_module.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "cho_factor", counted)
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=(5, 5))
+    F = MetricTensor(5, a @ a.T)
+    g = rng.normal(size=5)
+    first = {}
+    for eta in (0.01, 0.5, 0.01, 0.5):
+        d = regularized_natural_direction(F, eta, g)
+        residual = (F.entries + eta * np.eye(5)) @ d - g
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(g)
+        assert np.array_equal(d, first.setdefault(eta, d))
+    assert len(calls) == 2
+    assert np.max(np.abs(first[0.01] - first[0.5])) > 1e-3
 
 
 def test_direction_rejects_indefinite_system():

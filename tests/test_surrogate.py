@@ -2,8 +2,13 @@
 gradients, variance propagation, Hessian extraction, symmetry diagnostics,
 and the untruncated brute-force oracle."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from analytic_descent import (
@@ -29,7 +34,12 @@ from analytic_descent import (
     query_schedule,
     symmetry_report,
 )
-from analytic_descent.surrogate import MonomialBasis, NoiseLevels
+from analytic_descent.surrogate import (
+    MonomialBasis,
+    NoiseLevels,
+    _division_free_energy,
+    _query_rng,
+)
 from conftest import random_circuit, random_hamiltonian
 
 HALF_PI = 0.5 * np.pi
@@ -167,6 +177,46 @@ def test_noise_is_keyed_by_point_not_by_order():
         assert np.array_equal(straight.eD, other.eD)
 
 
+def test_threaded_dispatch_builds_the_oracle_cache_once(monkeypatch):
+    builds = []
+    build = CircuitOracle._build_cache
+
+    def counted(self):
+        builds.append(self)
+        time.sleep(0.05)  # hold the build open while the other chunks arrive
+        build(self)
+
+    monkeypatch.setattr(CircuitOracle, "_build_cache", counted)
+    rng = np.random.default_rng(31)
+    circuit = random_circuit(rng, 3, 6)
+    h = random_hamiltonian(rng, 3, 6)
+    levels = NoiseLevels(0.05, 0.05, 0.05, 0.05)
+    threaded = estimate_coefficients(
+        CircuitOracle(circuit, h), query_schedule(6), levels, rng_seed=5, max_workers=4
+    )
+    assert len(builds) == 1
+    serial = estimate_coefficients(
+        CircuitOracle(circuit, h), query_schedule(6), levels, rng_seed=5
+    )
+    assert model_to_json(threaded) == model_to_json(serial)
+
+
+@pytest.mark.parametrize("part", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_query_rng_draws_equal_the_seed_sequence_of_the_key(part):
+    for key in ((part,), (3, part, 1, 0)):
+        for index in (0, 17, part):
+            expected = np.random.default_rng(list(key) + [index]).standard_normal(4)
+            assert np.array_equal(_query_rng(key, index).standard_normal(4), expected)
+    expected = np.random.default_rng([part, 9]).standard_normal(4)
+    assert np.array_equal(_query_rng(part, 9).standard_normal(4), expected)
+
+
+def test_query_rng_rejects_negative_key_parts():
+    for key, index in (((0, -1, 2), 3), (-4, 0), ((1, 2), -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            _query_rng(key, index)
+
+
 def test_fast_oracle_agrees_with_pointwise_energies():
     """Dual route: batched schedule evaluator vs direct state preparation."""
     rng = np.random.default_rng(37)
@@ -264,6 +314,101 @@ def test_pair_points_expose_the_truncation():
     point = np.array([HALF_PI, HALF_PI])
     assert abs(energy(circuit, point, h)) < 1e-12
     assert abs(eval_energy(model, point) + 0.25) < 1e-12
+
+
+# Property tests of the two eval_energy routes: the closed form inside
+# ‖θ‖∞ < π/2 and the division-free route everywhere.  Models are random
+# coefficient sets, not estimated ones, so every word class is exercised.
+
+_ROUTES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+_COEFF = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _models(draw):
+    nu = draw(st.integers(1, 6))
+    eD = np.triu(draw(arrays(float, (nu, nu), elements=_COEFF)), 1)
+    return SurrogateModel(
+        np.zeros(nu),
+        draw(_COEFF),
+        draw(arrays(float, nu, elements=_COEFF)),
+        draw(arrays(float, nu, elements=_COEFF)),
+        eD,
+    )
+
+
+def _inside(nu):
+    """θ with ‖θ‖∞ < π/2, including components within 1e-9 of ±π/2."""
+    edge = st.floats(1e-15, 1e-9).map(lambda d: HALF_PI - d)
+    component = st.one_of(
+        st.floats(-HALF_PI, HALF_PI, exclude_min=True, exclude_max=True),
+        edge,
+        edge.map(lambda t: -t),
+    )
+    return arrays(float, nu, elements=component)
+
+
+def _scale(model):
+    # each monomial is at most 1 in magnitude, so this bounds every term
+    return (
+        abs(model.eA) + np.sum(np.abs(model.eB)) + np.sum(np.abs(model.eC))
+        + np.sum(np.abs(model.eD))
+    )
+
+
+def _series_by_direct_products(model, theta):
+    """The truncated series word by word, with masked products (reference)."""
+    basis = MonomialBasis.from_theta(theta)
+    a, nu = basis.a, model.nu
+
+    def rest(*skip):
+        mask = np.ones(nu, dtype=bool)
+        mask[list(skip)] = False
+        return float(np.prod(a[mask]))
+
+    value = rest() * model.eA
+    for k in range(nu):
+        value += rest(k) * (basis.b[k] * model.eB[k] + basis.c[k] * model.eC[k])
+        for l in range(k + 1, nu):
+            value += rest(k, l) * basis.b[k] * basis.b[l] * model.eD[k, l]
+    return value
+
+
+@_ROUTES
+@given(data=st.data(), model=_models())
+def test_closed_form_equals_division_free_route_inside_the_region(data, model):
+    theta = data.draw(_inside(model.nu))
+    closed = eval_energy(model, theta)
+    assert abs(closed - _division_free_energy(model, theta)) <= 1e-13 * _scale(model)
+
+
+@_ROUTES
+@given(data=st.data(), model=_models())
+def test_both_routes_match_the_word_by_word_series(data, model):
+    anywhere = arrays(float, model.nu, elements=st.floats(-np.pi, np.pi))
+    for theta in (data.draw(_inside(model.nu)), data.draw(anywhere)):
+        reference = _series_by_direct_products(model, theta)
+        assert abs(eval_energy(model, theta) - reference) <= 1e-13 * _scale(model)
+
+
+@_ROUTES
+@given(data=st.data(), model=_models())
+def test_energy_is_continuous_across_the_region_boundary(data, model):
+    theta = data.draw(_inside(model.nu))
+    axis = data.draw(st.integers(0, model.nu - 1))
+    for edge in (HALF_PI, -HALF_PI):
+        on_edge = theta.copy()
+        on_edge[axis] = edge  # ‖θ‖∞ = π/2: division-free route
+        inside = theta.copy()
+        inside[axis] = np.nextafter(edge, 0.0)  # one ulp inside: closed form
+        gap = abs(eval_energy(model, on_edge) - eval_energy(model, inside))
+        assert gap <= 1e-13 * _scale(model)
+
+
+@_ROUTES
+@given(model=_models())
+def test_energy_at_the_origin_is_eA_exactly(model):
+    assert eval_energy(model, np.zeros(model.nu)) == model.eA
 
 
 def test_eval_energy_length_mismatch():
