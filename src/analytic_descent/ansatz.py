@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import PauliString, _parse_lines
 from .simulator import (
     StateVector,
-    _apply_pauli,
+    _apply_hamiltonian,
     _apply_rotation,
+    _real_overlaps,
+    _state_and_tangents,
     expectation,
     zero_state,
 )
@@ -125,30 +127,13 @@ def energy(circuit: AnsatzCircuit, theta, h) -> float:
 
 
 def energy_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
-    """Exact ∂E/∂θ by reverse (adjoint) differentiation, O(ν) gate work.
+    """Exact ∂E/∂θ from one tangent sweep: gₖ = 2·Re⟨tₖ|H|ψ⟩, tₖ = ∂ψ/∂θₖ.
 
-    Sweeps backward keeping ψₖ (state after gates 1..k) and λₖ = the final
-    state propagated back through gates ν..k+1 after one application of H;
-    the k-th component is 2·Re⟨λₖ|(-i/2)Pₖ|ψₖ⟩.  For Pauli-generated gates
-    this equals the parameter-shift combination [E(+π/2)-E(-π/2)]/2 exactly.
+    For Pauli-generated gates this equals the parameter-shift combination
+    [E(+π/2)-E(-π/2)]/2 exactly.
     """
-    angles = _total_angles(circuit, theta)
-    nu = circuit.num_parameters
-    psi = zero_state(circuit.num_qubits).amplitudes
-    for generator, angle in zip(circuit.generators, angles):
-        psi = _apply_rotation(psi, generator.letters, angle)
-    lam = np.zeros_like(psi)
-    for coeff, string in h.terms:
-        lam += coeff * _apply_pauli(psi, string.letters)
-    grad = np.empty(nu)
-    for k in range(nu - 1, -1, -1):
-        letters = circuit.generators[k].letters
-        grad[k] = 2.0 * np.real(
-            np.vdot(lam, -0.5j * _apply_pauli(psi, letters))
-        )
-        psi = _apply_rotation(psi, letters, -angles[k])
-        lam = _apply_rotation(lam, letters, -angles[k])
-    return grad
+    psi, tangents = _state_and_tangents(circuit, theta)
+    return 2.0 * _real_overlaps(tangents, _apply_hamiltonian(psi, h))
 
 
 def parameter_shift_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
@@ -181,36 +166,8 @@ def circuit_to_text(circuit: AnsatzCircuit) -> str:
 
 def circuit_from_text(text: str) -> AnsatzCircuit:
     """Inverse of ``circuit_to_text``; raises on malformed lines with line numbers."""
-    generators: list[PauliString] = []
-    angles: list[float] = []
-    length: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(
-                f"line {lineno}: expected '<angle> <letters>', got {line!r}"
-            )
-        try:
-            angle = float(fields[0])
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: malformed angle {fields[0]!r}"
-            ) from None
-        if length is None:
-            length = len(fields[1])
-        elif len(fields[1]) != length:
-            raise ValueError(
-                f"line {lineno}: generator length {len(fields[1])} differs "
-                f"from previous length {length}"
-            )
-        try:
-            generators.append(PauliString(fields[1]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        angles.append(angle)
-    if not generators:
+    _, gates = _parse_lines(text, "angle")
+    if not gates:
         raise ValueError("empty circuit description: no gate lines found")
-    return AnsatzCircuit(length, tuple(generators), np.asarray(angles))
+    angles, generators = zip(*gates)
+    return AnsatzCircuit(generators[0].num_qubits, generators, np.asarray(angles))

@@ -10,8 +10,7 @@ natural-gradient steps on the true landscape at 2ν queries each.
 Costs are tracked in gradient-step-equivalent units: one per baseline step,
 two per estimation phase; raw query counts are tracked alongside.  All
 noise draws come from counter-based RNG streams keyed by (noise seed, run
-seed, iteration, channel), so re-runs and concurrent dispatch are
-bit-reproducible.
+seed, iteration, channel), so re-runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -90,6 +89,8 @@ class OptimizerConfig:
     direction against a (noisy) device parameter-shift gradient and aborts
     the inner loop when 1−f exceeds ``similarity_abort``.
     ``record_inner_every`` 0 keeps traces to outer/feedback records only.
+    ``max_workers`` is accepted, so configs and sidecars that set it still
+    load, and has no effect: each estimation is one vectorized oracle build.
     """
 
     step_size: float
@@ -229,6 +230,24 @@ def _distance(value: float, ground: float) -> float:
     return abs(value - ground)
 
 
+def _metadata(
+    method: str, metric: str, noise: NoiseSpec, rng_seed: int, nu: int, ground: float
+) -> dict:
+    """Run metadata shared by both optimizers; the exit is set as they stop."""
+    return {
+        "method": method,
+        "rng_seed": rng_seed,
+        "noise_enabled": noise.enabled,
+        "noise_seed": noise.rng_seed,
+        "relative_gradient_precision": noise.relative_gradient_precision,
+        "noise_floor": NOISE_FLOOR,
+        "metric": metric,
+        "nu": nu,
+        "ground_energy": ground,
+        "exit": "budget",
+    }
+
+
 def run_analytic_descent(
     circuit: AnsatzCircuit,
     h,
@@ -249,18 +268,11 @@ def run_analytic_descent(
     nu = circuit.num_parameters
     ground = ground_energy(h)
     trace = OptimizationTrace(
-        metadata={
-            "method": "analytic_descent",
-            "rng_seed": rng_seed,
-            "noise_enabled": noise.enabled,
-            "noise_seed": noise.rng_seed,
-            "relative_gradient_precision": noise.relative_gradient_precision,
-            "noise_floor": NOISE_FLOOR,
-            "metric": "exact_frozen_outer" if config.frozen_metric else "exact_per_step",
-            "nu": nu,
-            "ground_energy": ground,
-            "exit": "budget",
-        }
+        metadata=_metadata(
+            "analytic_descent",
+            "exact_frozen_outer" if config.frozen_metric else "exact_per_step",
+            noise, rng_seed, nu, ground,
+        )
     )
     cost = 0.0
     raw = 0
@@ -288,7 +300,6 @@ def run_analytic_descent(
             schedule,
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
-            max_workers=config.max_workers,
         )
         raw += 2 * nu * nu + nu + 1
         cost += 2.0
@@ -399,18 +410,9 @@ def run_natural_gradient(
     nu = circuit.num_parameters
     ground = ground_energy(h)
     trace = OptimizationTrace(
-        metadata={
-            "method": "natural_gradient",
-            "rng_seed": rng_seed,
-            "noise_enabled": noise.enabled,
-            "noise_seed": noise.rng_seed,
-            "relative_gradient_precision": noise.relative_gradient_precision,
-            "noise_floor": NOISE_FLOOR,
-            "metric": "exact_per_step",
-            "nu": nu,
-            "ground_energy": ground,
-            "exit": "budget",
-        }
+        metadata=_metadata(
+            "natural_gradient", "exact_per_step", noise, rng_seed, nu, ground
+        )
     )
     cost = 0.0
     raw = 0

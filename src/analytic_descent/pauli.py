@@ -99,22 +99,25 @@ class PauliSum:
         return iter(self.terms)
 
 
-def parse_pauli_sum(text: str) -> PauliSum:
-    """Parse the line-oriented Pauli-sum format into a merged PauliSum.
+def _parse_lines(
+    text: str, value_name: str
+) -> tuple[int | None, list[tuple[float, PauliString]]]:
+    """Parse the shared line format of Pauli sums and circuits.
 
     Each non-empty, non-comment line must be ``<real> <letters>`` with all
-    letter strings of equal length.  The qubit count is inferred from the
-    letters, or from a ``# qubits: N`` header when the body has no terms.
+    letter strings of equal length; a ``# qubits: N`` comment header, if
+    present, must agree with that length.  ``value_name`` names the number
+    column in messages.  Returns the header's qubit count (None without one)
+    and the (value, string) rows in file order.
 
     Raises
     ------
     ValueError
-        On a malformed coefficient, inconsistent string lengths, bad
-        letters, or empty input, naming the offending line.
+        On a malformed header or number, inconsistent string lengths, bad
+        letters, or a header mismatch, naming the offending line.
     """
-    terms: list[tuple[float, PauliString]] = []
+    rows: list[tuple[float, PauliString]] = []
     header_qubits: int | None = None
-    length: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -133,37 +136,46 @@ def parse_pauli_sum(text: str) -> PauliSum:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(
-                f"line {lineno}: expected '<coefficient> <letters>', got {line!r}"
+                f"line {lineno}: expected '<{value_name}> <letters>', got {line!r}"
             )
-        coeff_text, letters = fields
+        value_text, letters = fields
         try:
-            coeff = float(coeff_text)
+            value = float(value_text)
         except ValueError:
             raise ValueError(
-                f"line {lineno}: malformed coefficient {coeff_text!r}"
+                f"line {lineno}: malformed {value_name} {value_text!r}"
             ) from None
-        if length is None:
-            length = len(letters)
-        elif len(letters) != length:
+        if rows and len(letters) != rows[0][1].num_qubits:
             raise ValueError(
                 f"line {lineno}: Pauli string {letters!r} has length "
-                f"{len(letters)}, previous terms have length {length}"
+                f"{len(letters)}, previous lines have length {rows[0][1].num_qubits}"
             )
         try:
             string = PauliString(letters)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        terms.append((coeff, string))
+        rows.append((value, string))
+    if rows and header_qubits is not None and header_qubits != rows[0][1].num_qubits:
+        raise ValueError(
+            f"header declares {header_qubits} qubits but terms have length "
+            f"{rows[0][1].num_qubits}"
+        )
+    return header_qubits, rows
 
-    if length is None:
+
+def parse_pauli_sum(text: str) -> PauliSum:
+    """Parse the line-oriented Pauli-sum format into a merged PauliSum.
+
+    The qubit count is inferred from the letters, or from a ``# qubits: N``
+    header when the body has no terms; see ``_parse_lines`` for the format
+    and its errors.  Empty input (no terms, no header) raises ValueError.
+    """
+    header_qubits, terms = _parse_lines(text, "coefficient")
+    if not terms:
         if header_qubits is None:
             raise ValueError("empty input: no terms and no '# qubits: N' header")
         return PauliSum(header_qubits, ())
-    if header_qubits is not None and header_qubits != length:
-        raise ValueError(
-            f"header declares {header_qubits} qubits but terms have length {length}"
-        )
-    return PauliSum(length, tuple(terms))
+    return PauliSum(terms[0][1].num_qubits, tuple(terms))
 
 
 def format_pauli_sum(h: PauliSum) -> str:

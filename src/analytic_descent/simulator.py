@@ -12,6 +12,11 @@ the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  That kernel is
 cached per letter string and reused by gates, expectations, and the
 Hamiltonian matvec behind the iterative ground-energy solver.
 
+Derivatives come from one forward tangent sweep that carries ψ, its first
+derivatives t_m = ∂ψ/∂θ_m and, on request, the pair derivatives
+t_kl = ∂²ψ/∂θ_k∂θ_l.  The metric, the energy gradient and the batched
+schedule oracle are all built from it.
+
 All operations are pure functions over immutable values, so independent
 energy queries may run concurrently without shared state.
 """
@@ -37,6 +42,11 @@ MAX_QUBITS = 20
 _DENSE_DIM = 8
 
 _NORM_TOLERANCE = 1e-10
+
+# Bytes of pair tangents one second-order sweep holds; the sweep runs in
+# chunks of first axes that fit (ν²·2^N·8 bytes would hold them all, 40 MB
+# at N = 10, ν = 70).
+_PAIR_CHUNK_BYTES = 4 * 2**20
 
 
 class GroundEnergyError(RuntimeError):
@@ -103,13 +113,39 @@ def _pauli_kernel(letters: str):
 def _apply_pauli(amps: np.ndarray, letters: str) -> np.ndarray:
     """P·amps for 1-D amplitudes or batches with amplitudes on the last axis."""
     src, phase = _pauli_kernel(letters)
-    return amps[..., src] * phase
+    return amps.take(src, axis=-1) * phase
 
 
 def _apply_rotation(amps: np.ndarray, letters: str, theta: float) -> np.ndarray:
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
     return c * amps + (-1j * s) * _apply_pauli(amps, letters)
+
+
+def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
+    """H·amps for 1-D amplitudes or batches with amplitudes on the last axis.
+
+    Terms that flip the same qubits gather from the same source index, so
+    their weighted phases are summed first and each flip pattern costs one
+    gather (7 instead of 24 for the six-site ring).
+    """
+    flips: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for coeff, string in h.terms:
+        src, phase = _pauli_kernel(string.letters)
+        _, weight = flips.get(int(src[0]), (src, 0.0))
+        flips[int(src[0])] = (src, weight + coeff * phase)
+    out = np.zeros(amps.shape, dtype=np.complex128)
+    for src, weight in flips.values():
+        gathered = amps.take(src, axis=-1)
+        gathered *= weight
+        out += gathered
+        del gathered  # one block-sized temporary at a time
+    return out
+
+
+def _real_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re⟨aᵢ|bⱼ⟩ for the rows of contiguous a and b (a 1-D array is one row)."""
+    return a.view(np.float64) @ b.view(np.float64).T
 
 
 def zero_state(N: int) -> StateVector:
@@ -209,14 +245,8 @@ def ground_energy(h: PauliSum) -> float:
     if dim <= _DENSE_DIM:
         return float(np.linalg.eigvalsh(hamiltonian_matrix(h)).min())
 
-    terms = [(coeff, string.letters) for coeff, string in h.terms]
-
     def matvec(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128).reshape(dim)
-        out = np.zeros(dim, dtype=np.complex128)
-        for coeff, letters in terms:
-            out += coeff * _apply_pauli(v, letters)
-        return out
+        return _apply_hamiltonian(np.asarray(v, dtype=np.complex128).reshape(dim), h)
 
     operator = scipy.sparse.linalg.LinearOperator(
         (dim, dim), matvec=matvec, dtype=np.complex128
@@ -247,38 +277,91 @@ def ground_energy(h: PauliSum) -> float:
     return float(values[0])
 
 
-def _state_and_tangents(circuit: AnsatzCircuit, theta: np.ndarray):
+def _sweep(circuit: AnsatzCircuit, theta, first: range):
+    """ψ, the ν tangents tₘ = ∂ψ/∂θₘ, and the pair tangents
+    t_kl = ∂²ψ/∂θ_k∂θ_l for k in ``first`` and every l > k, in one forward
+    sweep; also the k and l of each pair row.
+
+    Gate l spawns the derivative of each row it differentiates: tₗ from ψ, and
+    t_kl from t_k.  Differentiating a row r through gate l gives
+    (-i/2)·P·U·r = -(i/2)·(c·Pr - i·s·r), so the Pauli image the rotation
+    needs anyway also yields the new rows.  Started rows sit in two blocks,
+    (ψ, tangents) and the pair rows in order of l then k, and each gate is
+    pushed through both at once.  The first-order rows are computed
+    identically whatever ``first`` is.
+    """
+    theta = np.asarray(theta, dtype=float)
+    nu = circuit.num_parameters
+    if theta.shape != (nu,):
+        raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
+    angles = np.asarray(circuit.theta_ref, dtype=float) + theta
+    dim = 2**circuit.num_qubits
+    ks, ls = np.array(
+        [(k, l) for l in range(nu) for k in first if k < l], dtype=np.intp
+    ).reshape(-1, 2).T
+    # Row 0 carries |ψ⟩, rows 1..l the tangents started before gate l.
+    block = np.zeros((nu + 1, dim), dtype=np.complex128)
+    block[0, 0] = 1.0
+    pairs = np.empty((len(ks), dim), dtype=np.complex128)
+    started = 0
+    for l, generator in enumerate(circuit.generators):
+        src, phase = _pauli_kernel(generator.letters)
+        c = np.cos(0.5 * angles[l])
+        s = np.sin(0.5 * angles[l])
+        if started:
+            # In place, and freed before the next gate gathers: the pair
+            # block is the sweep's largest array.
+            running = pairs[:started]
+            rotated = running.take(src, axis=1)
+            rotated *= phase
+            rotated *= -1j * s
+            running *= c
+            running += rotated
+            del rotated
+        live = block[: l + 1]
+        pauli_applied = live.take(src, axis=1) * phase
+        block[l + 1] = -0.5j * (c * pauli_applied[0] + (-1j * s) * live[0])
+        # rows of t_k for k in first, k < l
+        lo, hi = first.start + 1, min(first.stop, l) + 1
+        if hi > lo:
+            pairs[started : started + hi - lo] = -0.5j * (
+                c * pauli_applied[lo:hi] + (-1j * s) * live[lo:hi]
+            )
+            started += hi - lo
+        live *= c
+        live += (-1j * s) * pauli_applied
+    return block[0], block[1:], ks, ls, pairs
+
+
+def _state_and_tangents(circuit: AnsatzCircuit, theta):
     """Final state and all ν analytic tangents ∂|ψ⟩/∂θ_m in one sweep.
 
     Gate m contributes tangent U_ν...U_{m+1}·(-i/2)P_m·U_m...U_1|0⟩.  The
-    sweep keeps every started tangent in a (m, 2^N) block and pushes each
-    subsequent gate through the whole block at once, so the work is O(ν²·2^N)
-    flops in O(ν) vectorized operations.
+    work is O(ν²·2^N) flops in O(ν) vectorized operations.
     """
-    angles = np.asarray(circuit.theta_ref, dtype=float) + np.asarray(theta, dtype=float)
-    if angles.shape != (circuit.num_parameters,):
-        raise ValueError(
-            f"expected {circuit.num_parameters} parameters, got shape {angles.shape}"
-        )
-    dim = 2**circuit.num_qubits
+    psi, tangents, *_ = _sweep(circuit, theta, range(0))
+    return psi, tangents
+
+
+def _state_tangents_and_pairs(circuit: AnsatzCircuit, theta):
+    """Second-order sweep: yields (ψ, T, k, l, t_kl) per chunk of first axes k.
+
+    Each chunk is one ``_sweep`` over a run of first axes holding at most
+    ``_PAIR_CHUNK_BYTES`` of pair tangents (at least one axis), so ψ and T
+    are the same in every chunk and bit-identical to ``_state_and_tangents``;
+    k and l index the pair rows t_kl, k < l.
+    """
     nu = circuit.num_parameters
-    # Row 0 carries |ψ⟩, rows 1..k the tangents started so far; pushing each
-    # gate through the whole block at once keeps the sweep at O(ν) batched
-    # numpy calls.  P(c·ψ − i·s·Pψ) = c·Pψ − i·s·ψ (P² = I) gives the new
-    # tangent without a second Pauli application.
-    block = np.zeros((nu + 1, dim), dtype=np.complex128)
-    block[0, 0] = 1.0
-    for k, generator in enumerate(circuit.generators):
-        src, phase = _pauli_kernel(generator.letters)
-        c = np.cos(0.5 * angles[k])
-        s = np.sin(0.5 * angles[k])
-        live = block[: k + 1]
-        psi_old = block[0].copy()
-        pauli_applied = live[:, src] * phase
-        live *= c
-        live += (-1j * s) * pauli_applied
-        block[k + 1] = -0.5j * (c * pauli_applied[0] + (-1j * s) * psi_old)
-    return block[0], block[1:]
+    budget = max(1, _PAIR_CHUNK_BYTES // (16 * 2**circuit.num_qubits))
+    start = 0
+    while start < nu:
+        stop = start + 1
+        rows = nu - stop  # pairs of the first axis start
+        while stop < nu and rows + nu - 1 - stop <= budget:
+            rows += nu - 1 - stop
+            stop += 1
+        yield _sweep(circuit, theta, range(start, stop))
+        start = stop
 
 
 def tangent_states(circuit: AnsatzCircuit, theta) -> list[StateVector]:

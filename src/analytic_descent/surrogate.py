@@ -13,9 +13,13 @@ shifts of 0, ±π/2 and π on at most two axes.  The resulting model is exact
 along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 
 `estimate_coefficients` accepts any callable `shift ↦ energy`; the
-`CircuitOracle` here additionally exposes a batched route that shares prefix
-states and Heisenberg-conjugated Hamiltonian matrices across schedule points
-(identical values, far fewer gate applications).
+`CircuitOracle` here additionally exposes a batched route.  Every gate is
+exp(-iθP/2) with P² = I, so shifting axes k and l by σ_k and σ_l gives the
+state c_k·c_l·ψ + 2·s_k·c_l·t_k + 2·c_k·s_l·t_l + 4·s_k·s_l·t_kl exactly
+(c = cos(σ/2), s = sin(σ/2); t_k and t_kl the first and second derivatives
+of ψ).  One second-order tangent sweep therefore yields every schedule
+energy as a quadratic form, at any register size (identical values to
+rounding, far fewer gate applications).
 
 Inside the trust region ‖θ‖∞ < π/2 every a(θₖ) ≥ 1/2, so the model is
 evaluated in closed form through the ratios u = b/a and w = c/a:
@@ -31,21 +35,15 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .ansatz import AnsatzCircuit, energy
-from .simulator import _apply_pauli, _apply_rotation, hamiltonian_matrix, zero_state
+from .simulator import _apply_hamiltonian, _real_overlaps, _state_tangents_and_pairs
 
 HALF_PI = 0.5 * np.pi
-
-# Largest dimension for the matrix-conjugation fast oracle; above it the
-# pointwise route is used (same values, more gate applications).
-_FAST_ORACLE_DIM = 128
-_FAST_ORACLE_BYTES = 64_000_000
 
 
 class TrustRegionError(ValueError):
@@ -213,11 +211,15 @@ def estimate_coefficients(
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
     ``oracle`` maps a shift vector to an energy; an object exposing
-    ``schedule_energies(points)`` is used batched.  Each raw query is
-    perturbed by an independent zero-mean Gaussian whose std is the class
-    level from ``noise``; the noise stream is keyed by (rng_seed, canonical
-    point index), so concurrent dispatch cannot change the result.  Variance
-    fields sum the raw-query variances per combined coefficient.
+    ``schedule_energies(points)`` is used batched.  The schedule must hold
+    every canonical point once: each kind's axes distinct and in range, with
+    k < l for pairs.  Each raw query is perturbed by an independent
+    zero-mean Gaussian whose std is the class level from ``noise``; the noise
+    stream is keyed by (rng_seed, canonical point index), so the result does
+    not depend on the schedule's order.  Variance fields sum the raw-query
+    variances per combined coefficient.  ``max_workers`` is accepted for
+    compatibility and has no effect: the batched oracle is one vectorized
+    build that threads have nothing to split in.
     """
     nu = max((axis for p in schedule for axis in p.axes), default=-1) + 1
     if len(schedule) != 2 * nu * nu + nu + 1:
@@ -227,11 +229,6 @@ def estimate_coefficients(
         )
     if len({p.index for p in schedule}) != len(schedule):
         raise ValueError("schedule contains duplicate query-point indices")
-    values = _raw_energies(oracle, schedule, nu, max_workers)
-    sigmas = {
-        kind: 0.0 if noise is None else noise.for_kind(kind)
-        for kind in QueryPoint._SHIFTS
-    }
     # Group positions and axes by kind; every coefficient is then one fixed
     # combination of its own queries, so a permuted schedule assembles (and
     # rounds) bit-identically to the straight one.
@@ -240,15 +237,35 @@ def estimate_coefficients(
         positions, axes = groups[point.kind]
         positions.append(position)
         axes.append(point.axes)
-        sigma = sigmas[point.kind]
-        if sigma > 0.0:
-            values[position] += sigma * _query_rng(rng_seed, point.index).standard_normal()
+    indices = {}
+    for kind, (_, axes) in groups.items():
+        arity = len(QueryPoint._SHIFTS[kind])
+        index = np.array(axes, dtype=np.intp).reshape(len(axes), arity)
+        # With the point count right, distinct in-range axes per kind mean
+        # the schedule holds every canonical point exactly once.
+        if (
+            (index.size and index.min() < 0)
+            or len(np.unique(index @ nu ** np.arange(arity))) != len(index)
+            or (arity == 2 and np.any(index[:, 0] >= index[:, 1]))
+        ):
+            raise ValueError(
+                f"schedule's {kind} points need distinct axes in [0, {nu})"
+                + (" with k < l" if arity == 2 else "")
+            )
+        indices[kind] = index
+
+    values = _raw_energies(oracle, schedule, nu)
+    if noise is not None:
+        sigmas = {kind: noise.for_kind(kind) for kind in QueryPoint._SHIFTS}
+        for position, point in enumerate(schedule):
+            sigma = sigmas[point.kind]
+            if sigma > 0.0:
+                draw = _query_rng(rng_seed, point.index).standard_normal()
+                values[position] += sigma * draw
 
     def scattered(kind, shape):
-        positions, axes = groups[kind]
-        index = np.array(axes, dtype=np.intp).reshape(-1, len(shape))
         out = np.zeros(shape)
-        out[tuple(index.T)] = values[positions]
+        out[tuple(indices[kind].T)] = values[groups[kind][0]]
         return out
 
     eA = float(values[groups["A"][0][0]])
@@ -274,8 +291,10 @@ def estimate_coefficients(
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
-def _raw_energies(oracle, schedule, nu, max_workers) -> np.ndarray:
+def _raw_energies(oracle, schedule, nu) -> np.ndarray:
     batched = getattr(oracle, "schedule_energies", None)
+    if batched is not None:
+        return np.asarray(batched(list(schedule)), dtype=float)
 
     def pointwise(point):
         try:
@@ -286,34 +305,31 @@ def _raw_energies(oracle, schedule, nu, max_workers) -> np.ndarray:
                 f"({point.kind}, axes {point.axes}): {exc}"
             ) from exc
 
-    def evaluate(points):
-        if batched is not None:
-            return np.asarray(batched(points), dtype=float)
-        return np.array([pointwise(p) for p in points])
+    return np.array([pointwise(p) for p in schedule])
 
-    if max_workers is None or max_workers <= 1 or len(schedule) < 2:
-        return evaluate(list(schedule))
-    chunks = np.array_split(np.arange(len(schedule)), max_workers)
-    out = np.empty(len(schedule))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            (chunk, pool.submit(evaluate, [schedule[i] for i in chunk]))
-            for chunk in chunks
-            if len(chunk)
-        ]
-        for chunk, future in futures:
-            out[chunk] = future.result()
-    return out
+
+def _shift_weights(shifts) -> tuple[float, float, float, float]:
+    # Weights of (ψ, t_k, t_l, t_kl) in the state shifted by (σ_k, σ_l); an
+    # unshifted or single-axis point has σ_l = 0 and so no t_l, t_kl part.
+    sigma_k, sigma_l = (tuple(shifts) + (0.0, 0.0))[:2]
+    ck, sk = np.cos(0.5 * sigma_k), np.sin(0.5 * sigma_k)
+    cl, sl = np.cos(0.5 * sigma_l), np.sin(0.5 * sigma_l)
+    return (ck * cl, 2.0 * sk * cl, 2.0 * ck * sl, 4.0 * sk * sl)
+
+
+_KIND_INDEX = {kind: index for index, kind in enumerate(QueryPoint._SHIFTS)}
+_SHIFT_WEIGHTS = np.array([_shift_weights(s) for s in QueryPoint._SHIFTS.values()])
 
 
 class CircuitOracle:
     """Energy oracle E(θ₀ + shift) with a batched schedule route.
 
-    The batch route stores the prefix state before every gate and the
-    Hamiltonian conjugated backward through the suffix gates, so a point
-    that modifies axes (k, l) costs two small matvecs instead of a full
-    circuit evaluation.  Values agree with the pointwise route to rounding;
-    above dimension 128 only the pointwise route is used.
+    The batch route runs the second-order tangent sweep once at θ₀, at every
+    register size, and forms Γ[k, l], the 4×4 matrix of Re⟨u|H|v⟩ over
+    u, v ∈ (ψ, t_k, t_l, t_kl).  A point shifted on axes (k, l) has state
+    w·(ψ, t_k, t_l, t_kl) with weights w from its shifts, so its energy is
+    wᵀ·Γ[k, l]·w; the cache holds that energy for every kind and axis pair.
+    Values agree with the pointwise route to rounding.
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
@@ -325,13 +341,8 @@ class CircuitOracle:
         self.circuit = circuit
         self.h = h
         self.theta0 = np.array(circuit.theta_ref)
-        dim = 2**circuit.num_qubits
-        nu = circuit.num_parameters
-        self._fast = (
-            dim <= _FAST_ORACLE_DIM and nu * dim * dim * 16 <= _FAST_ORACLE_BYTES
-        )
         self._cache = None
-        # concurrent schedule_energies chunks share one lazily built cache
+        # concurrent schedule_energies calls share one lazily built cache
         self._cache_lock = threading.Lock()
 
     def __call__(self, shift) -> float:
@@ -340,111 +351,44 @@ class CircuitOracle:
     def _build_cache(self):
         circuit, h = self.circuit, self.h
         nu = circuit.num_parameters
-        dim = 2**circuit.num_qubits
-        angles = circuit.theta_ref
-        prefix = np.empty((nu + 1, dim), dtype=np.complex128)
-        prefix[0] = zero_state(circuit.num_qubits).amplitudes
-        for k, generator in enumerate(circuit.generators):
-            prefix[k + 1] = _apply_rotation(prefix[k], generator.letters, angles[k])
-        hmat = hamiltonian_matrix(h, max_qubits=circuit.num_qubits)
-        conjugated = np.empty((nu, dim, dim), dtype=np.complex128)
-        conjugated[nu - 1] = hmat
-        for k in range(nu - 1, 0, -1):
-            conjugated[k - 1] = self._conjugate(
-                conjugated[k], circuit.generators[k].letters, angles[k]
+        # gram[k, l] is Γ over (ψ, t_k, t_l, t_kl); filled on and above its
+        # diagonal, then mirrored.  Entries of t_kl stay zero unless k < l.
+        # Every chunk of the sweep carries the same ψ and tangents.
+        gram = np.zeros((nu, nu, 4, 4))
+        chunks = _state_tangents_and_pairs(circuit, np.zeros(nu))
+        for psi, tangents, k, l, pairs in chunks:
+            h_pairs = _apply_hamiltonian(pairs, h)
+            with_tangents = _real_overlaps(h_pairs, tangents)
+            rows = np.arange(len(k))
+            gram[k, l, 0, 3] = _real_overlaps(h_pairs, psi)
+            gram[k, l, 1, 3] = with_tangents[rows, k]
+            gram[k, l, 2, 3] = with_tangents[rows, l]
+            gram[k, l, 3, 3] = np.einsum(
+                "ij,ij->i", h_pairs.view(np.float64), pairs.view(np.float64)
             )
-        self._cache = (prefix, conjugated)
-
-    @staticmethod
-    def _conjugate(matrix, letters, angle):
-        # U† M U for U = cos(θ/2)·Id - i sin(θ/2)·P, using P's permutation form.
-        from .simulator import _pauli_kernel
-
-        src, phase = _pauli_kernel(letters)
-        c = np.cos(0.5 * angle)
-        s = np.sin(0.5 * angle)
-        pm = phase[:, None] * matrix[src, :]
-        mp = matrix[:, src] * phase[src][None, :]
-        return c * c * matrix + s * s * (phase[:, None] * mp[src, :]) + 1j * c * s * (
-            pm - mp
-        )
+        h_psi = _apply_hamiltonian(psi, h)
+        g = _real_overlaps(tangents, h_psi)
+        G = _real_overlaps(tangents, _apply_hamiltonian(tangents, h))
+        gram[:, :, 0, 0] = _real_overlaps(psi, h_psi)
+        gram[:, :, 0, 1] = g[:, None]
+        gram[:, :, 0, 2] = g[None, :]
+        gram[:, :, 1, 1] = np.diag(G)[:, None]
+        gram[:, :, 1, 2] = G
+        gram[:, :, 2, 2] = np.diag(G)[None, :]
+        gram += np.swapaxes(np.triu(gram, 1), -1, -2)
+        self._cache = np.einsum("si,klij,sj->skl", _SHIFT_WEIGHTS, gram, _SHIFT_WEIGHTS)
 
     def schedule_energies(self, points: list[QueryPoint]) -> np.ndarray:
-        if not self._fast:
-            nu = self.circuit.num_parameters
-            return np.array([self(p.shift(nu)) for p in points])
         with self._cache_lock:
             if self._cache is None:
                 self._build_cache()
-        prefix, conjugated = self._cache
-        circuit = self.circuit
-        angles = circuit.theta_ref
-        nu = circuit.num_parameters
-
-        needed_axes = sorted({p.axes[0] for p in points if p.kind in ("B+", "B-", "C")})
-        singles: dict[tuple[int, float], float] = {}
-        for k in needed_axes:
-            pre = prefix[k]
-            pk = _apply_pauli(pre, circuit.generators[k].letters)
-            v1 = conjugated[k] @ pre
-            v2 = conjugated[k] @ pk
-            zz = float(np.real(np.vdot(pre, v1)))
-            pp = float(np.real(np.vdot(pk, v2)))
-            cross = float(np.imag(np.vdot(pre, v2)))
-            for s in (HALF_PI, -HALF_PI, np.pi):
-                half = 0.5 * (angles[k] + s)
-                cs, sn = np.cos(half), np.sin(half)
-                singles[(k, s)] = cs * cs * zz + sn * sn * pp + 2.0 * cs * sn * cross
-
-        pair_axes = sorted({p.axes for p in points if p.kind.startswith("D")})
-        first_axes = sorted({axes[0] for axes in pair_axes})
-        pairs: dict[tuple[int, int, float, float], float] = {}
-        for k in first_axes:
-            partners = [axes[1] for axes in pair_axes if axes[0] == k]
-            last = max(partners)
-            pre = prefix[k]
-            pk = _apply_pauli(pre, circuit.generators[k].letters)
-            for sk in (HALF_PI, -HALF_PI):
-                half = 0.5 * (angles[k] + sk)
-                z = np.cos(half) * pre - 1j * np.sin(half) * pk
-                for l in range(k + 1, last + 1):
-                    letters = circuit.generators[l].letters
-                    pz = _apply_pauli(z, letters)
-                    if l in partners:
-                        v1 = conjugated[l] @ z
-                        v2 = conjugated[l] @ pz
-                        zz = float(np.real(np.vdot(z, v1)))
-                        pp = float(np.real(np.vdot(pz, v2)))
-                        cross = float(np.imag(np.vdot(z, v2)))
-                        for sl in (HALF_PI, -HALF_PI):
-                            h2 = 0.5 * (angles[l] + sl)
-                            cs, sn = np.cos(h2), np.sin(h2)
-                            pairs[(k, l, sk, sl)] = (
-                                cs * cs * zz + sn * sn * pp + 2.0 * cs * sn * cross
-                            )
-                    h0 = 0.5 * angles[l]
-                    z = np.cos(h0) * z - 1j * np.sin(h0) * pz
-
-        base = None
-        out = np.empty(len(points))
-        sign = {"D++": (1, 1), "D--": (-1, -1), "D-+": (-1, 1), "D+-": (1, -1)}
-        for position, point in enumerate(points):
-            if point.kind == "A":
-                if base is None:
-                    psi = prefix[nu]
-                    # conjugated[nu-1] is the bare Hamiltonian matrix.
-                    base = float(np.real(np.vdot(psi, conjugated[nu - 1] @ psi)))
-                out[position] = base
-            elif point.kind in ("B+", "B-"):
-                s = HALF_PI if point.kind == "B+" else -HALF_PI
-                out[position] = singles[(point.axes[0], s)]
-            elif point.kind == "C":
-                out[position] = singles[(point.axes[0], np.pi)]
-            else:
-                k, l = point.axes
-                sk, sl = sign[point.kind]
-                out[position] = pairs[(k, l, sk * HALF_PI, sl * HALF_PI)]
-        return out
+        # Axes padded to a pair, () as (0, 0) and (k,) as (k, k): the padded
+        # axes carry zero weight.
+        index = np.array(
+            [(_KIND_INDEX[p.kind],) + (p.axes * 2 + (0, 0))[:2] for p in points],
+            dtype=np.intp,
+        ).reshape(-1, 3)
+        return self._cache[tuple(index.T)]
 
 
 @dataclass(frozen=True)

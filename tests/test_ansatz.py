@@ -150,7 +150,7 @@ def test_energy_matches_dense_oracle():
 
 
 def test_adjoint_gradient_equals_shift_rule():
-    """Dual route: O(nu) adjoint sweep vs the literal 2nu-query protocol."""
+    """Dual route: one tangent sweep vs the literal 2nu-query protocol."""
     rng = np.random.default_rng(139)
     for _ in range(10):
         n = int(rng.integers(2, 5))
@@ -161,6 +161,22 @@ def test_adjoint_gradient_equals_shift_rule():
         adjoint = energy_gradient(circuit, theta, h)
         shifted = parameter_shift_gradient(circuit, theta, h)
         assert np.max(np.abs(adjoint - shifted)) < 1e-12
+
+
+def test_tangent_gradient_equals_shift_rule_at_one_parameter_and_near_pi():
+    rng = np.random.default_rng(141)
+    for _ in range(4):
+        circuit = random_circuit(rng, 2, 1)
+        h = random_hamiltonian(rng, 2, 4)
+        theta = rng.uniform(-np.pi, np.pi, 1)
+        gradient = energy_gradient(circuit, theta, h)
+        assert np.max(np.abs(gradient - parameter_shift_gradient(circuit, theta, h))) < 1e-12
+    circuit = random_circuit(rng, 3, 5, spread=0.0)
+    h = random_hamiltonian(rng, 3, 6)
+    for edge in (np.pi - 1e-9, -np.pi + 1e-9, np.pi, -np.pi):
+        theta = np.array([edge, -edge, edge, 0.5 * edge, -0.5 * edge])
+        gradient = energy_gradient(circuit, theta, h)
+        assert np.max(np.abs(gradient - parameter_shift_gradient(circuit, theta, h))) < 1e-12
 
 
 def test_gradient_matches_finite_differences():
@@ -235,3 +251,5 @@ def test_circuit_from_text_errors():
         circuit_from_text("# qubits: 2\n")
     with pytest.raises(ValueError, match="line 2"):
         circuit_from_text("0.1 XX\n0.2 X")
+    with pytest.raises(ValueError, match="header declares 3"):
+        circuit_from_text("# qubits: 3\n0.1 XX")

@@ -22,6 +22,8 @@ from analytic_descent import (
     tangent_states,
     zero_state,
 )
+from analytic_descent import simulator
+from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_pairs
 from conftest import (
     dense_hamiltonian,
     pauli_matrix,
@@ -212,3 +214,36 @@ def test_tangent_matches_central_differences():
             - prepare_state(circuit, theta - shift).amplitudes
         ) / (2.0 * eps)
         assert np.max(np.abs(diff - tangents[m].amplitudes)) < 1e-7
+
+
+def test_second_order_sweep_keeps_the_first_order_rows(monkeypatch):
+    """Every chunk of the second-order sweep carries ψ and T bit for bit."""
+    rng = np.random.default_rng(89)
+    circuit = random_circuit(rng, 3, 7)
+    theta = rng.uniform(-1.0, 1.0, 7)
+    psi, tangents = _state_and_tangents(circuit, theta)
+    monkeypatch.setattr(simulator, "_PAIR_CHUNK_BYTES", 3 * 16 * 8)  # three rows
+    chunks = list(_state_tangents_and_pairs(circuit, theta))
+    assert len(chunks) > 1
+    for chunk_psi, chunk_tangents, *_ in chunks:
+        assert np.array_equal(chunk_psi, psi)
+        assert np.array_equal(chunk_tangents, tangents)
+    pairs = [(k, l) for *_, ks, ls, _ in chunks for k, l in zip(ks, ls)]
+    assert sorted(pairs) == [(k, l) for k in range(7) for l in range(k + 1, 7)]
+
+
+def test_pair_tangents_match_central_differences():
+    """ || (t_k(θ + ε e_l) - t_k(θ - ε e_l)) / 2ε - t_kl ||  =  O(ε²) """
+    rng = np.random.default_rng(97)
+    circuit = random_circuit(rng, 3, 5)
+    theta = rng.uniform(-0.5, 0.5, 5)
+    ((_, _, ks, ls, pairs),) = _state_tangents_and_pairs(circuit, theta)
+    eps = 1e-4
+    for k, l, pair in zip(ks, ls, pairs):
+        shift = np.zeros(5)
+        shift[l] = eps
+        diff = (
+            _state_and_tangents(circuit, theta + shift)[1][k]
+            - _state_and_tangents(circuit, theta - shift)[1][k]
+        ) / (2.0 * eps)
+        assert np.max(np.abs(diff - pair)) < 1e-7

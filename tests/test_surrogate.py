@@ -32,11 +32,14 @@ from analytic_descent import (
     model_to_json,
     parse_pauli_sum,
     query_schedule,
+    spin_ring_hamiltonian,
     symmetry_report,
 )
+from analytic_descent import simulator
 from analytic_descent.surrogate import (
     MonomialBasis,
     NoiseLevels,
+    QueryPoint,
     _division_free_energy,
     _query_rng,
 )
@@ -115,6 +118,23 @@ def test_estimation_rejects_partial_schedule():
     oracle = CircuitOracle(AnsatzCircuit(1, (PauliString("X"),)), parse_pauli_sum("1 Z"))
     with pytest.raises(ValueError, match="does not match any full"):
         estimate_coefficients(oracle, query_schedule(1)[:-1])
+
+
+def test_estimation_rejects_a_repeated_or_misplaced_point():
+    rng = np.random.default_rng(23)
+    circuit = random_circuit(rng, 2, 2)
+    oracle = CircuitOracle(circuit, random_hamiltonian(rng, 2, 4))
+    schedule = query_schedule(2)
+    assert schedule[3] == QueryPoint(3, "B+", (1,))
+    for position, point, message in (
+        (3, QueryPoint(3, "B+", (0,)), r"B\+ points need distinct axes"),
+        (5, QueryPoint(5, "C", (-1,)), "C points need distinct axes in"),
+        (7, QueryPoint(7, "D++", (1, 0)), r"D\+\+ points .* with k < l"),
+    ):
+        broken = list(schedule)
+        broken[position] = point
+        with pytest.raises(ValueError, match=message):
+            estimate_coefficients(oracle, broken)
 
 
 def test_oracle_failure_names_the_query_point():
@@ -228,16 +248,43 @@ def test_fast_oracle_agrees_with_pointwise_energies():
     assert np.max(np.abs(fast - naive)) < 1e-12
 
 
-def test_large_register_oracle_falls_back_to_pointwise():
-    # dim 256 exceeds the cached-conjugation limit; exercises the plain path
+def test_large_register_oracle_falls_back_to_pointwise(monkeypatch):
+    # dim 256 takes the same sweep route as small registers, also when its
+    # pair tangents are split over several chunks of the second-order sweep
     rng = np.random.default_rng(41)
     circuit = random_circuit(rng, 8, 3)
     h = random_hamiltonian(rng, 8, 4)
-    oracle = CircuitOracle(circuit, h)
-    schedule = query_schedule(3)
-    values = oracle.schedule_energies(schedule)
-    for p, value in zip(schedule, values):
-        assert abs(value - energy(circuit, p.shift(3), h)) < 1e-12
+    ring = AnsatzCircuit(
+        8,
+        tuple(
+            PauliString(s)
+            for s in ("YIIIIIII", "IYIIIIII", "ZZIIIIII", "IXIIIIII", "XXYIIIII")
+        ),
+        rng.uniform(-np.pi, np.pi, 5),
+    )
+    ring_h = spin_ring_hamiltonian(8, 1.0, rng.uniform(-1.0, 1.0, 8))
+    for budget in (simulator._PAIR_CHUNK_BYTES, 2 * 16 * 256):  # two pair rows
+        monkeypatch.setattr(simulator, "_PAIR_CHUNK_BYTES", budget)
+        for circuit, h in ((circuit, h), (ring, ring_h)):
+            nu = circuit.num_parameters
+            schedule = query_schedule(nu)
+            values = CircuitOracle(circuit, h).schedule_energies(schedule)
+            for p, value in zip(schedule, values):
+                assert abs(value - energy(circuit, p.shift(nu), h)) < 1e-12
+    chunks = list(simulator._state_tangents_and_pairs(ring, np.zeros(5)))
+    assert len(chunks) > 1
+    assert np.ptp(values) > 0.1  # the ring case has non-trivial energies
+
+
+def test_oracle_agrees_with_pointwise_at_one_and_two_parameters():
+    rng = np.random.default_rng(43)
+    for nu in (1, 1, 2, 2):
+        circuit = random_circuit(rng, 2, nu)
+        h = random_hamiltonian(rng, 2, 5)
+        schedule = query_schedule(nu)
+        values = CircuitOracle(circuit, h).schedule_energies(schedule)
+        naive = np.array([energy(circuit, p.shift(nu), h) for p in schedule])
+        assert np.max(np.abs(values - naive)) < 1e-12
 
 
 def test_stationary_point_suppresses_eB():
