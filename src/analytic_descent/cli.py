@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seeds must be non-negative, got {seed}")
         if self.ng_step_size <= 0.0:
             raise ValueError(f"ng_step_size must be > 0, got {self.ng_step_size}")
         if self.ng_max_steps < 1:

@@ -179,7 +179,7 @@ def apply_pauli_rotation(psi: StateVector, P: PauliString, theta: float) -> Stat
 
 
 def expectation(psi: StateVector, h: PauliSum) -> float:
-    """⟨ψ|H|ψ⟩ = Σ c_j ⟨ψ|P_j|ψ⟩ for a real-weighted Pauli sum.
+    """⟨ψ|H|ψ⟩ = Σ c_j ⟨ψ|P_j|ψ⟩ for a real-weighted Pauli sum, as ⟨ψ|Hψ⟩.
 
     The imaginary residue must vanish (|Im| < 1e-10) since H is Hermitian;
     a larger residue indicates a corrupted state or sum and raises.
@@ -190,9 +190,7 @@ def expectation(psi: StateVector, h: PauliSum) -> float:
             f"{psi.num_qubits}-qubit state"
         )
     amps = psi.amplitudes
-    total = 0.0 + 0.0j
-    for coeff, string in h.terms:
-        total += coeff * np.vdot(amps, _apply_pauli(amps, string.letters))
+    total = np.vdot(amps, _apply_hamiltonian(amps, h))
     if abs(total.imag) >= 1e-10:
         raise ValueError(f"expectation has imaginary residue {total.imag}")
     return float(total.real)

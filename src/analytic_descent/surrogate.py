@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .ansatz import AnsatzCircuit, energy
 from .simulator import _apply_hamiltonian, _real_overlaps, _state_tangents_and_pairs
@@ -179,102 +180,226 @@ class SurrogateModel:
         return self.eD + self.eD.T
 
 
-def _query_rng(rng_seed, index: int) -> np.random.Generator:
-    # Counter-based stream per canonical point: identical noise regardless of
-    # evaluation order or concurrency.  rng_seed may be an int or a sequence
-    # of ints (e.g. (noise seed, run seed, outer iteration, channel)).  Each
-    # key part is split into little-endian 32-bit words exactly as
-    # SeedSequence splits a list of ints, so the stream equals
-    # default_rng(key + [index]) without its slower coercion of a list.
-    parts = list(rng_seed) if isinstance(rng_seed, (tuple, list)) else [rng_seed]
+# SeedSequence's hash constants (numpy.random.bit_generator).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _key_words(parts) -> list[int]:
+    # Each part as little-endian 32-bit words, exactly as SeedSequence splits
+    # a list of ints (0 is one word).
     words = []
-    for part in parts + [index]:
+    for part in parts:
         part = int(part)
         if part < 0:
             raise ValueError(f"noise key parts must be non-negative, got {part}")
         while True:
-            words.append(part & 0xFFFFFFFF)
+            words.append(part & _MASK32)
             part >>= 32
             if not part:
                 break
+    return words
+
+
+def _key_parts(rng_seed) -> list:
+    return list(rng_seed) if isinstance(rng_seed, (tuple, list)) else [rng_seed]
+
+
+class _SeedState(ISeedSequence):
+    """Seed source that hands PCG64 one row of `_seed_states`."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a precomputed row is generate_state(4, np.uint64)")
+        return self.state
+
+
+def _query_rng(rng_seed, index: int, state=None) -> np.random.Generator:
+    """The noise generator of one query, keyed by (rng_seed, canonical index).
+
+    Counter-based stream per canonical point: identical noise regardless of
+    evaluation order or concurrency.  ``rng_seed`` is an int or a tuple of
+    ints (e.g. (noise seed, run seed, outer iteration, channel)); every part
+    must be non-negative.  Without ``state`` this is the reference
+    ``default_rng(list(key) + [index])``, seeded from the key's 32-bit words.
+    ``state`` is the query's row of ``_seed_states(rng_seed, indices)``: the
+    same PCG64 seed, without hashing the key again for every query.
+    """
+    if state is not None:
+        return np.random.Generator(np.random.PCG64(_SeedState(state)))
+    words = _key_words(_key_parts(rng_seed) + [index])
     return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
+def _seed_states(rng_seed, indices) -> np.ndarray:
+    """Row i is ``SeedSequence(key + [indices[i]]).generate_state(4, np.uint64)``.
+
+    The seed words of ``default_rng(list(key) + [index])`` for every index in
+    one batch.  Indices split into one or more 32-bit words; each word count
+    is one batch.
+    """
+    key_words = _key_words(_key_parts(rng_seed))
+    key = [np.array([word], dtype=np.uint32) for word in key_words]
+    index = np.asarray(indices)
+    if index.dtype.kind in "iu" and not (index.size and index.min() < 0):
+        index = index.astype(np.uint64)
+        words = np.stack([index & _MASK32, index >> 32], axis=1).astype(np.uint32)
+        lengths = 1 + (words[:, 1] != 0)
+    else:  # negative, 2**64 and above, or not one integer dtype
+        split = [_key_words([i]) for i in indices]
+        lengths = np.array([len(row) for row in split], dtype=np.intp)
+        words = np.zeros((len(split), lengths.max()), dtype=np.uint32)
+        for row, value in zip(words, split):
+            row[: len(value)] = value
+    states = np.empty((len(lengths), 4), dtype=np.uint64)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        states[rows] = _generate_state(key + list(words[rows, :length].T))
+    return states
+
+
+def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
+    # SeedSequence's entropy mixing and generate_state(4, np.uint64), step for
+    # step, on uint32 columns: each entropy word is an array of shape (1,)
+    # (shared by every row) or (rows,).  The hash constants evolve apart from
+    # the data, so all rows take the same steps.
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    zero = np.zeros(1, dtype=np.uint32)
+    padded = entropy + [zero] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    rows = max(len(word) for word in entropy)
+    state = np.empty((rows, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _point_table(points) -> tuple:
+    """The schedule's bookkeeping: (indices, kind numbers, first axes, second axes).
+
+    Each point's fields are read once.  Axes are padded to a pair as the
+    oracle's energy table is indexed: () as (0, 0) and (k,) as (k, k).
+    """
+    # One comprehension per field: building a tuple per point costs more.
+    indices = [p.index for p in points]
+    kinds = [p.kind for p in points]
+    axes = [p.axes for p in points]
+    kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(kinds))
+    arity = _ARITY[kind]
+    counts = np.fromiter(map(len, axes), np.intp, len(axes))
+    if np.any(counts != arity):
+        first_bad = points[int(np.argmax(counts != arity))]
+        raise ValueError(
+            f"schedule's {first_bad.kind} points shift "
+            f"{len(QueryPoint._SHIFTS[first_bad.kind])} axis(es), "
+            f"got axes {first_bad.axes}"
+        )
+    ends = np.cumsum(arity)
+    flat = np.zeros(int(ends[-1]) + 1 if len(ends) else 1, dtype=np.intp)
+    flat[:-1] = np.fromiter(itertools.chain.from_iterable(axes), np.intp, len(flat) - 1)
+    first = np.where(arity > 0, flat[ends - arity], 0)
+    second = np.where(arity == 2, flat[ends - 1], first)
+    return indices, kind, first, second
 
 
 def estimate_coefficients(
     oracle,
     schedule: list[QueryPoint],
     noise: NoiseLevels | None = None,
-    rng_seed: int = 0,
+    rng_seed: int | tuple[int, ...] = 0,
     max_workers: int | None = None,
     theta0=None,
 ) -> SurrogateModel:
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
-    ``oracle`` maps a shift vector to an energy; an object exposing
-    ``schedule_energies(points)`` is used batched.  The schedule must hold
-    every canonical point once: each kind's axes distinct and in range, with
-    k < l for pairs.  Each raw query is perturbed by an independent
-    zero-mean Gaussian whose std is the class level from ``noise``; the noise
-    stream is keyed by (rng_seed, canonical point index), so the result does
-    not depend on the schedule's order.  Variance fields sum the raw-query
-    variances per combined coefficient.  ``max_workers`` is accepted for
-    compatibility and has no effect: the batched oracle is one vectorized
-    build that threads have nothing to split in.
+    ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
+    evaluated batched.  The schedule must hold every canonical point once:
+    each kind's axes distinct and in range, with k < l for pairs.  Each raw
+    query is perturbed by an independent zero-mean Gaussian whose std is the
+    class level from ``noise``.  Its draw is the first ``standard_normal()``
+    of ``default_rng(list(key) + [index])``, keyed by ``rng_seed`` (an int or
+    a tuple of non-negative ints) and the canonical point index, so the
+    result does not depend on the schedule's order; the generators' seeds
+    are computed for all noisy queries in one batch.  Variance fields sum
+    the raw-query variances per combined coefficient.  ``max_workers`` is
+    accepted for compatibility and has no effect: the batched oracle is one
+    vectorized build that threads have nothing to split in.
     """
-    nu = max((axis for p in schedule for axis in p.axes), default=-1) + 1
+    table = _point_table(schedule)
+    indices, kind, first, second = table
+    nu = int(np.maximum(first, second).max(initial=0)) + 1
     if len(schedule) != 2 * nu * nu + nu + 1:
         raise ValueError(
             f"schedule with {len(schedule)} points does not match any full "
             f"canonical schedule (nearest parameter count {nu})"
         )
-    if len({p.index for p in schedule}) != len(schedule):
+    if len(set(indices)) != len(schedule):
         raise ValueError("schedule contains duplicate query-point indices")
-    # Group positions and axes by kind; every coefficient is then one fixed
-    # combination of its own queries, so a permuted schedule assembles (and
-    # rounds) bit-identically to the straight one.
-    groups = {kind: ([], []) for kind in QueryPoint._SHIFTS}
-    for position, point in enumerate(schedule):
-        positions, axes = groups[point.kind]
-        positions.append(position)
-        axes.append(point.axes)
-    indices = {}
-    for kind, (_, axes) in groups.items():
-        arity = len(QueryPoint._SHIFTS[kind])
-        index = np.array(axes, dtype=np.intp).reshape(len(axes), arity)
-        # With the point count right, distinct in-range axes per kind mean
-        # the schedule holds every canonical point exactly once.
-        if (
-            (index.size and index.min() < 0)
-            or len(np.unique(index @ nu ** np.arange(arity))) != len(index)
-            or (arity == 2 and np.any(index[:, 0] >= index[:, 1]))
-        ):
-            raise ValueError(
-                f"schedule's {kind} points need distinct axes in [0, {nu})"
-                + (" with k < l" if arity == 2 else "")
-            )
-        indices[kind] = index
+    # With the point count right, distinct in-range axes per kind mean the
+    # schedule holds every canonical point exactly once.
+    valid = (first >= 0) & (second >= 0) & ((_ARITY[kind] < 2) | (first < second))
+    slot = np.where(valid, (kind * nu + first) * nu + second, -1 - np.arange(len(kind)))
+    _, where, repeats = np.unique(slot, return_inverse=True, return_counts=True)
+    bad = ~valid | (repeats[where] > 1)
+    if bad.any():
+        name = list(QueryPoint._SHIFTS)[kind[bad].min()]
+        raise ValueError(
+            f"schedule's {name} points need distinct axes in [0, {nu})"
+            + (" with k < l" if name.startswith("D") else "")
+        )
 
-    values = _raw_energies(oracle, schedule, nu)
+    values = _raw_energies(oracle, schedule, nu, table)
     if noise is not None:
-        sigmas = {kind: noise.for_kind(kind) for kind in QueryPoint._SHIFTS}
-        for position, point in enumerate(schedule):
-            sigma = sigmas[point.kind]
-            if sigma > 0.0:
-                draw = _query_rng(rng_seed, point.index).standard_normal()
-                values[position] += sigma * draw
+        sigma = np.array([noise.for_kind(name) for name in QueryPoint._SHIFTS])[kind]
+        noisy = np.flatnonzero(sigma > 0.0)
+        if noisy.size:
+            keys = [indices[position] for position in noisy]
+            draws = [
+                _query_rng(rng_seed, index, state).standard_normal()
+                for index, state in zip(keys, _seed_states(rng_seed, keys))
+            ]
+            values[noisy] += sigma[noisy] * np.array(draws)
 
-    def scattered(kind, shape):
-        out = np.zeros(shape)
-        out[tuple(indices[kind].T)] = values[groups[kind][0]]
-        return out
-
-    eA = float(values[groups["A"][0][0]])
-    single, pair = (nu,), (nu, nu)
-    eB = scattered("B+", single) - scattered("B-", single)
-    eC = scattered("C", single)
-    eD = (
-        (scattered("D++", pair) + scattered("D--", pair)) - scattered("D-+", pair)
-    ) - scattered("D+-", pair)
+    # Every coefficient is one fixed combination of its own queries, so a
+    # permuted schedule assembles (and rounds) bit-identically to the
+    # straight one.  by_kind[s, k, l] is the value of kind s at axes (k, l),
+    # padded as in the oracle's table.
+    by_kind = np.zeros((len(QueryPoint._SHIFTS), nu, nu))
+    by_kind[kind, first, second] = values
+    A, Bp, Bm, C, Dpp, Dmm, Dmp, Dpm = by_kind
+    eA = float(A[0, 0])
+    eB = np.diag(Bp) - np.diag(Bm)
+    eC = np.diag(C)
+    eD = ((Dpp + Dmm) - Dmp) - Dpm
 
     if noise is None:
         varA, varB, varC, varD = 0.0, None, None, None
@@ -291,10 +416,9 @@ def estimate_coefficients(
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
-def _raw_energies(oracle, schedule, nu) -> np.ndarray:
-    batched = getattr(oracle, "schedule_energies", None)
-    if batched is not None:
-        return np.asarray(batched(list(schedule)), dtype=float)
+def _raw_energies(oracle, schedule, nu, table) -> np.ndarray:
+    if isinstance(oracle, CircuitOracle):
+        return oracle.schedule_energies(schedule, table)
 
     def pointwise(point):
         try:
@@ -318,6 +442,7 @@ def _shift_weights(shifts) -> tuple[float, float, float, float]:
 
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(QueryPoint._SHIFTS)}
+_ARITY = np.array([len(shifts) for shifts in QueryPoint._SHIFTS.values()])
 _SHIFT_WEIGHTS = np.array([_shift_weights(s) for s in QueryPoint._SHIFTS.values()])
 
 
@@ -378,17 +503,14 @@ class CircuitOracle:
         gram += np.swapaxes(np.triu(gram, 1), -1, -2)
         self._cache = np.einsum("si,klij,sj->skl", _SHIFT_WEIGHTS, gram, _SHIFT_WEIGHTS)
 
-    def schedule_energies(self, points: list[QueryPoint]) -> np.ndarray:
+    def schedule_energies(self, points: list[QueryPoint], table=None) -> np.ndarray:
+        """Energies at ``points``; ``table`` is their `_point_table`, if built."""
         with self._cache_lock:
             if self._cache is None:
                 self._build_cache()
-        # Axes padded to a pair, () as (0, 0) and (k,) as (k, k): the padded
-        # axes carry zero weight.
-        index = np.array(
-            [(_KIND_INDEX[p.kind],) + (p.axes * 2 + (0, 0))[:2] for p in points],
-            dtype=np.intp,
-        ).reshape(-1, 3)
-        return self._cache[tuple(index.T)]
+        # Padded axes carry zero weight.
+        _, kind, first, second = _point_table(points) if table is None else table
+        return self._cache[kind, first, second]
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,27 @@ def test_run_method_and_seed_overrides(tmp_path):
     ]
 
 
+def test_negative_run_seeds_are_rejected_up_front(tmp_path, capsys):
+    # Whatever the seed perturbation and noise settings, the config names the
+    # negative seed before anything runs.
+    for perturbation, noise in (("0.3", "true"), ("0", "true"), ("0", "false")):
+        text = (
+            SPIN_RING_INI.replace("seeds = 1", "seeds = 2,-3")
+            .replace("init_perturbation = 0.3", f"init_perturbation = {perturbation}")
+            .replace("enabled = true", f"enabled = {noise}")
+        )
+        path = _write(tmp_path / f"neg_{perturbation}_{noise}.ini", text)
+        with pytest.raises(ValueError, match="seeds must be non-negative, got -3"):
+            load_experiment_config(path)
+    config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI)
+    out_dir = tmp_path / "out"
+    assert main([
+        "run", "--config", config_path, "--output-dir", str(out_dir), "--seeds", "-3",
+    ]) == 1
+    assert "error: seeds must be non-negative, got -3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_missing_config_is_an_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "config file not found" in capsys.readouterr().err

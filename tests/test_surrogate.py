@@ -42,6 +42,7 @@ from analytic_descent.surrogate import (
     QueryPoint,
     _division_free_energy,
     _query_rng,
+    _seed_states,
 )
 from conftest import random_circuit, random_hamiltonian
 
@@ -130,6 +131,8 @@ def test_estimation_rejects_a_repeated_or_misplaced_point():
         (3, QueryPoint(3, "B+", (0,)), r"B\+ points need distinct axes"),
         (5, QueryPoint(5, "C", (-1,)), "C points need distinct axes in"),
         (7, QueryPoint(7, "D++", (1, 0)), r"D\+\+ points .* with k < l"),
+        (5, QueryPoint(5, "C", (0, 1)), r"C points shift 1 axis\(es\), got axes"),
+        (0, QueryPoint(0, "A", (1,)), r"A points shift 0 axis\(es\)"),
     ):
         broken = list(schedule)
         broken[position] = point
@@ -229,12 +232,64 @@ def test_query_rng_draws_equal_the_seed_sequence_of_the_key(part):
             assert np.array_equal(_query_rng(key, index).standard_normal(4), expected)
     expected = np.random.default_rng([part, 9]).standard_normal(4)
     assert np.array_equal(_query_rng(part, 9).standard_normal(4), expected)
+    # The precomputed rows: one batch mixes one-, two- and three-word indices.
+    indices = [0, 17, 2**32, part]
+    for key in (0, part, (part,), (3, part, 1, 0)):
+        parts = list(key) if isinstance(key, tuple) else [key]
+        states = _seed_states(key, indices)
+        for index, state in zip(indices, states):
+            seeds = np.random.SeedSequence(parts + [index])
+            assert np.array_equal(state, seeds.generate_state(4, np.uint64))
+            expected = np.random.default_rng(parts + [index]).standard_normal(4)
+            drawn = _query_rng(key, index, state).standard_normal(4)
+            assert np.array_equal(drawn, expected)
 
 
 def test_query_rng_rejects_negative_key_parts():
     for key, index in (((0, -1, 2), 3), (-4, 0), ((1, 2), -1)):
         with pytest.raises(ValueError, match="non-negative"):
             _query_rng(key, index)
+        with pytest.raises(ValueError, match="non-negative"):
+            _seed_states(key, [5, index])
+
+
+@pytest.mark.parametrize(
+    "nu, key, levels",
+    [
+        (1, 4, NoiseLevels(0.05, 0.06, 0.07, 0.08)),
+        (2, (0, 2**32 + 1, 3, 0), NoiseLevels(0.05, 0.0, 0.07, 0.08)),
+        (42, (0, 1, 1, 0), NoiseLevels(0.01, 0.02, 0.03, 0.04)),
+    ],
+)
+def test_batched_noise_equals_one_default_rng_per_query(nu, key, levels):
+    rng = np.random.default_rng(41 + nu)
+    circuit = random_circuit(rng, 3, nu)
+    oracle = CircuitOracle(circuit, random_hamiltonian(rng, 3, 6))
+    schedule = query_schedule(nu)
+    parts = list(key) if isinstance(key, tuple) else [key]
+    values = {}
+    for point, clean in zip(schedule, oracle.schedule_energies(schedule)):
+        sigma = levels.for_kind(point.kind)
+        if sigma > 0.0:
+            draw = np.random.default_rng(parts + [point.index]).standard_normal()
+            clean += sigma * draw
+        values[point.kind, point.axes] = clean
+    eB = np.array([values["B+", (k,)] - values["B-", (k,)] for k in range(nu)])
+    eC = np.array([values["C", (k,)] for k in range(nu)])
+    eD = np.zeros((nu, nu))
+    for k in range(nu):
+        for l in range(k + 1, nu):
+            pair = [values[kind, (k, l)] for kind in ("D++", "D--", "D-+", "D+-")]
+            eD[k, l] = ((pair[0] + pair[1]) - pair[2]) - pair[3]
+    reference = SurrogateModel(
+        circuit.theta_ref, values["A", ()], eB, eC, eD,
+        levels.sigma_a**2,
+        np.full(nu, 2.0 * levels.sigma_b**2),
+        np.full(nu, levels.sigma_c**2),
+        np.triu(np.full((nu, nu), 4.0 * levels.sigma_d**2), 1),
+    )
+    model = estimate_coefficients(oracle, schedule, levels, rng_seed=key)
+    assert model_to_json(model) == model_to_json(reference)
 
 
 def test_fast_oracle_agrees_with_pointwise_energies():
