@@ -146,7 +146,6 @@ def load_experiment_config(
         similarity_feedback=opt.getboolean("similarity_feedback", fallback=False),
         frozen_metric=opt.getboolean("frozen_metric", fallback=False),
         record_inner_every=opt.getint("record_inner_every", fallback=0),
-        max_workers=opt.getint("max_workers", fallback=None),
     )
 
     seed_text = run.get("seeds", fallback="0") if seeds is None else seeds
@@ -205,18 +204,10 @@ def _basis_state_reference(h, circuit) -> np.ndarray:
     """π on the first-layer rotations of qubits that are down in the lowest
     diagonal basis state, so the circuit starts from that product state."""
     n = h.num_qubits
-    dim = 2**n
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    for coeff, string in h.terms:
-        if "X" in string.letters or "Y" in string.letters:
-            continue
-        mask = 0
-        for q, letter in enumerate(string.letters):
-            if letter == "Z":
-                mask |= 1 << (n - 1 - q)
-        parity = (np.bitwise_count(idx & mask) & 1).astype(float)
-        diag += coeff * (1.0 - 2.0 * parity)
+    diag = next(
+        (weight.real for src, weight in h.flip_patterns if src is None),
+        np.zeros(2**n),
+    )
     best = int(np.argmin(diag))
     base = np.zeros(circuit.num_parameters)
     for q in range(n):
@@ -286,8 +277,6 @@ def _write_sidecar(path, config: ExperimentConfig, method, seed, trace) -> None:
         "ng_step_size": repr(config.ng_step_size),
         "ng_max_steps": str(config.ng_max_steps),
     }
-    if opt.max_workers is not None:
-        optimizer["max_workers"] = str(opt.max_workers)
     parser["optimizer"] = optimizer
     parser["noise"] = {
         "enabled": str(config.noise.enabled),

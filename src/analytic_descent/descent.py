@@ -89,8 +89,6 @@ class OptimizerConfig:
     direction against a (noisy) device parameter-shift gradient and aborts
     the inner loop when 1−f exceeds ``similarity_abort``.
     ``record_inner_every`` 0 keeps traces to outer/feedback records only.
-    ``max_workers`` is accepted, so configs and sidecars that set it still
-    load, and has no effect: each estimation is one vectorized oracle build.
     """
 
     step_size: float
@@ -106,7 +104,6 @@ class OptimizerConfig:
     frozen_metric: bool = False
     record_inner_every: int = 1
     store_theta: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self):
         if self.step_size <= 0.0:
@@ -371,6 +368,7 @@ def run_analytic_descent(
                             noise.rng_seed, rng_seed, outer, 3, feedback_events
                         ).standard_normal(nu)
                     raw += 2 * nu
+                    g_model = eval_gradient(model, theta)  # at the device's θ
                     if one_minus_f(g_model, device_grad) > config.similarity_abort:
                         exit_reason = "similarity"
                         break

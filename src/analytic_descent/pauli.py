@@ -3,7 +3,9 @@
 A Pauli string is a dense tensor product of single-qubit operators from
 {I, X, Y, Z}, written as a letter sequence with qubit 0 leftmost.  A Pauli
 sum is a real linear combination of Pauli strings on a common qubit count;
-real coefficients keep the operator Hermitian by construction.
+real coefficients keep the operator Hermitian by construction.  Each
+string's signed-permutation kernel and each sum's compiled flip patterns are
+cached here; the simulator applies H only through the latter.
 
 The text format is one term per line, ``<coefficient> <letters>``, with
 ``#``-prefixed comment lines.  A ``# qubits: N`` header is always emitted so
@@ -13,6 +15,7 @@ that sums with no terms still round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +59,31 @@ class PauliString:
         return self.letters
 
 
+@lru_cache(maxsize=4096)
+def _pauli_kernel(letters: str):
+    """Signed-permutation form of a Pauli string: (source index, phase)."""
+    n = len(letters)
+    flip = 0
+    sign_mask = 0
+    n_y = 0
+    for k, letter in enumerate(letters):
+        bit = 1 << (n - 1 - k)
+        if letter in "XY":
+            flip |= bit
+        if letter in "YZ":
+            sign_mask |= bit
+        if letter == "Y":
+            n_y += 1
+    idx = np.arange(2**n, dtype=np.int64)
+    src = idx ^ flip
+    parity = (np.bitwise_count(src & sign_mask) & 1).astype(np.int64)
+    phase = (1j**n_y) * np.where(parity, -1.0, 1.0)
+    phase = np.asarray(phase, dtype=np.complex128)
+    phase.flags.writeable = False
+    src.flags.writeable = False
+    return src, phase
+
+
 @dataclass(frozen=True)
 class PauliSum:
     """Real linear combination of Pauli strings on a common qubit count.
@@ -97,6 +125,22 @@ class PauliSum:
 
     def __iter__(self):
         return iter(self.terms)
+
+    @cached_property
+    def flip_patterns(self) -> tuple[tuple[np.ndarray | None, np.ndarray], ...]:
+        """H compiled once: (source index, weight) per flip pattern, so that
+        H·v = Σ weight·v[src].  Terms flipping the same qubits share one
+        gather, their weighted phases summed in term order (7 patterns for
+        the 24 terms of the six-site ring); the diagonal (Z-only) pattern's
+        index is None.  Patterns keep the order of their first term."""
+        patterns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for coeff, string in self.terms:
+            src, phase = _pauli_kernel(string.letters)
+            _, weight = patterns.get(int(src[0]), (src, 0.0))
+            patterns[int(src[0])] = (src, weight + coeff * phase)
+        for _, weight in patterns.values():
+            weight.flags.writeable = False
+        return tuple((src if flip else None, w) for flip, (src, w) in patterns.items())
 
 
 def _parse_lines(

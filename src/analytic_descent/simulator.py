@@ -8,29 +8,28 @@ letter of a Pauli string).  Every gate is a Pauli rotation
 
 and a Pauli string acts as a signed permutation of the computational basis:
 P|i⟩ = i^{n_Y} (-1)^{popcount(i & m_{YZ})} |i ^ m_{XY}⟩, where m_{XY} flips
-the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  That kernel is
-cached per letter string and reused by gates, expectations, and the
-Hamiltonian matvec behind the iterative ground-energy solver.
+the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  Gates use that
+kernel (``pauli._pauli_kernel``); every use of H, from expectations to the
+dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
 
 Derivatives come from one forward tangent sweep that carries ψ, its first
 derivatives t_m = ∂ψ/∂θ_m and, on request, the pair derivatives
 t_kl = ∂²ψ/∂θ_k∂θ_l.  The metric, the energy gradient and the batched
 schedule oracle are all built from it.
 
-All operations are pure functions over immutable values, so independent
-energy queries may run concurrently without shared state.
+All operations are pure functions over immutable values; kernels and
+compiled sums are cached on first use and never changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse.linalg
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, _pauli_kernel
 
 if TYPE_CHECKING:  # import only for annotations; ansatz imports us at runtime
     from .ansatz import AnsatzCircuit
@@ -85,31 +84,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@lru_cache(maxsize=4096)
-def _pauli_kernel(letters: str):
-    """Signed-permutation form of a Pauli string: (source index, phase)."""
-    n = len(letters)
-    flip = 0
-    sign_mask = 0
-    n_y = 0
-    for k, letter in enumerate(letters):
-        bit = 1 << (n - 1 - k)
-        if letter in "XY":
-            flip |= bit
-        if letter in "YZ":
-            sign_mask |= bit
-        if letter == "Y":
-            n_y += 1
-    idx = np.arange(2**n, dtype=np.int64)
-    src = idx ^ flip
-    parity = (np.bitwise_count(src & sign_mask) & 1).astype(np.int64)
-    phase = (1j**n_y) * np.where(parity, -1.0, 1.0)
-    phase = np.asarray(phase, dtype=np.complex128)
-    phase.flags.writeable = False
-    src.flags.writeable = False
-    return src, phase
-
-
 def _apply_pauli(amps: np.ndarray, letters: str) -> np.ndarray:
     """P·amps for 1-D amplitudes or batches with amplitudes on the last axis."""
     src, phase = _pauli_kernel(letters)
@@ -123,23 +97,17 @@ def _apply_rotation(amps: np.ndarray, letters: str, theta: float) -> np.ndarray:
 
 
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
-    """H·amps for 1-D amplitudes or batches with amplitudes on the last axis.
-
-    Terms that flip the same qubits gather from the same source index, so
-    their weighted phases are summed first and each flip pattern costs one
-    gather (7 instead of 24 for the six-site ring).
-    """
-    flips: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for coeff, string in h.terms:
-        src, phase = _pauli_kernel(string.letters)
-        _, weight = flips.get(int(src[0]), (src, 0.0))
-        flips[int(src[0])] = (src, weight + coeff * phase)
+    """H·amps for 1-D amplitudes or batches with amplitudes on the last axis:
+    one gather and one multiply-add per flip pattern of ``h.flip_patterns``."""
     out = np.zeros(amps.shape, dtype=np.complex128)
-    for src, weight in flips.values():
-        gathered = amps.take(src, axis=-1)
-        gathered *= weight
-        out += gathered
-        del gathered  # one block-sized temporary at a time
+    for src, weight in h.flip_patterns:
+        if src is None:
+            term = amps * weight
+        else:
+            term = amps.take(src, axis=-1)
+            term *= weight
+        out += term
+        del term  # one block-sized temporary at a time
     return out
 
 
@@ -209,9 +177,9 @@ def overlap(psi: StateVector, phi: StateVector) -> float:
 def hamiltonian_matrix(h: PauliSum, max_qubits: int = 10) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli sum (small systems only).
 
-    Each term is a signed permutation, so column i of the matrix carries the
-    phase of P|i⟩ at row i ^ flip; the dense form is assembled column-wise
-    without any Kronecker products.
+    Row i of each flip pattern holds its weight[i] at column src[i] (the
+    diagonal for the Z-only pattern), so the dense form is written from the
+    compiled sum without any Kronecker products.
     """
     if h.num_qubits > max_qubits:
         raise ValueError(
@@ -220,11 +188,8 @@ def hamiltonian_matrix(h: PauliSum, max_qubits: int = 10) -> np.ndarray:
     dim = 2**h.num_qubits
     idx = np.arange(dim)
     matrix = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, string in h.terms:
-        src, phase = _pauli_kernel(string.letters)
-        # Column i of P has its only entry at row i ^ flip = src[i]; the gather
-        # kernel stores phase[j] = phase of P|src[j]⟩, so that entry is phase[src[i]].
-        matrix[src, idx] += coeff * phase[src]
+    for src, weight in h.flip_patterns:
+        matrix[idx, idx if src is None else src] = weight
     return matrix
 
 
@@ -232,8 +197,8 @@ def ground_energy(h: PauliSum) -> float:
     """Minimum eigenvalue of a Pauli sum, absolute accuracy ≤ 1e-8.
 
     Small systems are diagonalized densely; above dimension 8 an iterative
-    extremal eigensolver (Lanczos) runs on the matrix-free H·v product built
-    from the same Pauli kernels the gate engine uses.
+    extremal eigensolver (Lanczos) runs on the matrix-free H·v product of
+    the sum's compiled flip patterns.
     """
     if h.num_qubits > MAX_QUBITS:
         raise ValueError(f"qubit count {h.num_qubits} exceeds cap {MAX_QUBITS}")

@@ -1,15 +1,19 @@
-"""Shared helpers: independent dense-matrix oracles and random generators.
+"""Shared helpers: independent reference oracles and random generators.
 
-The oracles here deliberately avoid the package's own gate kernels: states
+The dense oracles deliberately avoid the package's own gate kernels: states
 and operators are built from explicit 2x2 matrices, Kronecker products, and
 scipy's matrix exponential, so cross-checks run through genuinely different
-arithmetic than the code under test.
+arithmetic than the code under test.  The untruncated 3^ν expansion and the
+O(ν⁴) leave-out-product gradient are the surrogate's slow reference routes.
 """
+
+import itertools
 
 import numpy as np
 from scipy.linalg import expm
 
-from analytic_descent import AnsatzCircuit, PauliString, PauliSum
+from analytic_descent import AnsatzCircuit, PauliString, PauliSum, SurrogateModel, energy
+from analytic_descent.surrogate import HALF_PI, MonomialBasis, _check_length
 
 SINGLE_QUBIT = {
     "I": np.eye(2, dtype=complex),
@@ -94,3 +98,89 @@ def random_circuit(rng, n: int, nu: int, spread: float = np.pi) -> AnsatzCircuit
     generators = tuple(random_string(rng, n) for _ in range(nu))
     theta_ref = rng.uniform(-spread, spread, nu)
     return AnsatzCircuit(n, generators, theta_ref)
+
+
+class FullTrigExpansion:
+    """Untruncated 3^ν expansion of a circuit energy (test oracle, ν ≤ 8).
+
+    Every word over {a, b, c}^ν gets its exact coefficient from simulator
+    queries at the matching {0, ±π/2, π} shift pattern (b axes expand into
+    signed ±π/2 pairs), after which evaluation at any θ is a cheap weighted
+    monomial sum that must reproduce the simulator energy to rounding.
+    """
+
+    def __init__(self, circuit: AnsatzCircuit, h):
+        nu = circuit.num_parameters
+        if nu > 8:
+            raise ValueError(f"full expansion limited to ν <= 8, got ν={nu}")
+        self.nu = nu
+        words = np.array(list(itertools.product((0, 1, 2), repeat=nu)), dtype=np.int8)
+        coeffs = np.empty(len(words))
+        for w_index, word in enumerate(words):
+            b_axes = [k for k in range(nu) if word[k] == 1]
+            base = np.where(word == 2, np.pi, 0.0).astype(float)
+            total = 0.0
+            for signs in itertools.product((1.0, -1.0), repeat=len(b_axes)):
+                shift = base.copy()
+                for axis, sign in zip(b_axes, signs):
+                    shift[axis] = sign * HALF_PI
+                total += float(np.prod(signs)) * energy(circuit, shift, h)
+            coeffs[w_index] = total
+        self.words = words
+        self.coeffs = coeffs
+
+    def energy(self, theta) -> float:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.nu,):
+            raise ValueError(f"expected length {self.nu}, got shape {theta.shape}")
+        cos = np.cos(theta)
+        abc = np.stack([0.5 * (1 + cos), 0.5 * np.sin(theta), 0.5 * (1 - cos)])
+        factors = abc[self.words, np.arange(self.nu)]
+        return float(np.dot(np.prod(factors, axis=1), self.coeffs))
+
+
+def brute_force_energy(circuit: AnsatzCircuit, h, theta) -> float:
+    """Evaluate the untruncated 3^ν expansion at θ (rebuilds it; tests only)."""
+    return FullTrigExpansion(circuit, h).energy(theta)
+
+
+def eval_gradient_reference(model: SurrogateModel, theta) -> np.ndarray:
+    """Division-free gradient via direct leave-out products (slow test path).
+
+    Valid everywhere, including the |θₖ| = π/2 boundary; O(ν⁴) work, meant
+    for small ν cross-checks of the fast path.
+    """
+    theta = _check_length(model, theta)
+    basis = MonomialBasis.from_theta(theta)
+    nu = model.nu
+    a, b, c = basis.a, basis.b, basis.c
+    da, db, dc = basis.da, basis.db, basis.dc
+
+    def prod_excluding(*skip):
+        mask = np.ones(nu, dtype=bool)
+        mask[list(skip)] = False
+        return float(np.prod(a[mask]))
+
+    grad = np.zeros(nu)
+    for m in range(nu):
+        g = da[m] * prod_excluding(m) * model.eA
+        for k in range(nu):
+            if k == m:
+                g += db[m] * prod_excluding(m) * model.eB[m]
+                g += dc[m] * prod_excluding(m) * model.eC[m]
+            else:
+                g += b[k] * da[m] * prod_excluding(k, m) * model.eB[k]
+                g += c[k] * da[m] * prod_excluding(k, m) * model.eC[k]
+        for k in range(nu):
+            for l in range(k + 1, nu):
+                coeff = model.eD[k, l]
+                if coeff == 0.0:
+                    continue
+                if m == k:
+                    g += db[m] * b[l] * prod_excluding(k, l) * coeff
+                elif m == l:
+                    g += b[k] * db[m] * prod_excluding(k, l) * coeff
+                else:
+                    g += b[k] * b[l] * da[m] * prod_excluding(k, l, m) * coeff
+        grad[m] = g
+    return grad

@@ -17,7 +17,6 @@ import pytest
 from analytic_descent import (
     AnsatzCircuit,
     CircuitOracle,
-    FullTrigExpansion,
     NoiseLevels,
     NoiseSpec,
     OptimizerConfig,
@@ -40,7 +39,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
 )
 from analytic_descent.cli import _basis_state_reference, main, scaling_study
-from conftest import fd_metric, random_circuit, random_hamiltonian
+from conftest import FullTrigExpansion, fd_metric, random_circuit, random_hamiltonian
 
 
 def _ring_instance():

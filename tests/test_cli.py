@@ -8,12 +8,14 @@ from analytic_descent import (
     build_hardware_efficient,
     energy,
     format_pauli_sum,
+    parse_pauli_sum,
     read_trace_csv,
     spin_ring_hamiltonian,
 )
 from analytic_descent.cli import (
     DEFAULT_DELTAS,
     ExperimentConfig,
+    _basis_state_reference,
     build_hamiltonian,
     initial_reference,
     load_experiment_config,
@@ -186,6 +188,12 @@ def test_basis_state_reference_reaches_lowest_diagonal_energy(tmp_path):
     base = initial_reference(config, circuit, h)
     # lowest diagonal value of 0.7 z0 - 0.3 z1 is -1.0 (z0 down, z1 up)
     assert abs(energy(circuit.rebased(base), np.zeros(circuit.num_parameters), h) + 1.0) < 1e-12
+
+
+def test_basis_state_reference_is_zero_without_a_diagonal_term():
+    h = parse_pauli_sum("-0.4 YY\n0.1 ZX\n")  # off-diagonal only
+    circuit = build_hardware_efficient(2, 1)
+    assert np.array_equal(_basis_state_reference(h, circuit), np.zeros(circuit.num_parameters))
 
 
 def test_initial_reference_from_parameter_file(tmp_path):

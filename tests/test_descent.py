@@ -18,6 +18,7 @@ from analytic_descent import (
     cost_to_reach,
     energy,
     estimate_coefficients,
+    eval_gradient,
     feedback_check,
     one_minus_f,
     parse_pauli_sum,
@@ -31,6 +32,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     write_trace_csv,
 )
+from analytic_descent import descent
 from analytic_descent import metric as metric_module
 from analytic_descent.descent import NOISE_FLOOR, TRACE_COLUMNS
 from conftest import random_circuit, random_hamiltonian
@@ -227,15 +229,12 @@ def test_noisy_descent_is_deterministic_and_thread_invariant():
     h = random_hamiltonian(rng, 2, 4)
     noise = NoiseSpec(enabled=True, relative_gradient_precision=0.1, rng_seed=2)
 
-    def run(workers):
-        config = OptimizerConfig(
-            step_size=0.01, max_outer=4, record_inner_every=2, max_workers=workers,
-        )
+    def run():
+        config = OptimizerConfig(step_size=0.01, max_outer=4, record_inner_every=2)
         return run_analytic_descent(circuit, h, config, noise, rng_seed=11)
 
-    first, second, threaded = run(None), run(None), run(4)
+    first, second = run(), run()
     assert first.records == second.records
-    assert first.records == threaded.records
     different = run_analytic_descent(
         circuit, h,
         OptimizerConfig(step_size=0.01, max_outer=4, record_inner_every=2),
@@ -275,6 +274,42 @@ def test_similarity_exit_under_overwhelming_gradient_noise():
     noise = NoiseSpec(enabled=True, relative_gradient_precision=10.0, rng_seed=5)
     trace = run_analytic_descent(circuit, h, config, noise, rng_seed=1)
     assert trace.metadata["inner_exits"][0]["reason"] == "similarity"
+
+
+def test_similarity_feedback_compares_gradients_at_the_same_point(monkeypatch):
+    """The surrogate gradient handed to 1−f is the model's gradient at the
+    device's θ, the point the device gradient was measured at."""
+    rng = np.random.default_rng(9)
+    circuit = random_circuit(rng, 2, 4)
+    h = random_hamiltonian(rng, 2, 5)
+    events = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            events.append((name, args, out))
+            return out
+        return wrapped
+
+    for name in ("estimate_coefficients", "energy_gradient", "one_minus_f"):
+        monkeypatch.setattr(descent, name, recording(name, getattr(descent, name)))
+    config = OptimizerConfig(
+        step_size=0.01, max_outer=2, max_inner=8, trust_radius=0.4,
+        feedback_period=2, feedback_tolerance=1e6, similarity_feedback=True,
+        similarity_abort=2.5, record_inner_every=0,
+    )
+    run_analytic_descent(circuit, h, config, NoiseSpec())
+    compared = 0
+    for position, (name, args, _) in enumerate(events):
+        if name != "one_minus_f":
+            continue
+        model = [out for n, _, out in events[:position] if n == "estimate_coefficients"][-1]
+        _, (_, theta, _), device = events[position - 1]
+        assert np.any(theta != 0.0)
+        assert np.array_equal(args[1], device)
+        assert np.array_equal(args[0], eval_gradient(model, theta))
+        compared += 1
+    assert compared == 8
 
 
 def test_descent_divergence_carries_partial_trace():

@@ -4,6 +4,8 @@ matrix oracles in conftest."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analytic_descent import (
     AnsatzCircuit,
@@ -22,7 +24,7 @@ from analytic_descent import (
     tangent_states,
     zero_state,
 )
-from analytic_descent import simulator
+from analytic_descent import pauli, simulator
 from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_pairs
 from conftest import (
     dense_hamiltonian,
@@ -160,6 +162,67 @@ def test_hamiltonian_matrix_matches_dense():
     rng = np.random.default_rng(53)
     h = random_hamiltonian(rng, 3, 8)
     assert np.max(np.abs(hamiltonian_matrix(h) - dense_hamiltonian(h))) < 1e-14
+
+
+# The compiled form against the Kronecker-product oracle: random sums on
+# 1–4 qubits, including ones with no diagonal (Z-only) pattern, only a
+# diagonal pattern, an identity term, and no terms at all.
+
+_SUM_CASES = ("mixed", "no diagonal", "diagonal only", "identity", "empty")
+_FLIP_BITS = str.maketrans("IZXY", "0011")
+
+
+@st.composite
+def _sums(draw):
+    n = draw(st.integers(1, 4))
+    case = draw(st.sampled_from(_SUM_CASES))
+    strings = st.text("IZ" if case == "diagonal only" else "IXYZ", min_size=n, max_size=n)
+    if case == "no diagonal":
+        strings = strings.filter(lambda letters: set(letters) & set("XY"))
+    coeff = st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)
+    count = 0 if case == "empty" else draw(st.integers(1, 6))
+    terms = [(draw(coeff), PauliString(draw(strings))) for _ in range(count)]
+    if case == "identity":
+        terms.append((draw(coeff), PauliString("I" * n)))
+    return PauliSum(n, tuple(terms))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(h=_sums(), seed=st.integers(0, 2**16))
+def test_compiled_sum_applies_like_the_dense_matrix(h, seed):
+    # one pattern per distinct set of flipped (X/Y) qubits; None marks flip 0
+    flips = {string.letters.translate(_FLIP_BITS) for _, string in h.terms}
+    diagonal = [src is None for src, _ in h.flip_patterns]
+    assert len(diagonal) == len(flips)
+    assert diagonal.count(True) == ("0" * h.num_qubits in flips)
+    dense = dense_hamiltonian(h)
+    rng = np.random.default_rng(seed)
+    dim = 2**h.num_qubits
+    batch = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    single = simulator._apply_hamiltonian(batch[0], h)
+    assert np.allclose(single, dense @ batch[0], rtol=0.0, atol=1e-13)
+    batched = simulator._apply_hamiltonian(batch, h)
+    assert np.allclose(batched, batch @ dense.T, rtol=0.0, atol=1e-13)
+    assert np.max(np.abs(hamiltonian_matrix(h) - dense), initial=0.0) < 1e-14
+
+
+def test_a_sum_is_compiled_once(monkeypatch):
+    kernel = pauli._pauli_kernel
+    calls = []
+
+    def counting(letters):
+        calls.append(letters)
+        return kernel(letters)
+
+    monkeypatch.setattr(pauli, "_pauli_kernel", counting)
+    h = spin_ring_hamiltonian(4, 0.3, [0.2, 0.0, -0.5, 0.1])
+    psi = prepare_state(random_circuit(np.random.default_rng(5), 4, 6), np.zeros(6))
+    first = simulator._apply_hamiltonian(psi.amplitudes, h)
+    assert len(calls) == h.num_terms
+    assert np.array_equal(simulator._apply_hamiltonian(psi.amplitudes, h), first)
+    expectation(psi, h)
+    hamiltonian_matrix(h)
+    assert len(calls) == h.num_terms
 
 
 def test_ground_energy_single_qubit():

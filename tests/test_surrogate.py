@@ -14,17 +14,14 @@ from scipy.optimize import minimize
 from analytic_descent import (
     AnsatzCircuit,
     CircuitOracle,
-    FullTrigExpansion,
     PauliString,
     SurrogateModel,
     TrustRegionError,
-    brute_force_energy,
     energy,
     energy_gradient,
     estimate_coefficients,
     eval_energy,
     eval_gradient,
-    eval_gradient_reference,
     extract_gradient_hessian,
     gradient_variance,
     gradient_variance_by_class,
@@ -44,7 +41,13 @@ from analytic_descent.surrogate import (
     _query_rng,
     _seed_states,
 )
-from conftest import random_circuit, random_hamiltonian
+from conftest import (
+    FullTrigExpansion,
+    brute_force_energy,
+    eval_gradient_reference,
+    random_circuit,
+    random_hamiltonian,
+)
 
 HALF_PI = 0.5 * np.pi
 
