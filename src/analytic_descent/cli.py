@@ -16,7 +16,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,14 @@ _PRESETS = {
 _METHODS = ("analytic_descent", "natural_gradient", "both")
 
 DEFAULT_DELTAS = tuple(np.geomspace(0.01, 0.3, 7))
+
+# The [optimizer] and [noise] keys are the fields of OptimizerConfig and
+# NoiseSpec; each field's annotation picks its INI getter and writer.
+_INI_TYPES = {
+    "float": ("getfloat", repr),
+    "int": ("getint", str),
+    "bool": ("getboolean", str),
+}
 
 
 @dataclass(frozen=True)
@@ -132,20 +140,10 @@ def load_experiment_config(
         if spin_ring_n is None:
             raise ValueError("spin-ring preset requires N in [hamiltonian]")
 
-    step_size = opt.getfloat("step_size", fallback=defaults.get("step_size", 0.01))
-    optimizer = OptimizerConfig(
-        step_size=step_size,
-        eta=opt.getfloat("eta", fallback=0.01),
-        max_outer=opt.getint("max_outer", fallback=40),
-        max_inner=opt.getint("max_inner", fallback=10_000),
-        trust_radius=opt.getfloat("trust_radius", fallback=0.2),
-        feedback_period=opt.getint("feedback_period", fallback=0),
-        feedback_tolerance=opt.getfloat("feedback_tolerance", fallback=0.01),
-        convergence_threshold=opt.getfloat("convergence_threshold", fallback=1e-3),
-        similarity_abort=opt.getfloat("similarity_abort", fallback=0.05),
-        similarity_feedback=opt.getboolean("similarity_feedback", fallback=False),
-        frozen_metric=opt.getboolean("frozen_metric", fallback=False),
-        record_inner_every=opt.getint("record_inner_every", fallback=0),
+    # The INI's fallbacks where they differ from the dataclass defaults.
+    optimizer = _read_fields(
+        OptimizerConfig, opt,
+        step_size=defaults.get("step_size", 0.01), max_outer=40, record_inner_every=0,
     )
 
     seed_text = run.get("seeds", fallback="0") if seeds is None else seeds
@@ -164,16 +162,10 @@ def load_experiment_config(
         method=method or opt.get("method", fallback="both"),
         optimizer=optimizer,
         ng_step_size=opt.getfloat(
-            "ng_step_size", fallback=defaults.get("ng_step_size", step_size)
+            "ng_step_size", fallback=defaults.get("ng_step_size", optimizer.step_size)
         ),
         ng_max_steps=opt.getint("ng_max_steps", fallback=20_000),
-        noise=NoiseSpec(
-            enabled=noise_sec.getboolean("enabled", fallback=False),
-            relative_gradient_precision=noise_sec.getfloat(
-                "relative_gradient_precision", fallback=0.1
-            ),
-            rng_seed=noise_sec.getint("rng_seed", fallback=0),
-        ),
+        noise=_read_fields(NoiseSpec, noise_sec),
         seeds=parsed_seeds,
         output_dir=output_dir or run.get("output_dir", fallback="runs"),
         preset=preset,
@@ -183,21 +175,40 @@ def load_experiment_config(
     )
 
 
-def build_hamiltonian(config: ExperimentConfig):
-    """Resolve the config's Hamiltonian source to a PauliSum."""
-    if config.hamiltonian_file is not None:
-        if not os.path.exists(config.hamiltonian_file):
-            raise FileNotFoundError(
-                f"Hamiltonian file not found: {config.hamiltonian_file}"
-            )
-        with open(config.hamiltonian_file) as handle:
+def _read_fields(cls, section, **fallbacks):
+    """Build ``cls`` from the INI keys named by its fields."""
+    return cls(**{
+        f.name: getattr(section, _INI_TYPES[f.type][0])(
+            f.name, fallback=fallbacks.get(f.name, f.default)
+        )
+        for f in fields(cls)
+    })
+
+
+def _field_text(obj) -> dict:
+    """``obj``'s fields as INI values that ``_read_fields`` reads back exactly."""
+    return {f.name: _INI_TYPES[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _hamiltonian(file, spin_ring_n, j, omega_seed):
+    """A Pauli sum from a text file, or the spin ring with seeded ω fields."""
+    if file is not None:
+        if not os.path.exists(file):
+            raise FileNotFoundError(f"Hamiltonian file not found: {file}")
+        with open(file) as handle:
             return parse_pauli_sum(handle.read())
     omega = None
-    if config.omega_seed is not None:
-        omega = np.random.default_rng(config.omega_seed).uniform(
-            -1.0, 1.0, config.spin_ring_n
-        )
-    return spin_ring_hamiltonian(config.spin_ring_n, config.spin_ring_j, omega)
+    if omega_seed is not None:
+        omega = np.random.default_rng(omega_seed).uniform(-1.0, 1.0, spin_ring_n)
+    return spin_ring_hamiltonian(spin_ring_n, j, omega)
+
+
+def build_hamiltonian(config: ExperimentConfig):
+    """Resolve the config's Hamiltonian source to a PauliSum."""
+    return _hamiltonian(
+        config.hamiltonian_file, config.spin_ring_n, config.spin_ring_j,
+        config.omega_seed,
+    )
 
 
 def _basis_state_reference(h, circuit) -> np.ndarray:
@@ -259,30 +270,13 @@ def _write_sidecar(path, config: ExperimentConfig, method, seed, trace) -> None:
             ham["omega_seed"] = str(config.omega_seed)
     parser["hamiltonian"] = ham
     parser["ansatz"] = {"blocks": str(config.blocks)}
-    opt = config.optimizer
-    optimizer = {
+    parser["optimizer"] = {
         "method": method,
-        "step_size": repr(opt.step_size),
-        "eta": repr(opt.eta),
-        "max_outer": str(opt.max_outer),
-        "max_inner": str(opt.max_inner),
-        "trust_radius": repr(opt.trust_radius),
-        "feedback_period": str(opt.feedback_period),
-        "feedback_tolerance": repr(opt.feedback_tolerance),
-        "convergence_threshold": repr(opt.convergence_threshold),
-        "similarity_abort": repr(opt.similarity_abort),
-        "similarity_feedback": str(opt.similarity_feedback),
-        "frozen_metric": str(opt.frozen_metric),
-        "record_inner_every": str(opt.record_inner_every),
+        **_field_text(config.optimizer),
         "ng_step_size": repr(config.ng_step_size),
         "ng_max_steps": str(config.ng_max_steps),
     }
-    parser["optimizer"] = optimizer
-    parser["noise"] = {
-        "enabled": str(config.noise.enabled),
-        "relative_gradient_precision": repr(config.noise.relative_gradient_precision),
-        "rng_seed": str(config.noise.rng_seed),
-    }
+    parser["noise"] = _field_text(config.noise)
     run = {
         "seeds": str(seed),
         "output_dir": ".",
@@ -394,10 +388,9 @@ def scaling_study(
         max_outer=prelim_steps,
         convergence_threshold=1e-12,
         record_inner_every=0,
-        store_theta=True,
     )
     prelim = run_natural_gradient(circuit, h, prelim_config, NoiseSpec(enabled=False))
-    theta_star = np.array(prelim.final.theta_snapshot)
+    theta_star = prelim.theta
     anchored = circuit.rebased(theta_star - np.asarray(circuit.theta_ref))
     model = estimate_coefficients(
         CircuitOracle(anchored, h), query_schedule(circuit.num_parameters)
@@ -467,16 +460,7 @@ def cmd_validate(source, spin_ring_n=None, j=0.05, omega_seed=None) -> int:
         raise ValueError(
             "validate needs exactly one source: a file path or --spin-ring N"
         )
-    if source is not None:
-        if not os.path.exists(source):
-            raise FileNotFoundError(f"Hamiltonian file not found: {source}")
-        with open(source) as handle:
-            h = parse_pauli_sum(handle.read())
-    else:
-        omega = None
-        if omega_seed is not None:
-            omega = np.random.default_rng(omega_seed).uniform(-1.0, 1.0, spin_ring_n)
-        h = spin_ring_hamiltonian(spin_ring_n, j, omega)
+    h = _hamiltonian(source, spin_ring_n, j, omega_seed)
     print(f"qubits: {h.num_qubits}")
     print(f"terms: {len(h.terms)}")
     print("hermitian: yes (real Pauli coefficients)")

@@ -103,7 +103,6 @@ class OptimizerConfig:
     similarity_feedback: bool = False
     frozen_metric: bool = False
     record_inner_every: int = 1
-    store_theta: bool = False
 
     def __post_init__(self):
         if self.step_size <= 0.0:
@@ -135,13 +134,13 @@ class TraceRecord:
     energy_true: float
     energy_model: float | None
     distance_to_ground: float
-    theta_snapshot: tuple | None = None
 
 
 @dataclass
 class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    theta: np.ndarray | None = None  # last absolute parameters, set at the end
 
     def append(self, record: TraceRecord) -> None:
         if self.records:
@@ -223,26 +222,55 @@ def _stream(*key) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in key])
 
 
-def _distance(value: float, ground: float) -> float:
-    return abs(value - ground)
+def _noisy_gradient_sigma(noise: NoiseSpec, g_norm: float, nu: int) -> float:
+    """Per-entry std r·‖g‖/√ν of a noisy device gradient, floored."""
+    return max(noise.relative_gradient_precision * g_norm / np.sqrt(nu), NOISE_FLOOR)
 
 
-def _metadata(
-    method: str, metric: str, noise: NoiseSpec, rng_seed: int, nu: int, ground: float
-) -> dict:
-    """Run metadata shared by both optimizers; the exit is set as they stop."""
-    return {
-        "method": method,
-        "rng_seed": rng_seed,
-        "noise_enabled": noise.enabled,
-        "noise_seed": noise.rng_seed,
-        "relative_gradient_precision": noise.relative_gradient_precision,
-        "noise_floor": NOISE_FLOOR,
-        "metric": metric,
-        "nu": nu,
-        "ground_energy": ground,
-        "exit": "budget",
-    }
+class _Recorder:
+    """One run's trace, ground energy and cost/raw-query counters.
+
+    Every record of both optimizers goes through ``record``, which also
+    decides convergence: an outer record within ``threshold`` of the ground
+    energy sets the exit to "converged".
+    """
+
+    def __init__(self, method, metric, h, noise, rng_seed, nu, threshold):
+        self.ground = ground_energy(h)
+        self.threshold = threshold
+        self.cost = 0.0
+        self.raw = 0
+        self.trace = OptimizationTrace(
+            metadata={
+                "method": method,
+                "rng_seed": rng_seed,
+                "noise_enabled": noise.enabled,
+                "noise_seed": noise.rng_seed,
+                "relative_gradient_precision": noise.relative_gradient_precision,
+                "noise_floor": NOISE_FLOOR,
+                "metric": metric,
+                "nu": nu,
+                "ground_energy": self.ground,
+                "exit": "budget",
+            }
+        )
+
+    def record(self, phase, outer, inner, e_true, e_model=None) -> bool:
+        """Append one record; True when it is an outer record that converged."""
+        distance = abs(e_true - self.ground)
+        self.trace.append(
+            TraceRecord(
+                phase, outer, inner, self.cost, self.raw, e_true, e_model, distance
+            )
+        )
+        if phase == "outer" and distance < self.threshold:
+            self.trace.metadata["exit"] = "converged"
+            return True
+        return False
+
+    def finish(self, theta) -> OptimizationTrace:
+        self.trace.theta = np.array(theta, dtype=float)
+        return self.trace
 
 
 def run_analytic_descent(
@@ -263,28 +291,15 @@ def run_analytic_descent(
     ``convergence_threshold`` of the exact ground energy.
     """
     nu = circuit.num_parameters
-    ground = ground_energy(h)
-    trace = OptimizationTrace(
-        metadata=_metadata(
-            "analytic_descent",
-            "exact_frozen_outer" if config.frozen_metric else "exact_per_step",
-            noise, rng_seed, nu, ground,
-        )
+    run = _Recorder(
+        "analytic_descent",
+        "exact_frozen_outer" if config.frozen_metric else "exact_per_step",
+        h, noise, rng_seed, nu, config.convergence_threshold,
     )
-    cost = 0.0
-    raw = 0
     current = circuit
     zeros = np.zeros(nu)
-    e_true = energy(current, zeros, h)
-    trace.append(
-        TraceRecord(
-            "outer", 0, 0, cost, raw, e_true, None, _distance(e_true, ground),
-            tuple(current.theta_ref) if config.store_theta else None,
-        )
-    )
-    if _distance(e_true, ground) < config.convergence_threshold:
-        trace.metadata["exit"] = "converged"
-        return trace
+    if run.record("outer", 0, 0, energy(current, zeros, h)):
+        return run.finish(current.theta_ref)
 
     inner_exits = []
     schedule = query_schedule(nu)
@@ -298,8 +313,8 @@ def run_analytic_descent(
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
         )
-        raw += 2 * nu * nu + nu + 1
-        cost += 2.0
+        run.raw += 2 * nu * nu + nu + 1
+        run.cost += 2.0
 
         theta = zeros.copy()
         frozen = qfi_exact(current, theta) if config.frozen_metric else None
@@ -319,23 +334,16 @@ def run_analytic_descent(
                 raise DivergenceError(
                     f"non-finite parameters at outer {outer} inner {inner}; "
                     f"step_size {config.step_size} diverged",
-                    trace,
+                    run.trace,
                 )
             e_model = eval_energy(model, theta)
             if not np.isfinite(e_model):
                 raise DivergenceError(
                     f"non-finite surrogate energy at outer {outer} inner {inner}",
-                    trace,
+                    run.trace,
                 )
             if config.record_inner_every and inner % config.record_inner_every == 0:
-                e_inner = energy(current, theta, h)
-                trace.append(
-                    TraceRecord(
-                        "inner", outer, inner, cost, raw, e_inner, e_model,
-                        _distance(e_inner, ground),
-                        tuple(current.theta_ref + theta) if config.store_theta else None,
-                    )
-                )
+                run.record("inner", outer, inner, energy(current, theta, h), e_model)
             if np.abs(theta).max() >= config.trust_radius:
                 exit_reason = "trust_radius"
                 break
@@ -345,29 +353,19 @@ def run_analytic_descent(
                     model, current, h, theta, levels,
                     _stream(noise.rng_seed, rng_seed, outer, 2, feedback_events),
                 )
-                raw += 1
-                e_check = energy(current, theta, h)
-                trace.append(
-                    TraceRecord(
-                        "feedback", outer, inner, cost, raw, e_check, e_model,
-                        _distance(e_check, ground),
-                        tuple(current.theta_ref + theta) if config.store_theta else None,
-                    )
-                )
+                run.raw += 1
+                run.record("feedback", outer, inner, energy(current, theta, h), e_model)
                 if deviation > config.feedback_tolerance:
                     exit_reason = "feedback"
                     break
                 if config.similarity_feedback:
-                    sigma = max(
-                        noise.relative_gradient_precision * g_norm / np.sqrt(nu),
-                        NOISE_FLOOR,
-                    ) if noise.enabled else 0.0
                     device_grad = energy_gradient(current, theta, h)
-                    if sigma > 0.0:
+                    if noise.enabled:
+                        sigma = _noisy_gradient_sigma(noise, g_norm, nu)
                         device_grad = device_grad + sigma * _stream(
                             noise.rng_seed, rng_seed, outer, 3, feedback_events
                         ).standard_normal(nu)
-                    raw += 2 * nu
+                    run.raw += 2 * nu
                     g_model = eval_gradient(model, theta)  # at the device's θ
                     if one_minus_f(g_model, device_grad) > config.similarity_abort:
                         exit_reason = "similarity"
@@ -377,19 +375,11 @@ def run_analytic_descent(
         current = current.rebased(theta)
         e_true = energy(current, zeros, h)
         if not np.isfinite(e_true):
-            raise DivergenceError(f"non-finite energy after outer {outer}", trace)
-        trace.append(
-            TraceRecord(
-                "outer", outer, inner_done, cost, raw, e_true,
-                eval_energy(model, theta), _distance(e_true, ground),
-                tuple(current.theta_ref) if config.store_theta else None,
-            )
-        )
-        if _distance(e_true, ground) < config.convergence_threshold:
-            trace.metadata["exit"] = "converged"
+            raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
+        if run.record("outer", outer, inner_done, e_true, eval_energy(model, theta)):
             break
-    trace.metadata["inner_exits"] = inner_exits
-    return trace
+    run.trace.metadata["inner_exits"] = inner_exits
+    return run.finish(current.theta_ref)
 
 
 def run_natural_gradient(
@@ -406,62 +396,38 @@ def run_natural_gradient(
     ``max_outer`` caps the number of steps.
     """
     nu = circuit.num_parameters
-    ground = ground_energy(h)
-    trace = OptimizationTrace(
-        metadata=_metadata(
-            "natural_gradient", "exact_per_step", noise, rng_seed, nu, ground
-        )
+    run = _Recorder(
+        "natural_gradient", "exact_per_step",
+        h, noise, rng_seed, nu, config.convergence_threshold,
     )
-    cost = 0.0
-    raw = 0
     theta = np.zeros(nu)
-    e_true = energy(circuit, theta, h)
-    trace.append(
-        TraceRecord(
-            "outer", 0, 0, cost, raw, e_true, None, _distance(e_true, ground),
-            tuple(circuit.theta_ref + theta) if config.store_theta else None,
-        )
-    )
-    if _distance(e_true, ground) < config.convergence_threshold:
-        trace.metadata["exit"] = "converged"
-        return trace
+    if run.record("outer", 0, 0, energy(circuit, theta, h)):
+        return run.finish(circuit.theta_ref + theta)
 
     for step in range(1, config.max_outer + 1):
         g = energy_gradient(circuit, theta, h)
         if noise.enabled:
-            sigma = max(
-                noise.relative_gradient_precision * float(np.linalg.norm(g))
-                / np.sqrt(nu),
-                NOISE_FLOOR,
-            )
+            sigma = _noisy_gradient_sigma(noise, float(np.linalg.norm(g)), nu)
             g = g + sigma * _stream(
                 noise.rng_seed, rng_seed, step, 1
             ).standard_normal(nu)
         metric = qfi_exact(circuit, theta)
         direction = regularized_natural_direction(metric, config.eta, g)
         theta = theta - config.step_size * direction
-        cost += 1.0
-        raw += 2 * nu
+        run.cost += 1.0
+        run.raw += 2 * nu
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(
                 f"non-finite parameters at step {step}; "
                 f"step_size {config.step_size} diverged",
-                trace,
+                run.trace,
             )
         e_true = energy(circuit, theta, h)
         if not np.isfinite(e_true):
-            raise DivergenceError(f"non-finite energy at step {step}", trace)
-        trace.append(
-            TraceRecord(
-                "outer", step, 0, cost, raw, e_true, None,
-                _distance(e_true, ground),
-                tuple(circuit.theta_ref + theta) if config.store_theta else None,
-            )
-        )
-        if _distance(e_true, ground) < config.convergence_threshold:
-            trace.metadata["exit"] = "converged"
+            raise DivergenceError(f"non-finite energy at step {step}", run.trace)
+        if run.record("outer", step, 0, e_true):
             break
-    return trace
+    return run.finish(circuit.theta_ref + theta)
 
 
 def _format_float(value: float) -> str:

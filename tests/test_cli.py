@@ -1,6 +1,8 @@
 """Command-line front end: config parsing, Hamiltonian resolution, seeded
 runs with sidecar reproduction, the scaling study, and validation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from analytic_descent.cli import (
     main,
     _seed_perturbation,
 )
-from analytic_descent.descent import TRACE_COLUMNS
+from analytic_descent.descent import TRACE_COLUMNS, NoiseSpec, OptimizerConfig
 
 
 def _write(path, text):
@@ -318,6 +320,37 @@ def test_sidecar_reproduces_the_run_bit_for_bit(tmp_path):
         "analytic_descent_seed1.cfg",
         "analytic_descent_seed1.csv",
     ]
+
+
+def test_every_setting_round_trips_through_the_sidecar(tmp_path):
+    """Every OptimizerConfig and NoiseSpec field is an INI key, and a run's
+    sidecar writes it back so that it reloads to the same value."""
+    optimizer = OptimizerConfig(
+        step_size=0.02, eta=0.03, max_outer=2, max_inner=7, trust_radius=0.3,
+        feedback_period=3, feedback_tolerance=0.5, convergence_threshold=1e-7,
+        similarity_abort=0.9, similarity_feedback=True, frozen_metric=True,
+        record_inner_every=2,
+    )
+    noise = NoiseSpec(enabled=True, relative_gradient_precision=0.2, rng_seed=5)
+    for settings in (optimizer, noise):
+        for f in fields(settings):
+            assert getattr(settings, f.name) != f.default, f.name
+
+    def section(settings):
+        return "".join(f"{f.name} = {getattr(settings, f.name)}\n" for f in fields(settings))
+
+    config_path = _write(
+        tmp_path / "every.ini",
+        "[hamiltonian]\npreset = spin-ring\nN = 2\nomega_seed = 1\n\n"
+        "[ansatz]\nblocks = 1\n\n"
+        f"[optimizer]\nmethod = analytic_descent\n{section(optimizer)}\n"
+        f"[noise]\n{section(noise)}\n"
+        "[run]\nseeds = 1\n",
+    )
+    assert main(["run", "--config", config_path, "--output-dir", str(tmp_path)]) == 0
+    reloaded = load_experiment_config(tmp_path / "analytic_descent_seed1.cfg")
+    assert reloaded.optimizer == optimizer
+    assert reloaded.noise == noise
 
 
 def test_run_method_and_seed_overrides(tmp_path):

@@ -169,11 +169,10 @@ def test_zero_gradient_start_stays_stationary():
 def test_trust_region_exit_bounds_the_displacement():
     config = OptimizerConfig(
         step_size=0.01, max_outer=1, trust_radius=0.05, record_inner_every=0,
-        store_theta=True,
     )
     trace = run_analytic_descent(_rx(2.0), Z_FIELD, config, NoiseSpec())
     assert trace.metadata["inner_exits"][0]["reason"] == "trust_radius"
-    moved = abs(trace.final.theta_snapshot[0] - 2.0)
+    moved = abs(trace.theta[0] - 2.0)
     # the loop records the step that crossed the radius, then stops; one
     # extra step of at most step_size * max |direction| can overshoot
     assert 0.05 <= moved < 0.05 + 0.02
@@ -204,10 +203,9 @@ def test_first_inner_step_is_a_natural_gradient_step_on_eB():
     noise = NoiseSpec(enabled=True, relative_gradient_precision=0.1, rng_seed=4)
     config = OptimizerConfig(
         step_size=0.02, max_outer=1, max_inner=1, record_inner_every=0,
-        store_theta=True,
     )
     trace = run_analytic_descent(circuit, h, config, noise, rng_seed=9)
-    stepped = np.array(trace.final.theta_snapshot)
+    stepped = np.array(trace.theta)
 
     from analytic_descent import energy_gradient
 
@@ -370,7 +368,6 @@ def test_natural_gradient_matches_scalar_recurrence():
     absolute angle, independently recomputable without the optimizer."""
     config = OptimizerConfig(
         step_size=0.1, eta=0.0, max_outer=500, convergence_threshold=1e-3,
-        store_theta=True,
     )
     trace = run_natural_gradient(_rx(0.3), Z_FIELD, config, NoiseSpec())
     assert trace.metadata["exit"] == "converged"
@@ -381,7 +378,7 @@ def test_natural_gradient_matches_scalar_recurrence():
         steps += 1
     assert trace.final.outer == steps
     assert steps < 120
-    assert abs(trace.final.theta_snapshot[0] - angle) < 1e-9
+    assert abs(trace.theta[0] - angle) < 1e-9
 
 
 def test_natural_gradient_cost_accounting():
