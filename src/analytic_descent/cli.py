@@ -59,6 +59,21 @@ _INI_TYPES = {
 }
 
 
+def _read_fields(cls, section, **fallbacks):
+    """Build ``cls`` from the INI keys named by its fields."""
+    return cls(**{
+        f.name: getattr(section, _INI_TYPES[f.type][0])(
+            f.name, fallback=fallbacks.get(f.name, f.default)
+        )
+        for f in fields(cls)
+    })
+
+
+def _field_text(obj) -> dict:
+    """``obj``'s fields as INI values that ``_read_fields`` reads back exactly."""
+    return {f.name: _INI_TYPES[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description (one Hamiltonian source)."""
@@ -173,21 +188,6 @@ def load_experiment_config(
         init_perturbation=run.getfloat("init_perturbation", fallback=0.5),
         basis_state_init=run.getboolean("basis_state_init", fallback=basis_default),
     )
-
-
-def _read_fields(cls, section, **fallbacks):
-    """Build ``cls`` from the INI keys named by its fields."""
-    return cls(**{
-        f.name: getattr(section, _INI_TYPES[f.type][0])(
-            f.name, fallback=fallbacks.get(f.name, f.default)
-        )
-        for f in fields(cls)
-    })
-
-
-def _field_text(obj) -> dict:
-    """``obj``'s fields as INI values that ``_read_fields`` reads back exactly."""
-    return {f.name: _INI_TYPES[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _hamiltonian(file, spin_ring_n, j, omega_seed):

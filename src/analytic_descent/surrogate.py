@@ -336,7 +336,6 @@ def estimate_coefficients(
     noise: NoiseLevels | None = None,
     rng_seed: int | tuple[int, ...] = 0,
     max_workers: int | None = None,
-    theta0=None,
 ) -> SurrogateModel:
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
@@ -408,8 +407,7 @@ def estimate_coefficients(
         varC = np.full(nu, noise.sigma_c**2)
         varD = np.triu(np.full((nu, nu), 4.0 * noise.sigma_d**2), 1)
 
-    if theta0 is None:
-        theta0 = getattr(oracle, "theta0", None)
+    theta0 = getattr(oracle, "theta0", None)
     if theta0 is None:
         theta0 = np.zeros(nu)
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)

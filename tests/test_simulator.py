@@ -249,6 +249,18 @@ def test_ground_energy_matches_dense_diagonalization():
         assert abs(ground_energy(h) - want) < 1e-8
 
 
+def test_ground_energy_is_reproducible_on_the_field_free_ring():
+    """The field-free ring's uniform state is an eigenvector far from the
+    ground space, so the iterative solve must not start from it: repeated
+    calls agree exactly and match dense diagonalization."""
+    for n in (4, 6):
+        h = spin_ring_hamiltonian(n, 1.0)
+        values = {ground_energy(h) for _ in range(3)}
+        assert len(values) == 1
+        want = float(np.linalg.eigvalsh(hamiltonian_matrix(h))[0])
+        assert abs(values.pop() - want) < 1e-10
+
+
 def test_tangent_single_rx_at_zero():
     circuit = AnsatzCircuit(1, (PauliString("X"),))
     (tangent,) = tangent_states(circuit, np.zeros(1))
