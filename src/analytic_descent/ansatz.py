@@ -24,11 +24,13 @@ from .simulator import (
 )
 
 
-def _frozen_vector(values, length: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (length,):
-        raise ValueError(f"{what} must have shape ({length},), got {arr.shape}")
-    arr = arr.copy()
+def _frozen_array(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of ``value``, checked for shape and finiteness."""
+    arr = np.array(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite entries in {name}")
     arr.flags.writeable = False
     return arr
 
@@ -38,8 +40,9 @@ class AnsatzCircuit:
     """Ordered Pauli-rotation gates with a stored reference point θ₀.
 
     Gate k applies exp(-i(θ₀ₖ+θₖ)Pₖ/2); all generators share the qubit
-    count and ν = len(generators) = len(theta_ref).  Instances are immutable;
-    ``rebased`` returns a new circuit with a shifted reference.
+    count and ν = len(generators) = len(theta_ref); every angle is finite.
+    Instances are immutable; ``rebased`` returns a new circuit with a
+    shifted reference.
     """
 
     num_qubits: int
@@ -59,7 +62,7 @@ class AnsatzCircuit:
         object.__setattr__(self, "generators", generators)
         ref = self.theta_ref if self.theta_ref is not None else np.zeros(len(generators))
         object.__setattr__(
-            self, "theta_ref", _frozen_vector(ref, len(generators), "theta_ref")
+            self, "theta_ref", _frozen_array(ref, (len(generators),), "theta_ref")
         )
 
     @property
@@ -68,7 +71,7 @@ class AnsatzCircuit:
 
     def rebased(self, delta) -> "AnsatzCircuit":
         """New circuit with θ₀ ← θ₀ + delta (the local frame resets to 0)."""
-        delta = _frozen_vector(delta, self.num_parameters, "delta")
+        delta = _frozen_array(delta, (self.num_parameters,), "delta")
         return AnsatzCircuit(self.num_qubits, self.generators, self.theta_ref + delta)
 
 

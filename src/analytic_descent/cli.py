@@ -59,11 +59,23 @@ _INI_TYPES = {
 }
 
 
+def _parse_seeds(text) -> tuple:
+    return tuple(int(part) for part in str(text).split(",") if part.strip())
+
+
+def _get(section, getter, key, fallback=None):
+    """``section.<getter>(key)``; a value of the wrong type names its key."""
+    try:
+        return getattr(section, getter)(key, fallback=fallback)
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from None
+
+
 def _read_fields(cls, section, **fallbacks):
     """Build ``cls`` from the INI keys named by its fields."""
     return cls(**{
-        f.name: getattr(section, _INI_TYPES[f.type][0])(
-            f.name, fallback=fallbacks.get(f.name, f.default)
+        f.name: _get(
+            section, _INI_TYPES[f.type][0], f.name, fallbacks.get(f.name, f.default)
         )
         for f in fields(cls)
     })
@@ -124,7 +136,9 @@ def load_experiment_config(
     """Parse an INI experiment file; optional arguments override its values."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), converters={"seeds": _parse_seeds}
+    )
     with open(path) as handle:
         parser.read_file(handle, source=str(path))
     for name in ("hamiltonian", "ansatz", "optimizer", "noise", "run"):
@@ -151,7 +165,7 @@ def load_experiment_config(
     if ham_preset is not None:
         if ham_preset.replace("_", "-") != "spin-ring":
             raise ValueError(f"unknown hamiltonian preset {ham_preset!r}")
-        spin_ring_n = ham.getint("N", fallback=None)
+        spin_ring_n = _get(ham, "getint", "N")
         if spin_ring_n is None:
             raise ValueError("spin-ring preset requires N in [hamiltonian]")
 
@@ -161,9 +175,6 @@ def load_experiment_config(
         step_size=defaults.get("step_size", 0.01), max_outer=40, record_inner_every=0,
     )
 
-    seed_text = run.get("seeds", fallback="0") if seeds is None else seeds
-    parsed_seeds = tuple(int(part) for part in str(seed_text).split(",") if part.strip())
-
     init_params_file = run.get("init_params", fallback=None)
     basis_default = defaults.get(
         "basis_state_init", spin_ring_n is not None and init_params_file is None
@@ -171,22 +182,26 @@ def load_experiment_config(
     return ExperimentConfig(
         hamiltonian_file=ham_file,
         spin_ring_n=spin_ring_n,
-        spin_ring_j=ham.getfloat("J", fallback=0.05),
-        omega_seed=ham.getint("omega_seed", fallback=None),
-        blocks=ansatz.getint("blocks", fallback=2),
+        spin_ring_j=_get(ham, "getfloat", "J", 0.05),
+        omega_seed=_get(ham, "getint", "omega_seed"),
+        blocks=_get(ansatz, "getint", "blocks", 2),
         method=method or opt.get("method", fallback="both"),
         optimizer=optimizer,
-        ng_step_size=opt.getfloat(
-            "ng_step_size", fallback=defaults.get("ng_step_size", optimizer.step_size)
+        ng_step_size=_get(
+            opt, "getfloat", "ng_step_size",
+            defaults.get("ng_step_size", optimizer.step_size),
         ),
-        ng_max_steps=opt.getint("ng_max_steps", fallback=20_000),
+        ng_max_steps=_get(opt, "getint", "ng_max_steps", 20_000),
         noise=_read_fields(NoiseSpec, noise_sec),
-        seeds=parsed_seeds,
+        seeds=(
+            _get(run, "getseeds", "seeds", (0,))
+            if seeds is None else _parse_seeds(seeds)
+        ),
         output_dir=output_dir or run.get("output_dir", fallback="runs"),
         preset=preset,
         init_params_file=init_params_file,
-        init_perturbation=run.getfloat("init_perturbation", fallback=0.5),
-        basis_state_init=run.getboolean("basis_state_init", fallback=basis_default),
+        init_perturbation=_get(run, "getfloat", "init_perturbation", 0.5),
+        basis_state_init=_get(run, "getboolean", "basis_state_init", basis_default),
     )
 
 
@@ -240,6 +255,8 @@ def initial_reference(config: ExperimentConfig, circuit, h) -> np.ndarray:
                 f"initial parameters must have length {circuit.num_parameters}, "
                 f"got shape {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError(f"non-finite entries in {config.init_params_file}")
         return vec
     if config.basis_state_init:
         return _basis_state_reference(h, circuit)
@@ -368,15 +385,14 @@ def scaling_study(
     deltas=DEFAULT_DELTAS,
     samples: int = 1000,
     rng_seed: int = 0,
-    prelim_steps: int = 2000,
-    prelim_step_size: float = 0.001,
 ) -> ScalingStudyResult:
     """Model error and gradient-direction error vs displacement radius.
 
-    A fixed-length noiseless natural-gradient run first moves the reference
-    near the optimum; a noiseless surrogate is then built there and compared
-    with the simulator at ``samples`` uniform draws from the ∞-ball of each
-    radius.  Log-log slopes are fitted through the per-radius mean errors.
+    A noiseless natural-gradient run of 2000 steps of size 0.001 first moves
+    the reference near the optimum; a noiseless surrogate is then built there
+    and compared with the simulator at ``samples`` uniform draws from the
+    ∞-ball of each radius.  Log-log slopes are fitted through the per-radius
+    mean errors.
 
     The preliminary run deliberately stops short of full convergence: the
     direction-error exponent is only visible while the anchor still carries a
@@ -384,8 +400,8 @@ def scaling_study(
     radii.  At a fully converged anchor the exponent degrades towards 2.
     """
     prelim_config = OptimizerConfig(
-        step_size=prelim_step_size,
-        max_outer=prelim_steps,
+        step_size=0.001,
+        max_outer=2000,
         convergence_threshold=1e-12,
         record_inner_every=0,
     )

@@ -16,7 +16,7 @@ seed, iteration, channel), so re-runs are bit-reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .ansatz import AnsatzCircuit, energy, energy_gradient
 from .metric import qfi_exact, regularized_natural_direction
 from .simulator import ground_energy
 from .surrogate import (
+    HALF_PI,
     CircuitOracle,
     NoiseLevels,
     estimate_coefficients,
@@ -32,22 +33,9 @@ from .surrogate import (
     query_schedule,
 )
 
-HALF_PI = 0.5 * np.pi
-
 # Applied to every per-query std so a vanishing reference gradient never
 # requests infinitely many shots.
 NOISE_FLOOR = 1e-8
-
-TRACE_COLUMNS = (
-    "phase",
-    "outer",
-    "inner",
-    "cumulative_cost",
-    "cumulative_raw_queries",
-    "energy_true",
-    "energy_model",
-    "distance_to_ground",
-)
 
 # Inner steps stop early once the surrogate gradient is this flat; the
 # remaining steps would move θ by less than rounding.
@@ -136,9 +124,25 @@ class TraceRecord:
     distance_to_ground: float
 
 
+# The trace CSV's columns are TraceRecord's fields in order; each field's
+# annotation picks its (writer, reader) pair.  Floats print with 17
+# significant digits, so they read back bit for bit.
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+_CSV_TYPES = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": ("%.17g".__mod__, float),
+    "float | None": (
+        lambda value: "" if value is None else "%.17g" % value,
+        lambda text: None if text == "" else float(text),
+    ),
+}
+
+
 @dataclass
 class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
+    # method, ground_energy and exit; analytic descent adds inner_exits
     metadata: dict = field(default_factory=dict)
     theta: np.ndarray | None = None  # last absolute parameters, set at the end
 
@@ -235,24 +239,13 @@ class _Recorder:
     energy sets the exit to "converged".
     """
 
-    def __init__(self, method, metric, h, noise, rng_seed, nu, threshold):
+    def __init__(self, method, h, threshold):
         self.ground = ground_energy(h)
         self.threshold = threshold
         self.cost = 0.0
         self.raw = 0
         self.trace = OptimizationTrace(
-            metadata={
-                "method": method,
-                "rng_seed": rng_seed,
-                "noise_enabled": noise.enabled,
-                "noise_seed": noise.rng_seed,
-                "relative_gradient_precision": noise.relative_gradient_precision,
-                "noise_floor": NOISE_FLOOR,
-                "metric": metric,
-                "nu": nu,
-                "ground_energy": self.ground,
-                "exit": "budget",
-            }
+            metadata={"method": method, "ground_energy": self.ground, "exit": "budget"}
         )
 
     def record(self, phase, outer, inner, e_true, e_model=None) -> bool:
@@ -291,11 +284,7 @@ def run_analytic_descent(
     ``convergence_threshold`` of the exact ground energy.
     """
     nu = circuit.num_parameters
-    run = _Recorder(
-        "analytic_descent",
-        "exact_frozen_outer" if config.frozen_metric else "exact_per_step",
-        h, noise, rng_seed, nu, config.convergence_threshold,
-    )
+    run = _Recorder("analytic_descent", h, config.convergence_threshold)
     current = circuit
     zeros = np.zeros(nu)
     if run.record("outer", 0, 0, energy(current, zeros, h)):
@@ -313,7 +302,7 @@ def run_analytic_descent(
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
         )
-        run.raw += 2 * nu * nu + nu + 1
+        run.raw += len(schedule)
         run.cost += 2.0
 
         theta = zeros.copy()
@@ -396,10 +385,7 @@ def run_natural_gradient(
     ``max_outer`` caps the number of steps.
     """
     nu = circuit.num_parameters
-    run = _Recorder(
-        "natural_gradient", "exact_per_step",
-        h, noise, rng_seed, nu, config.convergence_threshold,
-    )
+    run = _Recorder("natural_gradient", h, config.convergence_threshold)
     theta = np.zeros(nu)
     if run.record("outer", 0, 0, energy(circuit, theta, h)):
         return run.finish(circuit.theta_ref + theta)
@@ -430,31 +416,18 @@ def run_natural_gradient(
     return run.finish(circuit.theta_ref + theta)
 
 
-def _format_float(value: float) -> str:
-    return "%.17g" % value
-
-
 def write_trace_csv(trace: OptimizationTrace, path) -> None:
     """Persist records in the fixed column order; model energy blank if absent."""
+    columns = [(f.name, _CSV_TYPES[f.type][0]) for f in fields(TraceRecord)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
         for r in trace.records:
-            writer.writerow(
-                [
-                    r.phase,
-                    r.outer,
-                    r.inner,
-                    _format_float(r.cumulative_cost),
-                    r.cumulative_raw_queries,
-                    _format_float(r.energy_true),
-                    "" if r.energy_model is None else _format_float(r.energy_model),
-                    _format_float(r.distance_to_ground),
-                ]
-            )
+            writer.writerow([write(getattr(r, name)) for name, write in columns])
 
 
 def read_trace_csv(path) -> OptimizationTrace:
+    readers = [_CSV_TYPES[f.type][1] for f in fields(TraceRecord)]
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or tuple(rows[0]) != TRACE_COLUMNS:
@@ -463,16 +436,5 @@ def read_trace_csv(path) -> OptimizationTrace:
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{number}: expected {len(TRACE_COLUMNS)} fields")
-        trace.append(
-            TraceRecord(
-                row[0],
-                int(row[1]),
-                int(row[2]),
-                float(row[3]),
-                int(row[4]),
-                float(row[5]),
-                None if row[6] == "" else float(row[6]),
-                float(row[7]),
-            )
-        )
+        trace.append(TraceRecord(*(read(text) for read, text in zip(readers, row))))
     return trace

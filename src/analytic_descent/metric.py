@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .ansatz import AnsatzCircuit, prepare_state
+from .ansatz import AnsatzCircuit, _frozen_array, prepare_state
 from .simulator import _state_and_tangents, overlap
 from .surrogate import HALF_PI, MonomialBasis, TrustRegionError
 
@@ -73,15 +73,9 @@ class MetricSurrogate:
     def __post_init__(self):
         nu = len(self.theta0)
         for name in ("theta0", "fBB", "fAB"):
-            arr = np.asarray(getattr(self, name), dtype=float)
             shape = (nu,) if name == "theta0" else (nu, nu)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            value = _frozen_array(getattr(self, name), shape, name)
+            object.__setattr__(self, name, value)
 
     @property
     def nu(self) -> int:

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .ansatz import AnsatzCircuit, energy
+from .ansatz import AnsatzCircuit, _frozen_array, energy
 from .simulator import _apply_hamiltonian, _real_overlaps, _state_tangents_and_pairs
 
 HALF_PI = 0.5 * np.pi
@@ -146,28 +146,19 @@ class SurrogateModel:
 
     def __post_init__(self):
         nu = len(self.eB)
-        def freeze(name, value, shape):
-            arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        freeze("theta0", self.theta0, (nu,))
-        freeze("eB", self.eB, (nu,))
-        freeze("eC", self.eC, (nu,))
-        freeze("eD", self.eD, (nu, nu))
-        freeze("varB", self.varB, (nu,))
-        freeze("varC", self.varC, (nu,))
-        freeze("varD", self.varD, (nu, nu))
+        for name in ("theta0", "eB", "eC", "eD", "varB", "varC", "varD"):
+            shape = (nu, nu) if name.endswith("D") else (nu,)
+            value = getattr(self, name)
+            value = np.zeros(shape) if value is None else value
+            object.__setattr__(self, name, _frozen_array(value, shape, name))
         for name in ("eD", "varD"):
-            arr = getattr(self, name)
-            if np.any(np.tril(arr) != 0.0):
+            if np.any(np.tril(getattr(self, name)) != 0.0):
                 raise ValueError(f"{name} must be strictly upper triangular")
-        if not np.isfinite(self.eA) or not np.isfinite(self.varA):
-            raise ValueError("non-finite scalar coefficient")
+        for name in ("eA", "varA"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError("non-finite scalar coefficient")
+            object.__setattr__(self, name, value)
 
     @property
     def nu(self) -> int:
@@ -736,32 +727,14 @@ def symmetry_report(
 
 
 def model_to_json(model: SurrogateModel) -> str:
-    """Checkpoint form: θ₀, coefficients, and variances; round-trips exactly."""
-    payload = {
-        "nu": model.nu,
-        "theta0": model.theta0.tolist(),
-        "eA": model.eA,
-        "eB": model.eB.tolist(),
-        "eC": model.eC.tolist(),
-        "eD": model.eD.tolist(),
-        "varA": model.varA,
-        "varB": model.varB.tolist(),
-        "varC": model.varC.tolist(),
-        "varD": model.varD.tolist(),
-    }
+    """Checkpoint form: ``nu``, then every field in order; round-trips exactly."""
+    payload = {"nu": model.nu}
+    for f in fields(SurrogateModel):
+        value = getattr(model, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return json.dumps(payload, indent=2)
 
 
 def model_from_json(text: str) -> SurrogateModel:
     payload = json.loads(text)
-    return SurrogateModel(
-        np.asarray(payload["theta0"]),
-        float(payload["eA"]),
-        np.asarray(payload["eB"]),
-        np.asarray(payload["eC"]),
-        np.asarray(payload["eD"]),
-        float(payload["varA"]),
-        np.asarray(payload["varB"]),
-        np.asarray(payload["varC"]),
-        np.asarray(payload["varD"]),
-    )
+    return SurrogateModel(**{f.name: payload[f.name] for f in fields(SurrogateModel)})

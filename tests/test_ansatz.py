@@ -253,3 +253,11 @@ def test_circuit_from_text_errors():
         circuit_from_text("0.1 XX\n0.2 X")
     with pytest.raises(ValueError, match="header declares 3"):
         circuit_from_text("# qubits: 3\n0.1 XX")
+
+
+def test_non_finite_angles_are_rejected_where_they_enter():
+    with pytest.raises(ValueError, match="non-finite entries in theta_ref"):
+        circuit_from_text("# qubits: 1\nnan X\n")
+    circuit = AnsatzCircuit(1, (PauliString("X"), PauliString("X")))
+    with pytest.raises(ValueError, match="non-finite entries in delta"):
+        circuit.rebased([0.1, np.inf])

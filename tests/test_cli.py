@@ -392,6 +392,35 @@ def test_run_missing_config_is_an_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("step_size = 0.01", "step_size = 0.01\neta = fast", "[optimizer] eta: "),
+        ("N = 2", "N = two", "[hamiltonian] N: "),
+        ("enabled = true", "enabled = maybe", "[noise] enabled: "),
+        ("seeds = 1", "seeds = 1,x", "[run] seeds: "),
+    ],
+    ids=["eta", "N", "enabled", "seeds"],
+)
+def test_wrong_type_ini_values_name_their_key(tmp_path, capsys, old, new, key):
+    config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--output-dir", str(out_dir)]) == 1
+    assert f"error: {key}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_non_finite_initial_parameters_name_their_file(tmp_path, capsys):
+    params = tmp_path / "init.txt"
+    params.write_text("0.1\n" * 7 + "nan\n")
+    config_path = _write(
+        tmp_path / "exp.ini",
+        SPIN_RING_INI.replace("seeds = 1", f"seeds = 1\ninit_params = {params}"),
+    )
+    assert main(["run", "--config", config_path, "--output-dir", str(tmp_path)]) == 1
+    assert f"error: non-finite entries in {params}" in capsys.readouterr().err
+
+
 # -------------------------------------------------------- scaling study
 
 

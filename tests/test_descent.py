@@ -3,6 +3,8 @@ policy, feedback checks, traces, and CSV persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analytic_descent import (
     AnsatzCircuit,
@@ -451,6 +453,40 @@ def test_csv_round_trip_is_exact(tmp_path):
     write_trace_csv(trace, path)
     again = read_trace_csv(path)
     assert again.records == trace.records
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BIG_INTS = st.integers(0, 2**80)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["outer", "inner", "feedback"]),
+            _BIG_INTS, _BIG_INTS, _EDGE_FLOATS, _BIG_INTS, _EDGE_FLOATS,
+            st.none() | _EDGE_FLOATS, _EDGE_FLOATS,
+        ),
+        max_size=6,
+    )
+)
+def test_csv_round_trip_keeps_every_field_bit_for_bit(tmp_path_factory, rows):
+    # Cumulative counters are sorted so the trace accepts the records.
+    costs = sorted(row[3] for row in rows)
+    queries = sorted(row[4] for row in rows)
+    trace = OptimizationTrace()
+    for row, cost, raw in zip(rows, costs, queries):
+        trace.append(TraceRecord(row[0], row[1], row[2], cost, raw, *row[5:]))
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_trace_csv(trace, path)
+    again = read_trace_csv(path)
+    # repr tells -0.0 from 0.0 and an int from a float
+    assert [[repr(v) for v in vars(r).values()] for r in again.records] == [
+        [repr(v) for v in vars(r).values()] for r in trace.records
+    ]
 
 
 def test_csv_header_and_field_validation(tmp_path):

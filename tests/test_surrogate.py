@@ -3,6 +3,7 @@ gradients, variance propagation, Hessian extraction, symmetry diagnostics,
 and the untruncated brute-force oracle."""
 
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -888,6 +889,36 @@ def test_model_json_round_trip_noisy():
     assert again.varA == model.varA
     assert np.array_equal(again.varB, model.varB)
     assert np.array_equal(again.varD, model.varD)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data(), nu=st.integers(1, 4), noisy=st.booleans())
+def test_model_json_round_trips_bit_for_bit(data, nu, noisy):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    variance = st.floats(0.0, 1e300)
+
+    def draw(shape, elements=finite):
+        arr = data.draw(arrays(float, shape, elements=elements))
+        return np.triu(arr, 1) if len(shape) == 2 else arr
+
+    coefficients = [
+        draw((nu,)), data.draw(finite), draw((nu,)), draw((nu,)), draw((nu, nu))
+    ]
+    variances = []
+    if noisy:
+        variances = [
+            data.draw(variance), draw((nu,), variance), draw((nu,), variance),
+            draw((nu, nu), variance),
+        ]
+    model = SurrogateModel(*coefficients, *variances)
+    text = model_to_json(model)
+    again = model_from_json(text)
+    assert model_to_json(again) == text
+    assert type(again.eA) is float and type(again.varA) is float
+    for f in fields(SurrogateModel):  # bit for bit, -0.0 included
+        assert np.array(getattr(again, f.name)).tobytes() == (
+            np.array(getattr(model, f.name)).tobytes()
+        )
 
 
 def test_model_validation():
