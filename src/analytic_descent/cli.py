@@ -59,8 +59,12 @@ _INI_TYPES = {
 }
 
 
-def _parse_seeds(text) -> tuple:
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
+def _parse_list(text, convert=int, flag=None) -> tuple:
+    """Comma-separated values; a part of the wrong type names ``flag``, if any."""
+    try:
+        return tuple(convert(part) for part in str(text).split(",") if part.strip())
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _get(section, getter, key, fallback=None):
@@ -137,7 +141,7 @@ def load_experiment_config(
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), converters={"seeds": _parse_seeds}
+        inline_comment_prefixes=("#", ";"), converters={"seeds": _parse_list}
     )
     with open(path) as handle:
         parser.read_file(handle, source=str(path))
@@ -195,7 +199,7 @@ def load_experiment_config(
         noise=_read_fields(NoiseSpec, noise_sec),
         seeds=(
             _get(run, "getseeds", "seeds", (0,))
-            if seeds is None else _parse_seeds(seeds)
+            if seeds is None else _parse_list(seeds, int, "--seeds")
         ),
         output_dir=output_dir or run.get("output_dir", fallback="runs"),
         preset=preset,
@@ -537,9 +541,7 @@ def main(argv=None) -> int:
             config = load_experiment_config(args.config)
             deltas = DEFAULT_DELTAS
             if args.deltas is not None:
-                deltas = tuple(
-                    float(part) for part in args.deltas.split(",") if part.strip()
-                )
+                deltas = _parse_list(args.deltas, float, "--deltas")
             return cmd_scaling_study(
                 config, args.output, deltas=deltas,
                 samples=args.samples, rng_seed=args.rng_seed,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .ansatz import AnsatzCircuit, energy, energy_gradient
-from .metric import qfi_exact, regularized_natural_direction
+from .metric import energy_gradient_metric, qfi_exact, qfi_from_tangents
+from .metric import regularized_natural_direction
 from .simulator import ground_energy
 from .surrogate import (
     HALF_PI,
@@ -250,6 +251,9 @@ class _Recorder:
 
     def record(self, phase, outer, inner, e_true, e_model=None) -> bool:
         """Append one record; True when it is an outer record that converged."""
+        if e_model is not None and not np.isfinite(e_model):
+            message = f"non-finite surrogate energy at outer {outer} inner {inner}"
+            raise DivergenceError(message, self.trace)
         distance = abs(e_true - self.ground)
         self.trace.append(
             TraceRecord(
@@ -282,6 +286,8 @@ def run_analytic_descent(
     deviation, directional-similarity abort, stationarity, or ``max_inner``.
     Convergence is declared when the true energy is within
     ``convergence_threshold`` of the exact ground energy.
+    The θ₀ gradient and metric come from the oracle's sweep; a later metric
+    from ``qfi_exact`` or the ``energy_gradient_metric`` sweep of a record.
     """
     nu = circuit.num_parameters
     run = _Recorder("analytic_descent", h, config.convergence_threshold)
@@ -293,11 +299,12 @@ def run_analytic_descent(
     inner_exits = []
     schedule = query_schedule(nu)
     for outer in range(1, config.max_outer + 1):
-        g_reference = energy_gradient(current, zeros, h)
+        oracle = CircuitOracle(current, h)
+        psi, tangents, g_reference = oracle.reference()
         g_norm = float(np.linalg.norm(g_reference))
         levels = precision_policy(g_norm, nu, noise) if noise.enabled else None
         model = estimate_coefficients(
-            CircuitOracle(current, h),
+            oracle,
             schedule,
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
@@ -306,16 +313,17 @@ def run_analytic_descent(
         run.cost += 2.0
 
         theta = zeros.copy()
-        frozen = qfi_exact(current, theta) if config.frozen_metric else None
+        metric = qfi_from_tangents(psi, tangents)  # at θ = 0
         exit_reason = "max_inner"
         inner_done = 0
         feedback_events = 0
         for inner in range(1, config.max_inner + 1):
-            metric = frozen if frozen is not None else qfi_exact(current, theta)
             g_model = eval_gradient(model, theta)
             if np.abs(g_model).max() < _STATIONARY_GRADIENT:
                 exit_reason = "stationary"
                 break
+            if metric is None:
+                metric = qfi_exact(current, theta)
             direction = regularized_natural_direction(metric, config.eta, g_model)
             theta = theta - config.step_size * direction
             inner_done = inner
@@ -325,25 +333,29 @@ def run_analytic_descent(
                     f"step_size {config.step_size} diverged",
                     run.trace,
                 )
-            e_model = eval_energy(model, theta)
-            if not np.isfinite(e_model):
-                raise DivergenceError(
-                    f"non-finite surrogate energy at outer {outer} inner {inner}",
-                    run.trace,
-                )
-            if config.record_inner_every and inner % config.record_inner_every == 0:
-                run.record("inner", outer, inner, energy(current, theta, h), e_model)
-            if np.abs(theta).max() >= config.trust_radius:
+            metric = metric if config.frozen_metric else None
+            outside = np.abs(theta).max() >= config.trust_radius
+            record = config.record_inner_every and inner % config.record_inner_every == 0
+            check = config.feedback_period and inner % config.feedback_period == 0
+            if record or (check and not outside):
+                e_model = eval_energy(model, theta)
+                if metric is None:  # this sweep's metric serves the next step
+                    e_true, _, metric = energy_gradient_metric(current, theta, h)
+                else:
+                    e_true = energy(current, theta, h)
+            if record:
+                run.record("inner", outer, inner, e_true, e_model)
+            if outside:
                 exit_reason = "trust_radius"
                 break
-            if config.feedback_period and inner % config.feedback_period == 0:
+            if check:
                 feedback_events += 1
                 deviation = feedback_check(
                     model, current, h, theta, levels,
                     _stream(noise.rng_seed, rng_seed, outer, 2, feedback_events),
                 )
                 run.raw += 1
-                run.record("feedback", outer, inner, energy(current, theta, h), e_model)
+                run.record("feedback", outer, inner, e_true, e_model)
                 if deviation > config.feedback_tolerance:
                     exit_reason = "feedback"
                     break
@@ -382,22 +394,22 @@ def run_natural_gradient(
 
     The per-step gradient is the exact parameter-shift gradient plus, when
     noise is on, an independent Gaussian of std r·‖g‖/√ν on every entry;
-    ``max_outer`` caps the number of steps.
+    ``max_outer`` caps the number of steps.  One ``energy_gradient_metric``
+    sweep per point gives the energy recorded there and the next step's g, F.
     """
     nu = circuit.num_parameters
     run = _Recorder("natural_gradient", h, config.convergence_threshold)
     theta = np.zeros(nu)
-    if run.record("outer", 0, 0, energy(circuit, theta, h)):
+    e_true, g, metric = energy_gradient_metric(circuit, theta, h)
+    if run.record("outer", 0, 0, e_true):
         return run.finish(circuit.theta_ref + theta)
 
     for step in range(1, config.max_outer + 1):
-        g = energy_gradient(circuit, theta, h)
         if noise.enabled:
             sigma = _noisy_gradient_sigma(noise, float(np.linalg.norm(g)), nu)
             g = g + sigma * _stream(
                 noise.rng_seed, rng_seed, step, 1
             ).standard_normal(nu)
-        metric = qfi_exact(circuit, theta)
         direction = regularized_natural_direction(metric, config.eta, g)
         theta = theta - config.step_size * direction
         run.cost += 1.0
@@ -408,7 +420,7 @@ def run_natural_gradient(
                 f"step_size {config.step_size} diverged",
                 run.trace,
             )
-        e_true = energy(circuit, theta, h)
+        e_true, g, metric = energy_gradient_metric(circuit, theta, h)
         if not np.isfinite(e_true):
             raise DivergenceError(f"non-finite energy at step {step}", run.trace)
         if run.record("outer", step, 0, e_true):

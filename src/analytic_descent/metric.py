@@ -2,10 +2,10 @@
 
 For a pure state |ψ(θ)⟩ the metric is F_mn = 2 tr[∂ₘρ ∂ₙρ] with
 ρ = |ψ⟩⟨ψ|, which expands to 4 Re⟨∂ₘψ|∂ₙψ⟩ + 4 Re(⟨ψ|∂ₘψ⟩⟨ψ|∂ₙψ⟩).
-`qfi_exact` evaluates this from the batched tangent sweep.  A two-term
-overlap-based surrogate of the metric (leading b·b and a·b words only,
-O(δ) accurate near θ₀) is provided alongside for study; the optimizer
-defaults to the exact metric.
+`qfi_from_tangents` evaluates this from a tangent sweep's ψ and tangents.
+A two-term overlap-based surrogate of the metric (leading b·b and a·b
+words only, O(δ) accurate near θ₀) is provided alongside for study; the
+optimizer defaults to the exact metric.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ansatz import AnsatzCircuit, _frozen_array, prepare_state
-from .simulator import _state_and_tangents, overlap
+from .simulator import _expectation, _real_overlaps, _state_and_tangents, overlap
 from .surrogate import HALF_PI, MonomialBasis, TrustRegionError
 
 _SYMMETRY_TOLERANCE = 1e-10
@@ -26,7 +26,7 @@ _PSD_TOLERANCE = -1e-8
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric PSD ν×ν metric; validated on construction.
+    """Symmetric PSD ν×ν metric: F + 1e-8·I must have a Cholesky factor.
 
     ``regularized_natural_direction`` keeps the Cholesky factor of
     (F + ηI) here, keyed by η, so a metric reused across solves is
@@ -48,8 +48,8 @@ class MetricTensor:
         asym = float(np.max(np.abs(entries - entries.T))) if self.nu else 0.0
         if asym > _SYMMETRY_TOLERANCE:
             raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
-        smallest = float(np.linalg.eigvalsh(entries)[0]) if self.nu else 0.0
-        if smallest < _PSD_TOLERANCE:
+        if self.nu and dpotrf(entries - _PSD_TOLERANCE * np.eye(self.nu))[1]:
+            smallest = float(np.linalg.eigvalsh(entries)[0])
             raise ValueError(
                 f"metric is not positive semidefinite: smallest eigenvalue {smallest:.3g}"
             )
@@ -82,16 +82,26 @@ class MetricSurrogate:
         return len(self.theta0)
 
 
-def qfi_exact(circuit: AnsatzCircuit, theta) -> MetricTensor:
-    """Fisher information matrix at θ₀+θ from one tangent-state sweep."""
-    theta = np.asarray(theta, dtype=float)
-    psi, tangents = _state_and_tangents(circuit, theta)
+def qfi_from_tangents(psi: np.ndarray, tangents: np.ndarray) -> MetricTensor:
+    """Fisher information of a state ψ with tangent rows tₘ = ∂ψ/∂θₘ."""
     gram = tangents.conj() @ tangents.T
     s = tangents.conj() @ psi  # s_m* = ⟨∂ₘψ|ψ⟩, so outer(s̄,s̄) pairs ⟨ψ|∂ψ⟩ factors
     s = np.conj(s)
     entries = 4.0 * np.real(gram) + 4.0 * np.real(np.outer(s, s))
     entries = 0.5 * (entries + entries.T)
-    return MetricTensor(circuit.num_parameters, entries)
+    return MetricTensor(len(tangents), entries)
+
+
+def qfi_exact(circuit: AnsatzCircuit, theta) -> MetricTensor:
+    """Fisher information at θ₀+θ: ``qfi_from_tangents`` of one tangent sweep."""
+    return qfi_from_tangents(*_state_and_tangents(circuit, theta))
+
+
+def energy_gradient_metric(circuit: AnsatzCircuit, theta, h):
+    """``energy``, ``energy_gradient`` and ``qfi_exact`` from one sweep, bit for bit."""
+    psi, tangents = _state_and_tangents(circuit, theta)
+    e, h_psi = _expectation(psi, h)
+    return e, 2.0 * _real_overlaps(tangents, h_psi), qfi_from_tangents(psi, tangents)
 
 
 def qfi_surrogate_estimate(circuit: AnsatzCircuit, theta0) -> MetricSurrogate:

@@ -152,16 +152,21 @@ def expectation(psi: StateVector, h: PauliSum) -> float:
     The imaginary residue must vanish (|Im| < 1e-10) since H is Hermitian;
     a larger residue indicates a corrupted state or sum and raises.
     """
-    if h.num_qubits != psi.num_qubits:
+    return _expectation(psi.amplitudes, h)[0]
+
+
+def _expectation(amps: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
+    """``expectation`` on raw amplitudes, and the H·amps it was taken from."""
+    if 2**h.num_qubits != len(amps):
         raise ValueError(
             f"operator on {h.num_qubits} qubits does not match "
-            f"{psi.num_qubits}-qubit state"
+            f"{len(amps).bit_length() - 1}-qubit state"
         )
-    amps = psi.amplitudes
-    total = np.vdot(amps, _apply_hamiltonian(amps, h))
+    h_amps = _apply_hamiltonian(amps, h)
+    total = np.vdot(amps, h_amps)
     if abs(total.imag) >= 1e-10:
         raise ValueError(f"expectation has imaginary residue {total.imag}")
-    return float(total.real)
+    return float(total.real), h_amps
 
 
 def overlap(psi: StateVector, phi: StateVector) -> float:

@@ -442,7 +442,8 @@ class CircuitOracle:
     u, v ∈ (ψ, t_k, t_l, t_kl).  A point shifted on axes (k, l) has state
     w·(ψ, t_k, t_l, t_kl) with weights w from its shifts, so its energy is
     wᵀ·Γ[k, l]·w; the cache holds that energy for every kind and axis pair.
-    Values agree with the pointwise route to rounding.
+    Values agree with the pointwise route to rounding.  ``reference`` gives
+    the sweep's ψ, tangents and gradient 2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
@@ -488,6 +489,13 @@ class CircuitOracle:
         gram[:, :, 2, 2] = np.diag(G)[None, :]
         gram += np.swapaxes(np.triu(gram, 1), -1, -2)
         self._cache = np.einsum("si,klij,sj->skl", _SHIFT_WEIGHTS, gram, _SHIFT_WEIGHTS)
+        self._reference = (psi, tangents, 2.0 * g)
+
+    def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ψ, tangents, energy gradient) at θ₀, from the schedule's sweep."""
+        if self._cache is None:
+            self._build_cache()
+        return self._reference
 
     def schedule_energies(self, points: list[QueryPoint], table=None) -> np.ndarray:
         """Energies at ``points``; ``table`` is their `_point_table`, if built."""

@@ -410,6 +410,24 @@ def test_wrong_type_ini_values_name_their_key(tmp_path, capsys, old, new, key):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("run", "--seeds", "invalid literal for int() with base 10: 'x'"),
+        ("scaling-study", "--deltas", "could not convert string to float: 'x'"),
+    ],
+    ids=["seeds", "deltas"],
+)
+def test_list_flags_name_themselves(tmp_path, capsys, command, flag, message):
+    config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI)
+    out = str(tmp_path / "out")
+    where = ["--output-dir", out] if command == "run" else ["--output", out]
+    value = "1,x" if flag == "--seeds" else "0.1,x"
+    assert main([command, "--config", config_path, *where, flag, value]) == 1
+    assert f"error: {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_initial_parameters_name_their_file(tmp_path, capsys):
     params = tmp_path / "init.txt"
     params.write_text("0.1\n" * 7 + "nan\n")

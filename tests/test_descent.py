@@ -362,6 +362,32 @@ def test_metric_factorizations_per_step(monkeypatch, frozen_metric):
     assert len(calls) == (len(steps) if frozen_metric else sum(steps))
 
 
+def test_inner_records_leave_the_trajectory_unchanged():
+    """A per-step metric taken from an inner record's sweep is the metric
+    qfi_exact gives there: how often inner records are taken changes no
+    outer or feedback record."""
+    ring = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(4).uniform(-1, 1, 3))
+    ansatz = build_hardware_efficient(3, 1)
+    start = ansatz.rebased(
+        np.random.default_rng(6).uniform(-0.5, 0.5, ansatz.num_parameters)
+    )
+    runs = {}
+    for every in (0, 1, 3):
+        config = OptimizerConfig(
+            step_size=0.01, max_outer=4, max_inner=40, feedback_period=4,
+            feedback_tolerance=1e-3, record_inner_every=every,
+        )
+        trace = run_analytic_descent(start, ring, config, NoiseSpec())
+        exits = trace.metadata["inner_exits"]
+        inner = [r for r in trace.records if r.phase == "inner"]
+        assert len(inner) == (sum(e["steps"] // every for e in exits) if every else 0)
+        runs[every] = ([r for r in trace.records if r.phase != "inner"], exits)
+    kept, exits = runs[0]
+    assert {r.phase for r in kept} == {"outer", "feedback"}
+    assert {e["reason"] for e in exits} == {"max_inner", "trust_radius", "feedback"}
+    assert runs[1] == runs[0] and runs[3] == runs[0]
+
+
 # ------------------------------------------------- natural-gradient runs
 
 

@@ -5,12 +5,24 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from analytic_descent import AnsatzCircuit, PauliString, TrustRegionError
+from analytic_descent import (
+    AnsatzCircuit,
+    CircuitOracle,
+    PauliString,
+    TrustRegionError,
+    build_hardware_efficient,
+    energy,
+    energy_gradient,
+    parse_pauli_sum,
+    spin_ring_hamiltonian,
+)
 from analytic_descent import metric as metric_module
 from analytic_descent.metric import (
     MetricSurrogate,
     MetricTensor,
+    energy_gradient_metric,
     qfi_exact,
+    qfi_from_tangents,
     qfi_surrogate_estimate,
     qfi_surrogate_eval,
     regularized_natural_direction,
@@ -71,6 +83,57 @@ def test_metric_tensor_validation():
     tensor = MetricTensor(2, np.eye(2))
     with pytest.raises(ValueError):
         tensor.entries[0, 0] = 5.0  # frozen storage
+
+
+def test_cholesky_psd_check_at_its_edges(monkeypatch):
+    """A rank-deficient metric, eigenvalues inside the -1e-8 tolerance and
+    1x1 metrics pass the Cholesky check without a diagonalization; only a
+    rejected metric is diagonalized, to word the error."""
+    repeated = AnsatzCircuit(1, (PauliString("X"), PauliString("X")))
+    F = qfi_exact(repeated, [0.4, -0.2]).entries
+    eigvalsh = np.linalg.eigvalsh
+    assert abs(eigvalsh(F)[0]) < 1e-12
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    MetricTensor(2, F)
+    MetricTensor(2, np.diag([-5e-9, 1.0]))
+    for value in (-5e-9, 0.0, 2.0):
+        MetricTensor(1, [[value]])
+    assert calls == []
+    for entries in (np.diag([-1e-6, 1.0]), [[-1e-6]]):
+        with pytest.raises(ValueError) as info:
+            MetricTensor(len(entries), entries)
+        assert str(info.value) == (
+            "metric is not positive semidefinite: smallest eigenvalue -1e-06"
+        )
+    assert len(calls) == 2
+
+
+def test_one_sweep_gives_the_separate_routes_bit_for_bit():
+    """energy_gradient_metric, and the schedule oracle's sweep at θ₀, equal
+    energy, energy_gradient and qfi_exact exactly, not to rounding."""
+    rng = np.random.default_rng(31)
+    single = AnsatzCircuit(1, (PauliString("Y"),), [0.7])
+    ring = build_hardware_efficient(3, 1)
+    ring = ring.rebased(rng.uniform(-1.0, 1.0, ring.num_parameters))
+    cases = [
+        (single, parse_pauli_sum("0.5 Z\n-0.3 X")),
+        (ring, spin_ring_hamiltonian(3, 0.05, rng.uniform(-1.0, 1.0, 3))),
+    ]
+    for circuit, h in cases:
+        nu = circuit.num_parameters
+        zeros = np.zeros(nu)
+        for theta in [zeros] + [rng.uniform(-2.0, 2.0, nu) for _ in range(3)]:
+            e, g, F = energy_gradient_metric(circuit, theta, h)
+            assert e == energy(circuit, theta, h)
+            assert np.array_equal(g, energy_gradient(circuit, theta, h))
+            assert np.array_equal(F.entries, qfi_exact(circuit, theta).entries)
+        psi, tangents, g0 = CircuitOracle(circuit, h).reference()
+        assert np.array_equal(g0, energy_gradient(circuit, zeros, h))
+        F0 = qfi_from_tangents(psi, tangents).entries
+        assert np.array_equal(F0, qfi_exact(circuit, zeros).entries)
+    with pytest.raises(ValueError, match="operator on 3 qubits does not match 1-qubit"):
+        energy_gradient_metric(single, [0.0], cases[1][1])
 
 
 # ------------------------------------------------------- metric surrogate
