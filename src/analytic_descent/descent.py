@@ -203,24 +203,22 @@ def precision_policy(g_norm: float, nu: int, spec: NoiseSpec) -> NoiseLevels:
 
 
 def feedback_check(
-    model,
-    circuit: AnsatzCircuit,
-    h,
-    theta,
+    e_device: float,
+    e_model: float,
     noise: NoiseLevels | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """|device energy at θ₀+θ − surrogate energy|, one raw query.
+    """|device energy − surrogate energy| at one θ, one raw query.
 
-    The device query is perturbed with the coarse (eA-class) std when noise
-    levels are given; noiseless it measures the pure truncation defect,
-    which vanishes for ν=1 where the surrogate is the full series.
+    ``e_device`` is ``energy`` at θ₀+θ and ``e_model`` is ``eval_energy`` at
+    θ.  The device query is perturbed with the coarse (eA-class) std when
+    noise levels are given; noiseless it measures the pure truncation
+    defect, which vanishes for ν=1 where the surrogate is the full series.
     """
-    device = energy(circuit, theta, h)
     if noise is not None:
         generator = rng if rng is not None else np.random.default_rng(0)
-        device += noise.sigma_a * generator.standard_normal()
-    return abs(device - eval_energy(model, theta))
+        e_device += noise.sigma_a * generator.standard_normal()
+    return abs(e_device - e_model)
 
 
 def _stream(*key) -> np.random.Generator:
@@ -288,6 +286,8 @@ def run_analytic_descent(
     ``convergence_threshold`` of the exact ground energy.
     The θ₀ gradient and metric come from the oracle's sweep; a later metric
     from ``qfi_exact`` or the ``energy_gradient_metric`` sweep of a record.
+    A feedback check uses the energies its record holds at that θ, and
+    similarity feedback that sweep's gradient when one ran there.
     """
     nu = circuit.num_parameters
     run = _Recorder("analytic_descent", h, config.convergence_threshold)
@@ -313,6 +313,7 @@ def run_analytic_descent(
         run.cost += 2.0
 
         theta = zeros.copy()
+        e_model = None  # the surrogate energy at θ, once a record has needed it
         metric = qfi_from_tangents(psi, tangents)  # at θ = 0
         exit_reason = "max_inner"
         inner_done = 0
@@ -326,6 +327,7 @@ def run_analytic_descent(
                 metric = qfi_exact(current, theta)
             direction = regularized_natural_direction(metric, config.eta, g_model)
             theta = theta - config.step_size * direction
+            e_model = None
             inner_done = inner
             if not np.isfinite(theta).all():
                 raise DivergenceError(
@@ -339,10 +341,11 @@ def run_analytic_descent(
             check = config.feedback_period and inner % config.feedback_period == 0
             if record or (check and not outside):
                 e_model = eval_energy(model, theta)
-                if metric is None:  # this sweep's metric serves the next step
-                    e_true, _, metric = energy_gradient_metric(current, theta, h)
+                # a sweep's metric serves the next step, when the loop goes on
+                if metric is None and not (outside or inner == config.max_inner):
+                    e_true, g_true, metric = energy_gradient_metric(current, theta, h)
                 else:
-                    e_true = energy(current, theta, h)
+                    e_true, g_true = energy(current, theta, h), None
             if record:
                 run.record("inner", outer, inner, e_true, e_model)
             if outside:
@@ -351,7 +354,7 @@ def run_analytic_descent(
             if check:
                 feedback_events += 1
                 deviation = feedback_check(
-                    model, current, h, theta, levels,
+                    e_true, e_model, levels,
                     _stream(noise.rng_seed, rng_seed, outer, 2, feedback_events),
                 )
                 run.raw += 1
@@ -360,7 +363,9 @@ def run_analytic_descent(
                     exit_reason = "feedback"
                     break
                 if config.similarity_feedback:
-                    device_grad = energy_gradient(current, theta, h)
+                    device_grad = g_true
+                    if device_grad is None:
+                        device_grad = energy_gradient(current, theta, h)
                     if noise.enabled:
                         sigma = _noisy_gradient_sigma(noise, g_norm, nu)
                         device_grad = device_grad + sigma * _stream(
@@ -377,7 +382,9 @@ def run_analytic_descent(
         e_true = energy(current, zeros, h)
         if not np.isfinite(e_true):
             raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
-        if run.record("outer", outer, inner_done, e_true, eval_energy(model, theta)):
+        if e_model is None:
+            e_model = eval_energy(model, theta)
+        if run.record("outer", outer, inner_done, e_true, e_model):
             break
     run.trace.metadata["inner_exits"] = inner_exits
     return run.finish(current.theta_ref)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -219,7 +219,10 @@ def _query_rng(rng_seed, index: int, state=None) -> np.random.Generator:
     must be non-negative.  Without ``state`` this is the reference
     ``default_rng(list(key) + [index])``, seeded from the key's 32-bit words.
     ``state`` is the query's row of ``_seed_states(rng_seed, indices)``: the
-    same PCG64 seed, without hashing the key again for every query.
+    same PCG64 seed, without hashing the key again for every query.  An
+    estimation draws its noise with ``_first_normals``, bit-identical to this
+    generator's first ``standard_normal()``; it builds one only for the rows
+    whose draw leaves the ziggurat's fast path.
     """
     if state is not None:
         return np.random.Generator(np.random.PCG64(_SeedState(state)))
@@ -293,6 +296,106 @@ def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# PCG64's 128-bit multiplier (O'Neill, HMC-CS-2014-0905).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK52 = (1 << 52) - 1
+
+
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    # High 64 bits of each 128-bit product a·b, from 32-bit halves.
+    a_low, a_high = a & _MASK32, a >> 32
+    b_low, b_high = b & _MASK32, b >> 32
+    low = a_low * b_low
+    mid_a = a_high * b_low
+    mid_b = a_low * b_high
+    carry = ((low >> 32) + (mid_a & _MASK32) + (mid_b & _MASK32)) >> 32
+    return a_high * b_high + (mid_a >> 32) + (mid_b >> 32) + carry
+
+
+def _add128(high, low, add_high, add_low):
+    low = low + add_low
+    return high + add_high + (low < add_low), low
+
+
+def _pcg_step(high, low, inc_high, inc_low):
+    # state·MULT + inc mod 2**128, on (high, low) uint64 limbs.
+    m_high, m_low = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+    product_high = _mul_high(low, m_low) + low * m_high + high * m_low
+    return _add128(product_high, low * m_low, inc_high, inc_low)
+
+
+def _first_normals(rng_seed, indices, states: np.ndarray) -> np.ndarray:
+    """``_query_rng(rng_seed, index, state).standard_normal()`` for every row at once.
+
+    ``states`` holds the rows of ``_seed_states(rng_seed, indices)``.  Each
+    row seeds PCG64 as numpy does (initial state row[0]:row[1], increment
+    2·row[2]:row[3] + 1, two steps), takes one more step and the XSL-RR
+    output, all in uint64 arithmetic on 128-bit limb pairs.  That output
+    goes through the fast path of numpy's ziggurat (layer = its low byte,
+    sign = bit 8, magnitude = the 52 bits above).  The ~1.5% of rows whose
+    output leaves the fast path are drawn by their own ``_query_rng``; every
+    draw is bit-identical to that generator's.
+    """
+    wi, ki = _ziggurat_tables()
+    init_high, init_low, seq_high, seq_low = states.T
+    inc_high = (seq_high << 1) | (seq_low >> 63)
+    inc_low = (seq_low << 1) | 1
+    # Seeding steps from state 0 (giving inc), adds the initial state and
+    # steps again; the first output takes one more step.
+    high, low = _add128(inc_high, inc_low, init_high, init_low)
+    for _ in range(2):
+        high, low = _pcg_step(high, low, inc_high, inc_low)
+    rotation = high >> 58
+    mixed = high ^ low
+    output = (mixed >> rotation) | (mixed << ((64 - rotation) & 63))
+    layer = (output & 0xFF).astype(np.intp)
+    magnitude = (output >> 9) & _MASK52
+    draws = magnitude.astype(np.float64) * wi[layer]
+    draws = np.where((output >> 8) & 1, -draws, draws)
+    for row in np.flatnonzero(magnitude >= ki[layer]):
+        draws[row] = _query_rng(rng_seed, indices[row], states[row]).standard_normal()
+    return draws
+
+
+@cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The installed numpy's ziggurat layer widths wi and fast-path bounds ki.
+
+    A PCG64 whose next output is (1 << 9) | layer draws wi[layer] exactly
+    (magnitude 1, sign +).  Layer i's fast path takes magnitudes below
+    2**52·wi[i-1]/wi[i] (layer 0: 2**52·wi[255]/wi[0]; layer 1: none).  Each
+    bound here sits a relative 1e-9 below that, and a probe one under it
+    must draw ±magnitude·wi from exactly one output.
+    """
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+    bits = np.random.PCG64()
+    normal = np.random.Generator(bits).standard_normal
+
+    def draw(output: int) -> tuple[float, bool]:
+        # The draw from a state whose next output is ``output`` (high limb 0,
+        # so XSL-RR returns the low one) and whose output after that is 0,
+        # which layer 1's test accepts; and whether it took one output only.
+        inc = -output * _PCG_MULT % (1 << 128)
+        state = {"state": (output - inc) * inverse % (1 << 128), "inc": inc}
+        bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        value = normal()
+        return value, bits.state["state"]["state"] == output
+
+    wi = np.array([draw(1 << 9 | layer)[0] for layer in range(256)])
+    ratio = np.concatenate([[wi[255] / wi[0], 0.0], wi[1:-1] / wi[2:]])
+    ki = np.floor(2.0**52 * ratio * (1.0 - 1e-9)).astype(np.uint64)
+    for layer in np.flatnonzero(ki):
+        magnitude = int(ki[layer]) - 1
+        if draw(magnitude << 9 | int(layer)) != (magnitude * wi[layer], True):
+            raise RuntimeError(
+                f"numpy {np.__version__}'s standard_normal leaves the ziggurat fast "
+                f"path expected in layer {layer}"
+            )
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki
+
+
 def _point_table(points) -> tuple:
     """The schedule's bookkeeping: (indices, kind numbers, first axes, second axes).
 
@@ -337,8 +440,10 @@ def estimate_coefficients(
     class level from ``noise``.  Its draw is the first ``standard_normal()``
     of ``default_rng(list(key) + [index])``, keyed by ``rng_seed`` (an int or
     a tuple of non-negative ints) and the canonical point index, so the
-    result does not depend on the schedule's order; the generators' seeds
-    are computed for all noisy queries in one batch.  Variance fields sum
+    result does not depend on the schedule's order.  The seeds and the draws
+    are computed for all noisy queries in one batch, bit-identical to those
+    generators; one is built only for a query whose draw leaves the
+    ziggurat's fast path (about 1.5% of them).  Variance fields sum
     the raw-query variances per combined coefficient.  ``max_workers`` is
     accepted for compatibility and has no effect: the batched oracle is one
     vectorized build that threads have nothing to split in.
@@ -372,11 +477,8 @@ def estimate_coefficients(
         noisy = np.flatnonzero(sigma > 0.0)
         if noisy.size:
             keys = [indices[position] for position in noisy]
-            draws = [
-                _query_rng(rng_seed, index, state).standard_normal()
-                for index, state in zip(keys, _seed_states(rng_seed, keys))
-            ]
-            values[noisy] += sigma[noisy] * np.array(draws)
+            draws = _first_normals(rng_seed, keys, _seed_states(rng_seed, keys))
+            values[noisy] += sigma[noisy] * draws
 
     # Every coefficient is one fixed combination of its own queries, so a
     # permuted schedule assembles (and rounds) bit-identically to the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analytic_descent import (
     AnsatzCircuit,
@@ -229,13 +231,22 @@ def test_rebase_moves_reference():
     assert abs(energy(moved, theta, h) - energy(circuit, delta + theta, h)) < 1e-12
 
 
-def test_circuit_text_round_trip():
-    rng = np.random.default_rng(163)
-    circuit = random_circuit(rng, 3, 7)
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 6))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n).map(PauliString)
+    generators = draw(st.lists(letters, min_size=1, max_size=12))
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    return AnsatzCircuit(n, tuple(generators), [draw(angle) for _ in generators])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(circuit=_circuits())
+def test_circuit_text_round_trip(circuit):
     again = circuit_from_text(circuit_to_text(circuit))
     assert again.num_qubits == circuit.num_qubits
     assert again.generators == circuit.generators
-    assert np.array_equal(again.theta_ref, circuit.theta_ref)
+    assert again.theta_ref.tobytes() == circuit.theta_ref.tobytes()
 
 
 def test_circuit_text_keeps_duplicate_gates():

@@ -20,6 +20,7 @@ from analytic_descent import (
     cost_to_reach,
     energy,
     estimate_coefficients,
+    eval_energy,
     eval_gradient,
     feedback_check,
     one_minus_f,
@@ -101,11 +102,16 @@ def test_one_minus_f_geometry():
 # ------------------------------------------------------- feedback check
 
 
+def _energies(model, circuit, h, theta):
+    # (device energy, surrogate energy) at θ, as the inner loop holds them
+    return energy(circuit, theta, h), eval_energy(model, theta)
+
+
 def test_feedback_zero_for_single_parameter_model():
     circuit = _rx(0.3)
     model = estimate_coefficients(CircuitOracle(circuit, Z_FIELD), query_schedule(1))
     for t in (-1.2, -0.3, 0.0, 0.8):
-        assert feedback_check(model, circuit, Z_FIELD, [t]) < 1e-12
+        assert feedback_check(*_energies(model, circuit, Z_FIELD, [t])) < 1e-12
 
 
 def test_feedback_deviation_grows_cubically():
@@ -118,7 +124,7 @@ def test_feedback_deviation_grows_cubically():
     for radius in radii:
         sampler = np.random.default_rng(13)
         worst.append(max(
-            feedback_check(model, circuit, h, sampler.uniform(-radius, radius, 4))
+            feedback_check(*_energies(model, circuit, h, sampler.uniform(-radius, radius, 4)))
             for _ in range(30)
         ))
     slope = np.polyfit(np.log10(radii), np.log10(worst), 1)[0]
@@ -129,9 +135,10 @@ def test_feedback_noise_injection_is_seeded():
     circuit = _rx(0.3)
     model = estimate_coefficients(CircuitOracle(circuit, Z_FIELD), query_schedule(1))
     levels = NoiseLevels(0.5, 0.5, 0.5, 0.5)
-    a = feedback_check(model, circuit, Z_FIELD, [0.1], levels, np.random.default_rng(7))
-    b = feedback_check(model, circuit, Z_FIELD, [0.1], levels, np.random.default_rng(7))
-    clean = feedback_check(model, circuit, Z_FIELD, [0.1])
+    at = _energies(model, circuit, Z_FIELD, [0.1])
+    a = feedback_check(*at, levels, np.random.default_rng(7))
+    b = feedback_check(*at, levels, np.random.default_rng(7))
+    clean = feedback_check(*at)
     assert a == b
     assert abs(a - clean) > 1e-4
 
@@ -291,7 +298,8 @@ def test_similarity_feedback_compares_gradients_at_the_same_point(monkeypatch):
             return out
         return wrapped
 
-    for name in ("estimate_coefficients", "energy_gradient", "one_minus_f"):
+    swept = ("energy_gradient", "energy_gradient_metric")
+    for name in ("estimate_coefficients", *swept, "one_minus_f"):
         monkeypatch.setattr(descent, name, recording(name, getattr(descent, name)))
     config = OptimizerConfig(
         step_size=0.01, max_outer=2, max_inner=8, trust_radius=0.4,
@@ -300,16 +308,68 @@ def test_similarity_feedback_compares_gradients_at_the_same_point(monkeypatch):
     )
     run_analytic_descent(circuit, h, config, NoiseSpec())
     compared = 0
+    routes = set()
     for position, (name, args, _) in enumerate(events):
         if name != "one_minus_f":
             continue
         model = [out for n, _, out in events[:position] if n == "estimate_coefficients"][-1]
-        _, (_, theta, _), device = events[position - 1]
+        route, (_, theta, _), device = events[position - 1]
+        assert route in swept
+        if route == "energy_gradient_metric":  # the step's record sweep: (E, g, F)
+            device = device[1]
+        routes.add(route)
         assert np.any(theta != 0.0)
         assert np.array_equal(args[1], device)
         assert np.array_equal(args[0], eval_gradient(model, theta))
         compared += 1
     assert compared == 8
+    # steps 2, 4 and 6 reuse the sweep whose metric serves the next step;
+    # step 8 ends the inner loop, so no metric is taken there
+    assert routes == set(swept)
+
+
+@pytest.mark.parametrize("max_inner", [8, 1000], ids=["max_inner", "trust_radius"])
+def test_records_and_feedback_simulate_each_point_once(monkeypatch, max_inner):
+    """Feedback takes its energies, and similarity its device gradient, from
+    the sweep that the record at that θ already ran; a sweep's metric always
+    serves a later step; no point is simulated or modelled twice."""
+    calls = {}
+
+    def recording(name, fn):
+        def wrapped(first, theta, *rest):
+            # holding ``first`` keeps its id unique for the whole run
+            calls.setdefault(name, []).append((first, tuple(np.asarray(theta))))
+            return fn(first, theta, *rest)
+        return wrapped
+
+    simulated = ("energy", "energy_gradient", "energy_gradient_metric", "qfi_exact")
+    for name in (*simulated, "eval_energy"):
+        monkeypatch.setattr(descent, name, recording(name, getattr(descent, name)))
+    ring = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(7).uniform(-1, 1, 3))
+    ansatz = build_hardware_efficient(3, 1)
+    start = ansatz.rebased(
+        np.random.default_rng(1).uniform(-0.3, 0.3, ansatz.num_parameters)
+    )
+    config = OptimizerConfig(
+        step_size=0.05, max_outer=4, max_inner=max_inner, feedback_period=4,
+        record_inner_every=4, similarity_feedback=True, convergence_threshold=1e-9,
+    )
+    trace = run_analytic_descent(start, ring, config, NoiseSpec(), rng_seed=2)
+    feedback = [r for r in trace.records if r.phase == "feedback"]
+    exits = trace.metadata["inner_exits"]
+    assert len(feedback) >= 8
+    assert {e["reason"] for e in exits} == {"max_inner" if max_inner == 8 else "trust_radius"}
+
+    def keys(*names):
+        return [(id(first), theta) for name in names for first, theta in calls.get(name, [])]
+
+    states = keys("energy", "energy_gradient_metric")
+    assert len(states) == len(set(states))
+    assert not set(keys("energy_gradient")) & set(keys("energy_gradient_metric"))
+    assert len(keys("eval_energy")) == len(set(keys("eval_energy")))
+    # the first step of each outer step uses the oracle's metric at θ₀
+    metrics = len(keys("energy_gradient_metric", "qfi_exact"))
+    assert metrics == sum(max(e["steps"] - 1, 0) for e in exits)
 
 
 def test_descent_divergence_carries_partial_trace():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analytic_descent import (
     PauliString,
@@ -10,7 +12,6 @@ from analytic_descent import (
     parse_pauli_sum,
     spin_ring_hamiltonian,
 )
-from conftest import random_hamiltonian
 
 
 def test_pauli_string_basics():
@@ -112,18 +113,24 @@ def test_format_empty_sum_round_trips():
     assert again.num_terms == 0
 
 
-def test_round_trip_random_sums():
-    """parse(format(h)) == h term-by-term for random sums, N <= 8."""
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        h = random_hamiltonian(rng, n, int(rng.integers(1, 51)))
-        again = parse_pauli_sum(format_pauli_sum(h))
-        assert again.num_qubits == h.num_qubits
-        assert len(again.terms) == len(h.terms)
-        for (ca, sa), (cb, sb) in zip(again.terms, h.terms):
-            assert sa == sb
-            assert abs(ca - cb) < 1e-12
+@st.composite
+def _sums(draw):
+    n = draw(st.integers(1, 8))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n).map(PauliString)
+    coefficient = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    return PauliSum(n, tuple(draw(st.lists(st.tuples(coefficient, letters), max_size=50))))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(h=_sums())
+def test_round_trip_random_sums(h):
+    """parse(format(h)) == h term by term, coefficients bit for bit, N <= 8."""
+    again = parse_pauli_sum(format_pauli_sum(h))
+    assert again.num_qubits == h.num_qubits
+    assert len(again.terms) == len(h.terms)
+    for (ca, sa), (cb, sb) in zip(again.terms, h.terms):
+        assert sa == sb
+        assert np.float64(ca).tobytes() == np.float64(cb).tobytes()
 
 
 def test_spin_ring_structure():

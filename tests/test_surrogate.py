@@ -33,14 +33,16 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     symmetry_report,
 )
-from analytic_descent import simulator
+from analytic_descent import simulator, surrogate
 from analytic_descent.surrogate import (
     MonomialBasis,
     NoiseLevels,
     QueryPoint,
     _division_free_energy,
+    _first_normals,
     _query_rng,
     _seed_states,
+    _SeedState,
 )
 from conftest import (
     FullTrigExpansion,
@@ -257,6 +259,79 @@ def test_query_rng_rejects_negative_key_parts():
             _seed_states(key, [5, index])
 
 
+_KEY_PART = st.integers(0, 2**70)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    key=st.one_of(_KEY_PART, st.lists(_KEY_PART, min_size=1, max_size=4).map(tuple)),
+    first=st.one_of(st.integers(0, 2**16), _KEY_PART),
+    extra=st.lists(_KEY_PART, max_size=20),
+)
+def test_vectorized_draws_equal_one_default_rng_per_query(key, first, extra):
+    # ~1.5% of draws leave the ziggurat's fast path: about 6 of the 400
+    # consecutive indices in every example.
+    indices = list(range(first, first + 400)) + extra
+    parts = list(key) if isinstance(key, tuple) else [key]
+    expected = [np.random.default_rng(parts + [i]).standard_normal() for i in indices]
+    drawn = _first_normals(key, indices, _seed_states(key, indices))
+    assert drawn.tobytes() == np.array(expected).tobytes()
+
+
+def _row_with_first_output(output: int, sequence: int) -> list[int]:
+    """A `_seed_states` row whose PCG64 gives ``output`` first.
+
+    Seeding gives (inc + init)·M + inc with inc = 2·sequence + 1; one more
+    step must land on ``output`` (high limb 0, which XSL-RR leaves as is).
+    """
+    mod, mult = 1 << 128, surrogate._PCG_MULT
+    inc = (2 * sequence + 1) % mod
+    init = ((output - inc * (mult + 1)) * pow(mult * mult, -1, mod) - inc) % mod
+    return [init >> 64, init & (1 << 64) - 1, sequence >> 64, sequence & (1 << 64) - 1]
+
+
+def test_rows_off_the_ziggurat_fast_path_use_their_own_generator(monkeypatch):
+    top = (1 << 52) - 1  # above every layer's bound
+    off = [(0, top), (1, 1), (1, top), (7, top), (255, top)]  # (layer, magnitude)
+    on = [(0, 1), (2, 5), (200, 12345), (255, 1 << 40)]
+    outputs = [
+        magnitude << 9 | sign << 8 | layer
+        for layer, magnitude in off + on
+        for sign in (0, 1)
+    ]
+    states = np.array(
+        [_row_with_first_output(o, 0x9E3779B97F4A7C15 * (i + 1)) for i, o in enumerate(outputs)],
+        dtype=np.uint64,
+    )
+    indices = list(range(len(states)))
+    expected = []
+    for index, (row, output) in enumerate(zip(states, outputs)):
+        assert np.random.PCG64(_SeedState(row)).random_raw() == output
+        expected.append(_query_rng(3, index, row).standard_normal())
+    calls = []
+    reference = surrogate._query_rng
+
+    def counted(rng_seed, index, state=None):
+        calls.append(index)
+        return reference(rng_seed, index, state)
+
+    monkeypatch.setattr(surrogate, "_query_rng", counted)
+    drawn = _first_normals(3, indices, states)
+    assert drawn.tobytes() == np.array(expected).tobytes()
+    assert calls == list(range(2 * len(off)))  # each row off the path, once
+
+
+def test_ziggurat_bounds_refuse_a_generator_that_draws_otherwise(monkeypatch):
+    # A wrong PCG64 multiplier stands in for a numpy whose draws differ.
+    monkeypatch.setattr(surrogate, "_PCG_MULT", surrogate._PCG_MULT + 2)
+    surrogate._ziggurat_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            surrogate._ziggurat_tables()
+    finally:
+        surrogate._ziggurat_tables.cache_clear()
+
+
 @pytest.mark.parametrize(
     "nu, key, levels",
     [
@@ -369,21 +444,25 @@ def test_single_parameter_model_is_exact_everywhere():
         assert abs(eval_energy(model, [theta]) - np.cos(0.3 + theta)) < 1e-12
 
 
-def test_single_axis_slices_are_exact():
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    nu=st.integers(1, 6),
+)
+def test_single_axis_slices_are_exact(data, seed, n, nu):
     """Along any coordinate axis the truncation drops nothing, so the model
     reproduces the true energy at arbitrary slice angles."""
-    rng = np.random.default_rng(47)
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        nu = int(rng.integers(2, 7))
-        circuit = random_circuit(rng, n, nu)
-        h = random_hamiltonian(rng, n, 5)
-        model = estimate_coefficients(CircuitOracle(circuit, h), query_schedule(nu))
-        axis = int(rng.integers(nu))
-        for t in rng.uniform(-np.pi, np.pi, 10):
-            theta = np.zeros(nu)
-            theta[axis] = t
-            assert abs(eval_energy(model, theta) - energy(circuit, theta, h)) < 1e-12
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, nu)
+    h = random_hamiltonian(rng, n, 5)
+    model = estimate_coefficients(CircuitOracle(circuit, h), query_schedule(nu))
+    axis = data.draw(st.integers(0, nu - 1))
+    for t in data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=10)):
+        theta = np.zeros(nu)
+        theta[axis] = t
+        assert abs(eval_energy(model, theta) - energy(circuit, theta, h)) < 1e-12
 
 
 def test_pair_combination_is_reproduced():
