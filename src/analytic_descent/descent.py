@@ -28,6 +28,7 @@ from .surrogate import (
     HALF_PI,
     CircuitOracle,
     NoiseLevels,
+    _point_table,
     estimate_coefficients,
     eval_energy,
     eval_gradient,
@@ -298,6 +299,7 @@ def run_analytic_descent(
 
     inner_exits = []
     schedule = query_schedule(nu)
+    table = _point_table(schedule)
     for outer in range(1, config.max_outer + 1):
         oracle = CircuitOracle(current, h)
         psi, tangents, g_reference = oracle.reference()
@@ -308,12 +310,14 @@ def run_analytic_descent(
             schedule,
             levels,
             rng_seed=(noise.rng_seed, rng_seed, outer, 0),
+            table=table,
         )
         run.raw += len(schedule)
         run.cost += 2.0
 
         theta = zeros.copy()
-        e_model = None  # the surrogate energy at θ, once a record has needed it
+        # the surrogate and true energies at θ, once a record has needed them
+        e_model = e_true = None
         metric = qfi_from_tangents(psi, tangents)  # at θ = 0
         exit_reason = "max_inner"
         inner_done = 0
@@ -327,16 +331,17 @@ def run_analytic_descent(
                 metric = qfi_exact(current, theta)
             direction = regularized_natural_direction(metric, config.eta, g_model)
             theta = theta - config.step_size * direction
-            e_model = None
+            e_model = e_true = None
             inner_done = inner
-            if not np.isfinite(theta).all():
+            norm = np.abs(theta).max()  # NaN and inf propagate through max
+            if not np.isfinite(norm):
                 raise DivergenceError(
                     f"non-finite parameters at outer {outer} inner {inner}; "
                     f"step_size {config.step_size} diverged",
                     run.trace,
                 )
             metric = metric if config.frozen_metric else None
-            outside = np.abs(theta).max() >= config.trust_radius
+            outside = norm >= config.trust_radius
             record = config.record_inner_every and inner % config.record_inner_every == 0
             check = config.feedback_period and inner % config.feedback_period == 0
             if record or (check and not outside):
@@ -379,7 +384,8 @@ def run_analytic_descent(
         inner_exits.append({"outer": outer, "reason": exit_reason, "steps": inner_done})
 
         current = current.rebased(theta)
-        e_true = energy(current, zeros, h)
+        if e_true is None:  # rebased adds θ to θ₀ as ``energy`` does: same angles
+            e_true = energy(current, zeros, h)
         if not np.isfinite(e_true):
             raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
         if e_model is None:

@@ -103,15 +103,17 @@ class PauliSum:
             raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
         merged: dict[str, float] = {}
         for coeff, string in self.terms:
-            coeff = float(coeff)
-            if not np.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {coeff} for {string}")
             if string.num_qubits != self.num_qubits:
                 raise ValueError(
                     f"term {string} acts on {string.num_qubits} qubits, "
                     f"sum declares {self.num_qubits}"
                 )
-            merged[string.letters] = merged.get(string.letters, 0.0) + coeff
+            merged[string.letters] = merged.get(string.letters, 0.0) + float(coeff)
+        # A non-finite term makes its merged sum non-finite, and finite
+        # duplicates can overflow when summed: check the sums.
+        for letters, coeff in merged.items():
+            if not np.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient {coeff} for {letters}")
         canonical = tuple(
             (c, PauliString(s))
             for s, c in sorted(merged.items())

@@ -21,13 +21,14 @@ of ψ).  One second-order tangent sweep therefore yields every schedule
 energy as a quadratic form, at any register size (identical values to
 rounding, far fewer gate applications).
 
-Inside the trust region ‖θ‖∞ < π/2 every a(θₖ) ≥ 1/2, so the model is
-evaluated in closed form through the ratios u = b/a and w = c/a:
-Ê(θ) = A·(eA + u·eB + w·eC + uᵀ·eD·u) with A = ∏ a(θₖ), which is O(ν²) in
-one matrix-vector product.  Outside it (the schedule shifts ±π/2 and π
-themselves) `eval_energy` switches to a division-free route built from
-partial products of a; the gradient and variance routines are declared
-only inside the region.
+Inside the trust region ‖θ‖∞ < π/2 the model is evaluated in the
+half-angle tangents t = tan(θ/2), |tₖ| < 1: there a = 1/(1+t²), b/a = t and
+c/a = t², so Ê(θ) = S/∏(1+tₖ²) with S = eA + t·eB + t²·eC + tᵀ·eD·t, a
+closed form of one matrix-vector product that its gradient and variance
+share.  Outside it (the schedule shifts ±π/2 and π themselves)
+`eval_energy` switches to a division-free route built from partial
+products of a; the gradient and variance routines are declared only inside
+the region.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ HALF_PI = 0.5 * np.pi
 
 
 class TrustRegionError(ValueError):
-    """θ left the |θₖ| < π/2 region where the divide-by-a(θₖ) path is stable."""
+    """θ left the |θₖ| < π/2 region where the half-angle closed form is declared."""
 
 
 @dataclass(frozen=True)
@@ -430,6 +431,7 @@ def estimate_coefficients(
     noise: NoiseLevels | None = None,
     rng_seed: int | tuple[int, ...] = 0,
     max_workers: int | None = None,
+    table: tuple | None = None,
 ) -> SurrogateModel:
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
@@ -446,9 +448,12 @@ def estimate_coefficients(
     ziggurat's fast path (about 1.5% of them).  Variance fields sum
     the raw-query variances per combined coefficient.  ``max_workers`` is
     accepted for compatibility and has no effect: the batched oracle is one
-    vectorized build that threads have nothing to split in.
+    vectorized build that threads have nothing to split in.  ``table`` is the
+    schedule's `_point_table`, for a caller that estimates on one schedule
+    repeatedly; it is built here when omitted.
     """
-    table = _point_table(schedule)
+    if table is None:
+        table = _point_table(schedule)
     indices, kind, first, second = table
     nu = int(np.maximum(first, second).max(initial=0)) + 1
     if len(schedule) != 2 * nu * nu + nu + 1:
@@ -476,7 +481,7 @@ def estimate_coefficients(
         sigma = np.array([noise.for_kind(name) for name in QueryPoint._SHIFTS])[kind]
         noisy = np.flatnonzero(sigma > 0.0)
         if noisy.size:
-            keys = [indices[position] for position in noisy]
+            keys = [indices[position] for position in noisy.tolist()]
             draws = _first_normals(rng_seed, keys, _seed_states(rng_seed, keys))
             values[noisy] += sigma[noisy] * draws
 
@@ -669,25 +674,20 @@ def eval_energy(model: SurrogateModel, theta) -> float:
     """Value of the truncated series at θ (relative to θ₀).
 
     Two routes, selected by the input.  Inside the trust region
-    ‖θ‖∞ < π/2, where every a(θₖ) ≥ 1/2, the closed form
-    A·(eA + u·eB + w·eC + uᵀ·eD·u) with u = b/a, w = c/a and A = ∏ a(θₖ)
-    is used; at θ = 0 it returns eA exactly.  Outside the region (the
-    schedule shifts ±π/2 and π, for instance) the division-free route
-    takes every leave-out product from partial products of a, so axes with
-    a(θₖ) = 0 (θₖ = ±π) never divide.  The routes agree to rounding where
-    both apply, so the value is continuous across ‖θ‖∞ = π/2.
+    ‖θ‖∞ < π/2 the closed form S/∏(1+tₖ²) in t = tan(θ/2), with
+    S = eA + t·eB + t²·eC + tᵀ·eD·t, is used; at θ = 0 it returns eA
+    exactly.  Outside the region (the schedule shifts ±π/2 and π, for
+    instance) the division-free route takes every leave-out product from
+    partial products of a, so axes with a(θₖ) = 0 (θₖ = ±π) never divide.
+    The routes agree to rounding where both apply, so the value is
+    continuous across ‖θ‖∞ = π/2.
     """
-    theta = _check_length(model, theta)
-    if np.abs(theta).max() >= HALF_PI:
-        return _division_free_energy(model, theta)
-    full_product, u, w, _ = _trust_region_ratios(theta)
-    value = (
-        model.eA
-        + np.dot(u, model.eB)
-        + np.dot(w, model.eC)
-        + np.dot(u, model.eD @ u)
-    )
-    return float(full_product * value)
+    try:
+        t, q = _half_angle_tangents(model, theta)
+    except TrustRegionError:
+        return _division_free_energy(model, np.asarray(theta, dtype=float))
+    bracket = model.eA + np.dot(t, model.eB + t * model.eC + model.eD @ t)
+    return float(bracket / q.prod())
 
 
 def _division_free_energy(model: SurrogateModel, theta: np.ndarray) -> float:
@@ -709,20 +709,12 @@ def _division_free_energy(model: SurrogateModel, theta: np.ndarray) -> float:
     return float(value)
 
 
-def _trust_region_ratios(theta: np.ndarray):
-    """A = ∏ a(θₖ) and the ratios u = b/a, w = c/a, p = b'/a.
+def _half_angle_tangents(model: SurrogateModel, theta):
+    """t = tan(θ/2) and q = 1 + t² = 1/a(θ), inside the trust region only.
 
-    Only stable for |θₖ| < π/2, where a(θₖ) ≥ 1/2.
+    Raises ``TrustRegionError`` for ‖θ‖∞ ≥ π/2, where the model's closed
+    form is not declared; inside it |tₖ| < 1 and 1 ≤ qₖ < 2.
     """
-    cos = np.cos(theta)
-    a = 0.5 * (1.0 + cos)
-    u = 0.5 * np.sin(theta) / a
-    w = 0.5 * (1.0 - cos) / a
-    p = 0.5 * cos / a
-    return float(a.prod()), u, w, p
-
-
-def _fast_path_ratios(model: SurrogateModel, theta):
     theta = _check_length(model, theta)
     norm = np.abs(theta).max()
     if norm >= HALF_PI:
@@ -730,38 +722,33 @@ def _fast_path_ratios(model: SurrogateModel, theta):
             f"‖θ‖∞ = {norm:.6g} is outside the |θₖ| < π/2 "
             "trust region; a(θₖ) may vanish"
         )
-    return _trust_region_ratios(theta)
+    t = np.tan(0.5 * theta)
+    return t, 1.0 + t * t
 
 
 def eval_gradient(model: SurrogateModel, theta) -> np.ndarray:
     """Exact gradient of the truncated series, O(ν²) per call.
 
-    Only valid inside the |θₖ| < π/2 trust region where a(θₖ) ≥ 1/2 keeps
-    the shared-product division stable; at θ=0 the result is exactly eB/2,
-    the parameter-shift gradient.
+    In t = tan(θ/2), with dt/dθ = q/2 and q = 1 + t², the closed form
+    S/∏q of ``eval_energy`` differentiates to ∇Ê = (q·u − t·S)/∏q, where
+    u = ½∂S/∂t = (eB + r)/2 + t·eC with r = (eD + eDᵀ)·t, and
+    S = eA + t·(u + eB/2).  Only valid inside the |θₖ| < π/2 trust region;
+    at θ=0 the result is exactly eB/2, the parameter-shift gradient.
     """
-    full_product, u, w, p = _fast_path_ratios(model, theta)
-    r = model._eD_symmetric @ u
-    s_b = float(np.dot(u, model.eB))
-    s_c = float(np.dot(w, model.eC))
-    s_d = 0.5 * float(np.dot(u, r))
-    grad = full_product * (
-        -u * model.eA
-        + p * model.eB
-        - u * (s_b - u * model.eB)
-        + u * model.eC
-        - u * (s_c - w * model.eC)
-        + p * r
-        - u * (s_d - u * r)
-    )
-    return grad
+    t, q = _half_angle_tangents(model, theta)
+    u = 0.5 * (model.eB + model._eD_symmetric @ t) + t * model.eC
+    bracket = model.eA + np.dot(t, u + 0.5 * model.eB)
+    return (q * u - t * bracket) / q.prod()
 
 
 def gradient_variance(model: SurrogateModel, theta) -> np.ndarray:
     """Linear error propagation: var[∂ₘÊ](θ) = Σ (∂monomial/∂θₘ)²·var(coeff).
 
     The full sum over all coefficient classes, not only the leading eB term;
-    at θ=0 it reduces to varBₘ/4.  Same trust region as ``eval_gradient``.
+    at θ=0 it reduces to varBₘ/4.  In t = tan(θ/2) a word M(t)/∏q has
+    ∂ₘ = [(qₘ/2)·∂M/∂tₘ − tₘ·M]/∏q, e.g. −tₘ/∏q for the eA word and
+    (1 − tₘ²)/2/∏q for the B word of axis m.  Same trust region as
+    ``eval_gradient``.
     """
     by_class = gradient_variance_by_class(model, theta)
     return by_class["A"] + by_class["B"] + by_class["C"] + by_class["D"]
@@ -769,19 +756,19 @@ def gradient_variance(model: SurrogateModel, theta) -> np.ndarray:
 
 def gradient_variance_by_class(model: SurrogateModel, theta) -> dict[str, np.ndarray]:
     """Per-class contributions to the gradient variance (diagnostics)."""
-    full_product, u, w, p = _fast_path_ratios(model, theta)
-    a_sq = full_product**2
-    u2 = u * u
-    vdsym = model.varD + model.varD.T
-    rv = vdsym @ u2
-    vb_total = float(np.dot(u2, model.varB))
-    vc_total = float(np.dot(w * w, model.varC))
-    vd_total = 0.5 * float(np.dot(u2, rv))
+    t, q = _half_angle_tangents(model, theta)
+    a_sq = 1.0 / q.prod() ** 2
+    t2 = t * t
+    p2 = (0.5 * (1.0 - t2)) ** 2
+    rv = (model.varD + model.varD.T) @ t2
+    vb_total = float(np.dot(t2, model.varB))
+    vc_total = float(np.dot(t2 * t2, model.varC))
+    vd_total = 0.5 * float(np.dot(t2, rv))
     return {
-        "A": a_sq * u2 * model.varA,
-        "B": a_sq * (p * p * model.varB + u2 * (vb_total - u2 * model.varB)),
-        "C": a_sq * (u2 * model.varC + u2 * (vc_total - w * w * model.varC)),
-        "D": a_sq * (p * p * rv + u2 * (vd_total - u2 * rv)),
+        "A": a_sq * t2 * model.varA,
+        "B": a_sq * (p2 * model.varB + t2 * (vb_total - t2 * model.varB)),
+        "C": a_sq * (t2 * model.varC + t2 * (vc_total - t2 * t2 * model.varC)),
+        "D": a_sq * (p2 * rv + t2 * (vd_total - t2 * rv)),
     }
 
 

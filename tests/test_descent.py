@@ -35,7 +35,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     write_trace_csv,
 )
-from analytic_descent import descent
+from analytic_descent import descent, surrogate
 from analytic_descent import metric as metric_module
 from analytic_descent.descent import NOISE_FLOOR, TRACE_COLUMNS
 from conftest import random_circuit, random_hamiltonian
@@ -420,6 +420,94 @@ def test_metric_factorizations_per_step(monkeypatch, frozen_metric):
     steps = [e["steps"] for e in trace.metadata["inner_exits"]]
     assert len(steps) == 3 and min(steps) >= 1 and sum(steps) > 3
     assert len(calls) == (len(steps) if frozen_metric else sum(steps))
+
+
+def _ring3_start(seed=6):
+    ring = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(4).uniform(-1, 1, 3))
+    ansatz = build_hardware_efficient(3, 1)
+    shift = np.random.default_rng(seed).uniform(-0.5, 0.5, ansatz.num_parameters)
+    return ring, ansatz.rebased(shift)
+
+
+def _counting(monkeypatch, module, names):
+    """Replace each of ``names`` in ``module`` by a wrapper counting its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("frozen_metric", [True, False], ids=["frozen", "per_step"])
+def test_traced_descent_boundaries_are_called_once_per_step(monkeypatch, frozen_metric):
+    """The benchmark's traced spans (descent -> surrogate and metric) see one
+    direction solve per inner step, and one surrogate gradient per step, per
+    stationary exit and per similarity check; counting changes no exit."""
+    ring, start = _ring3_start()
+    config = OptimizerConfig(
+        step_size=0.01, max_outer=3, max_inner=40, frozen_metric=frozen_metric,
+        feedback_period=4, feedback_tolerance=1e6, similarity_feedback=True,
+        similarity_abort=2.5, record_inner_every=0,
+    )
+    cases = [(start, ring), (_rx(0.0), Z_FIELD)]  # the second is stationary
+    untraced = [run_analytic_descent(c, h, config, NoiseSpec()) for c, h in cases]
+    names = ("eval_gradient", "regularized_natural_direction")
+    for (circuit, h), reference in zip(cases, untraced):
+        counts = _counting(monkeypatch, descent, names)
+        trace = run_analytic_descent(circuit, h, config, NoiseSpec())
+        exits = trace.metadata["inner_exits"]
+        assert exits == reference.metadata["inner_exits"]
+        assert trace.records == reference.records
+        steps = sum(e["steps"] for e in exits)
+        stationary = sum(e["reason"] == "stationary" for e in exits)
+        # no feedback exit at this tolerance: each feedback record checks similarity
+        similarity_checks = sum(r.phase == "feedback" for r in trace.records)
+        assert counts["regularized_natural_direction"] == steps
+        assert counts["eval_gradient"] == steps + stationary + similarity_checks
+        monkeypatch.undo()
+    assert {e["reason"] for e in untraced[1].metadata["inner_exits"]} == {"stationary"}
+    assert sum(r.phase == "feedback" for r in untraced[0].records) >= 6
+
+
+def test_schedule_bookkeeping_is_built_once_per_run(monkeypatch):
+    ring, start = _ring3_start()
+    counts = _counting(monkeypatch, descent, ("_point_table", "estimate_coefficients"))
+    monkeypatch.setattr(surrogate, "_point_table", descent._point_table)
+    config = OptimizerConfig(
+        step_size=0.01, max_outer=3, max_inner=40, record_inner_every=0,
+    )
+    trace = run_analytic_descent(start, ring, config, NoiseSpec())
+    assert counts["estimate_coefficients"] == trace.final.outer == 3
+    assert counts["_point_table"] == 1
+
+
+def test_outer_record_reuses_the_last_recorded_energy(monkeypatch):
+    """With every inner step recorded, the outer record after each inner
+    loop takes the true energy of the record at the same angles instead of
+    simulating them again; the value is bit-identical either way."""
+    ring, start = _ring3_start()
+    runs = {}
+    for every in (0, 1):
+        config = OptimizerConfig(
+            step_size=0.01, max_outer=3, max_inner=40, frozen_metric=True,
+            record_inner_every=every,
+        )
+        counts = _counting(monkeypatch, descent, ("energy",))
+        trace = runs[every] = run_analytic_descent(start, ring, config, NoiseSpec())
+        monkeypatch.undo()
+        exits = trace.metadata["inner_exits"]
+        steps = sum(e["steps"] for e in exits)
+        assert min(e["steps"] for e in exits) >= 1
+        # the start's record, then one per inner record or one per outer step
+        assert counts["energy"] == 1 + (steps if every else len(exits))
+    outer = [[r for r in runs[every].records if r.phase == "outer"] for every in (0, 1)]
+    assert outer[0] == outer[1]
 
 
 def test_inner_records_leave_the_trajectory_unchanged():

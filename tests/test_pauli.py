@@ -52,6 +52,13 @@ def test_pauli_sum_rejects_non_finite():
         PauliSum(1, ((float("nan"), PauliString("Z")),))
 
 
+def test_pauli_sum_rejects_duplicates_that_overflow_when_merged():
+    with pytest.raises(ValueError, match="non-finite coefficient inf for Z"):
+        PauliSum(1, ((1e308, PauliString("Z")), (1e308, PauliString("Z"))))
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_pauli_sum("1e308 Z\n1e308 Z")
+
+
 def test_parse_single_term():
     h = parse_pauli_sum("1.0 Z")
     assert h.num_qubits == 1

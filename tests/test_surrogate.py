@@ -596,6 +596,58 @@ def test_energy_at_the_origin_is_eA_exactly(model):
     assert eval_energy(model, np.zeros(model.nu)) == model.eA
 
 
+# Property tests of the half-angle closed form that eval_energy (inside the
+# region), eval_gradient and the variance share.  `_models` draws ν from 1
+# to 6, and the derandomized examples include ν = 1.
+
+_CLOSED_FORM = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+_EDGE_GAP = 1e-6
+
+
+def _largest_coefficient(model):
+    return max(
+        abs(model.eA), *np.abs(model.eB), *np.abs(model.eC), np.max(np.abs(model.eD))
+    )
+
+
+def _up_to_the_edge(nu):
+    """θ with |θₖ| ≤ π/2 − 1e-6, most components within 1e-3 of that bound."""
+    bound = HALF_PI - _EDGE_GAP
+    near = st.floats(bound - 1e-3, bound)
+    component = st.one_of(
+        st.floats(-bound, bound), near, near.map(lambda t: -t)
+    )
+    return arrays(float, nu, elements=component)
+
+
+@_CLOSED_FORM
+@given(data=st.data(), model=_models())
+def test_gradient_matches_the_reference_route_up_to_the_edge(data, model):
+    theta = data.draw(_up_to_the_edge(model.nu))
+    reference = eval_gradient_reference(model, theta)
+    deviation = np.max(np.abs(eval_gradient(model, theta) - reference))
+    assert deviation <= 1e-12 * _largest_coefficient(model)
+
+
+@_CLOSED_FORM
+@given(data=st.data(), model=_models())
+def test_closed_form_meets_the_division_free_route_just_inside_the_edge(data, model):
+    # every axis within 1e-6 of ±π/2, where the closed form's q = 1 + t² → 2
+    gaps = data.draw(arrays(float, model.nu, elements=st.floats(1e-15, _EDGE_GAP)))
+    signs = data.draw(arrays(bool, model.nu))
+    theta = np.where(signs, -1.0, 1.0) * (HALF_PI - gaps)
+    closed = eval_energy(model, theta)
+    assert abs(closed - _division_free_energy(model, theta)) <= 1e-14 * _scale(model)
+
+
+@_CLOSED_FORM
+@given(model=_models())
+def test_closed_form_at_the_origin_is_eA_and_half_eB_exactly(model):
+    origin = np.zeros(model.nu)
+    assert eval_energy(model, origin) == model.eA
+    assert np.array_equal(eval_gradient(model, origin), 0.5 * model.eB)
+
+
 def test_eval_energy_length_mismatch():
     with pytest.raises(ValueError):
         eval_energy(_rx_model(), [0.1, 0.2])
