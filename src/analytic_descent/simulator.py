@@ -12,10 +12,11 @@ the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  Gates use that
 kernel (``pauli._pauli_kernel``); every use of H, from expectations to the
 dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
 
-Derivatives come from one forward tangent sweep that carries ψ, its first
-derivatives t_m = ∂ψ/∂θ_m and, on request, the pair derivatives
-t_kl = ∂²ψ/∂θ_k∂θ_l.  The metric, the energy gradient and the batched
-schedule oracle are all built from it.
+Derivatives come from one forward tangent sweep that carries ψ and its
+first derivatives t_m = ∂ψ/∂θ_m.  On request it also takes the energy's
+pair terms Re⟨Hψ|t_kl⟩ (t_kl = ∂²ψ/∂θ_k∂θ_l) as overlaps with one adjoint
+row per gate, without forming any t_kl.  The metric, the energy gradient
+and the batched schedule oracle are all built from it.
 
 All operations are pure functions over immutable values; kernels and
 compiled sums are cached on first use and never changed.
@@ -41,12 +42,6 @@ MAX_QUBITS = 20
 _DENSE_DIM = 8
 
 _NORM_TOLERANCE = 1e-10
-
-# Bytes of pair tangents one second-order sweep holds; the sweep runs in
-# chunks of first axes that fit (ν²·2^N·8 bytes would hold them all, 40 MB
-# at N = 10, ν = 70).
-_PAIR_CHUNK_BYTES = 4 * 2**20
-
 
 class GroundEnergyError(RuntimeError):
     """Iterative eigensolver failed to converge."""
@@ -248,60 +243,40 @@ def ground_energy(h: PauliSum) -> float:
     return float(values[0])
 
 
-def _sweep(circuit: AnsatzCircuit, theta, first: range):
-    """ψ, the ν tangents tₘ = ∂ψ/∂θₘ, and the pair tangents
-    t_kl = ∂²ψ/∂θ_k∂θ_l for k in ``first`` and every l > k, in one forward
-    sweep; also the k and l of each pair row.
+def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
+    """ψ and the ν tangents tₘ = ∂ψ/∂θₘ in one forward sweep; with ``adjoint``
+    rows aₗ, also the matrix of overlaps Re⟨aₗ|tₖ after gate l⟩, k < l, at
+    [k, l] (zero elsewhere).
 
-    Gate l spawns the derivative of each row it differentiates: tₗ from ψ, and
-    t_kl from t_k.  Differentiating a row r through gate l gives
-    (-i/2)·P·U·r = -(i/2)·(c·Pr - i·s·r), so the Pauli image the rotation
-    needs anyway also yields the new rows.  Started rows sit in two blocks,
-    (ψ, tangents) and the pair rows in order of l then k, and each gate is
-    pushed through both at once.  The first-order rows are computed
-    identically whatever ``first`` is.
+    Gate l spawns tₗ = (-i/2)·P·U·ψ = -(i/2)·(c·Pψ - i·s·ψ), so the Pauli
+    image the rotation needs anyway also yields the new row.  ψ and the
+    started tangents sit in one block, and each gate is pushed through all of
+    its live rows at once.
     """
     theta = np.asarray(theta, dtype=float)
     nu = circuit.num_parameters
     if theta.shape != (nu,):
         raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
-    angles = np.asarray(circuit.theta_ref, dtype=float) + theta
-    dim = 2**circuit.num_qubits
-    ks, ls = np.array(
-        [(k, l) for l in range(nu) for k in first if k < l], dtype=np.intp
-    ).reshape(-1, 2).T
+    half = 0.5 * (np.asarray(circuit.theta_ref, dtype=float) + theta)
     # Row 0 carries |ψ⟩, rows 1..l the tangents started before gate l.
-    block = np.zeros((nu + 1, dim), dtype=np.complex128)
+    block = np.zeros((nu + 1, 2**circuit.num_qubits), dtype=np.complex128)
     block[0, 0] = 1.0
-    pairs = np.empty((len(ks), dim), dtype=np.complex128)
-    started = 0
-    for l, generator in enumerate(circuit.generators):
+    overlaps = None if adjoint is None else np.zeros((nu, nu))
+    gates = zip(circuit.generators, np.cos(half).tolist(), np.sin(half).tolist())
+    for l, (generator, c, s) in enumerate(gates):
         src, phase = _pauli_kernel(generator.letters)
-        c = np.cos(0.5 * angles[l])
-        s = np.sin(0.5 * angles[l])
-        if started:
-            # In place, and freed before the next gate gathers: the pair
-            # block is the sweep's largest array.
-            running = pairs[:started]
-            rotated = running.take(src, axis=1)
-            rotated *= phase
-            rotated *= -1j * s
-            running *= c
-            running += rotated
-            del rotated
+        minus_is = -1j * s
         live = block[: l + 1]
-        pauli_applied = live.take(src, axis=1) * phase
-        block[l + 1] = -0.5j * (c * pauli_applied[0] + (-1j * s) * live[0])
-        # rows of t_k for k in first, k < l
-        lo, hi = first.start + 1, min(first.stop, l) + 1
-        if hi > lo:
-            pairs[started : started + hi - lo] = -0.5j * (
-                c * pauli_applied[lo:hi] + (-1j * s) * live[lo:hi]
-            )
-            started += hi - lo
+        pauli_applied = live.take(src, axis=1)
+        pauli_applied *= phase
+        spawned = np.multiply(pauli_applied[0], c, out=block[l + 1])
+        spawned += minus_is * live[0]
+        spawned *= -0.5j
         live *= c
-        live += (-1j * s) * pauli_applied
-    return block[0], block[1:], ks, ls, pairs
+        live += minus_is * pauli_applied
+        if adjoint is not None:
+            overlaps[:l, l] = _real_overlaps(block[1 : l + 1], adjoint[l])
+    return block[0], block[1:], overlaps
 
 
 def _state_and_tangents(circuit: AnsatzCircuit, theta):
@@ -310,29 +285,34 @@ def _state_and_tangents(circuit: AnsatzCircuit, theta):
     Gate m contributes tangent U_ν...U_{m+1}·(-i/2)P_m·U_m...U_1|0⟩.  The
     work is O(ν²·2^N) flops in O(ν) vectorized operations.
     """
-    psi, tangents, *_ = _sweep(circuit, theta, range(0))
+    psi, tangents, _ = _sweep(circuit, theta)
     return psi, tangents
 
 
-def _state_tangents_and_pairs(circuit: AnsatzCircuit, theta):
-    """Second-order sweep: yields (ψ, T, k, l, t_kl) per chunk of first axes k.
+def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
+    """ψ, the tangents T, and the matrix of Re⟨Hψ|t_kl⟩, k < l, at [k, l]
+    (zero elsewhere), where t_kl = ∂²ψ/∂θ_k∂θ_l; ψ and T are
+    ``_state_and_tangents``'s, bit for bit.
 
-    Each chunk is one ``_sweep`` over a run of first axes holding at most
-    ``_PAIR_CHUNK_BYTES`` of pair tangents (at least one axis), so ψ and T
-    are the same in every chunk and bit-identical to ``_state_and_tangents``;
-    k and l index the pair rows t_kl, k < l.
+    t_kl is tₖ carried through gate l, hit by (-i/2)·Pₗ and carried on by
+    Vₗ = U_ν⋯U_{l+1}, so Re⟨Hψ|t_kl⟩ = Re⟨aₗ|tₖ after gate l⟩ with the adjoint
+    row aₗ = (i/2)·Pₗ·Vₗ†·Hψ (Jones & Gacon, arXiv 2009.02823).  A forward pass
+    on one vector gives ψ, a backward pass from Hψ every aₗ, and the tangent
+    sweep each row's overlaps: O(ν²·2^N) work, and no pair tangent is formed.
     """
-    nu = circuit.num_parameters
-    budget = max(1, _PAIR_CHUNK_BYTES // (16 * 2**circuit.num_qubits))
-    start = 0
-    while start < nu:
-        stop = start + 1
-        rows = nu - stop  # pairs of the first axis start
-        while stop < nu and rows + nu - 1 - stop <= budget:
-            rows += nu - 1 - stop
-            stop += 1
-        yield _sweep(circuit, theta, range(start, stop))
-        start = stop
+    theta = np.asarray(theta, dtype=float)
+    angles = np.asarray(circuit.theta_ref, dtype=float) + theta
+    letters = [generator.letters for generator in circuit.generators]
+    psi = zero_state(circuit.num_qubits).amplitudes
+    for generator, angle in zip(letters, angles):
+        psi = _apply_rotation(psi, generator, angle)
+    mu = _apply_hamiltonian(psi, h)
+    adjoint = np.empty((len(letters), len(psi)), dtype=np.complex128)
+    for l in reversed(range(len(letters))):
+        pauli_mu = _apply_pauli(mu, letters[l])
+        adjoint[l] = 0.5j * pauli_mu
+        mu = np.cos(0.5 * angles[l]) * mu + (1j * np.sin(0.5 * angles[l])) * pauli_mu
+    return _sweep(circuit, theta, adjoint)
 
 
 def tangent_states(circuit: AnsatzCircuit, theta) -> list[StateVector]:

@@ -13,13 +13,16 @@ shifts of 0, ±π/2 and π on at most two axes.  The resulting model is exact
 along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 
 `estimate_coefficients` accepts any callable `shift ↦ energy`; the
-`CircuitOracle` here additionally exposes a batched route.  Every gate is
-exp(-iθP/2) with P² = I, so shifting axes k and l by σ_k and σ_l gives the
-state c_k·c_l·ψ + 2·s_k·c_l·t_k + 2·c_k·s_l·t_l + 4·s_k·s_l·t_kl exactly
-(c = cos(σ/2), s = sin(σ/2); t_k and t_kl the first and second derivatives
-of ψ).  One second-order tangent sweep therefore yields every schedule
-energy as a quadratic form, at any register size (identical values to
-rounding, far fewer gate applications).
+`CircuitOracle` here additionally exposes a batched route from one tangent
+sweep at θ₀.  Every gate is exp(-iθP/2) with P² = I, so shifting axis k by
+σ gives the state cos(σ/2)·ψ + 2·sin(σ/2)·t_k exactly (t_k = ∂ψ/∂θ_k), and
+each unshifted or single-axis energy is a quadratic form in (ψ, t_k).  The
+pair points enter the model only through eD_kl = ((E₊₊ + E₋₋) − E₋₊) − E₊₋,
+which is 4·∂²E/∂θ_k∂θ_l, the shift-rule Hessian (Mari, Bromley & Killoran,
+arXiv 2008.06517).  The oracle takes it from the same sweep as
+8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), t_kl = ∂²ψ/∂θ_k∂θ_l, the first term from
+one adjoint row per gate, so no pair state is prepared; values agree with
+the pointwise route to rounding.
 
 Inside the trust region ‖θ‖∞ < π/2 the model is evaluated in the
 half-angle tangents t = tan(θ/2), |tₖ| < 1: there a = 1/(1+t²), b/a = t and
@@ -42,7 +45,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .ansatz import AnsatzCircuit, _frozen_array, energy
-from .simulator import _apply_hamiltonian, _real_overlaps, _state_tangents_and_pairs
+from .simulator import _apply_hamiltonian, _real_overlaps, _state_tangents_and_hessian
 
 HALF_PI = 0.5 * np.pi
 
@@ -436,10 +439,11 @@ def estimate_coefficients(
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
     ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
-    evaluated batched.  The schedule must hold every canonical point once:
-    each kind's axes distinct and in range, with k < l for pairs.  Each raw
-    query is perturbed by an independent zero-mean Gaussian whose std is the
-    class level from ``noise``.  Its draw is the first ``standard_normal()``
+    evaluated batched and supplies eD from its sweep, to which the pair
+    queries' noise is added as to measured pair energies.  The schedule must
+    hold every canonical point once: each kind's axes distinct and in range,
+    with k < l for pairs.  Each raw query is perturbed by an independent
+    zero-mean Gaussian whose std is the class level from ``noise``.  Its draw is the first ``standard_normal()``
     of ``default_rng(list(key) + [index])``, keyed by ``rng_seed`` (an int or
     a tuple of non-negative ints) and the canonical point index, so the
     result does not depend on the schedule's order.  The seeds and the draws
@@ -476,7 +480,7 @@ def estimate_coefficients(
             + (" with k < l" if name.startswith("D") else "")
         )
 
-    values = _raw_energies(oracle, schedule, nu, table)
+    values, pair_block = _raw_energies(oracle, schedule, nu, table)
     if noise is not None:
         sigma = np.array([noise.for_kind(name) for name in QueryPoint._SHIFTS])[kind]
         noisy = np.flatnonzero(sigma > 0.0)
@@ -496,6 +500,8 @@ def estimate_coefficients(
     eB = np.diag(Bp) - np.diag(Bm)
     eC = np.diag(C)
     eD = ((Dpp + Dmm) - Dmp) - Dpm
+    if pair_block is not None:
+        eD += pair_block
 
     if noise is None:
         varA, varB, varC, varD = 0.0, None, None, None
@@ -511,9 +517,22 @@ def estimate_coefficients(
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
-def _raw_energies(oracle, schedule, nu, table) -> np.ndarray:
+def _raw_energies(oracle, schedule, nu, table) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clean energies at the schedule's points, and the exact pair block.
+
+    A ``CircuitOracle`` is asked for the unshifted and single-axis points
+    only; its pair points stay 0 here, to carry their noise onto its eD.  A
+    callable is queried at every point, and the block is None.
+    """
     if isinstance(oracle, CircuitOracle):
-        return oracle.schedule_energies(schedule, table)
+        _, kind, first, second = table
+        single = np.flatnonzero(_ARITY[kind] < 2)
+        values = np.zeros(len(kind))
+        values[single] = oracle.schedule_energies(
+            [schedule[position] for position in single.tolist()],
+            (None, kind[single], first[single], second[single]),
+        )
+        return values, oracle.pair_coefficients()
 
     def pointwise(point):
         try:
@@ -524,33 +543,33 @@ def _raw_energies(oracle, schedule, nu, table) -> np.ndarray:
                 f"({point.kind}, axes {point.axes}): {exc}"
             ) from exc
 
-    return np.array([pointwise(p) for p in schedule])
-
-
-def _shift_weights(shifts) -> tuple[float, float, float, float]:
-    # Weights of (ψ, t_k, t_l, t_kl) in the state shifted by (σ_k, σ_l); an
-    # unshifted or single-axis point has σ_l = 0 and so no t_l, t_kl part.
-    sigma_k, sigma_l = (tuple(shifts) + (0.0, 0.0))[:2]
-    ck, sk = np.cos(0.5 * sigma_k), np.sin(0.5 * sigma_k)
-    cl, sl = np.cos(0.5 * sigma_l), np.sin(0.5 * sigma_l)
-    return (ck * cl, 2.0 * sk * cl, 2.0 * ck * sl, 4.0 * sk * sl)
+    return np.array([pointwise(p) for p in schedule]), None
 
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(QueryPoint._SHIFTS)}
 _ARITY = np.array([len(shifts) for shifts in QueryPoint._SHIFTS.values()])
-_SHIFT_WEIGHTS = np.array([_shift_weights(s) for s in QueryPoint._SHIFTS.values()])
+# cos(σ/2) and 2·sin(σ/2), the weights of ψ and tₖ in the state shifted by σ on
+# axis k, for the unshifted and single-axis kinds (kind numbers 0 to 3).
+_SINGLE_WEIGHTS = np.array(
+    [
+        (np.cos(0.5 * sum(shifts)), 2.0 * np.sin(0.5 * sum(shifts)))
+        for shifts in QueryPoint._SHIFTS.values()
+        if len(shifts) < 2
+    ]
+)
 
 
 class CircuitOracle:
     """Energy oracle E(θ₀ + shift) with a batched schedule route.
 
-    The batch route runs the second-order tangent sweep once at θ₀, at every
-    register size, and forms Γ[k, l], the 4×4 matrix of Re⟨u|H|v⟩ over
-    u, v ∈ (ψ, t_k, t_l, t_kl).  A point shifted on axes (k, l) has state
-    w·(ψ, t_k, t_l, t_kl) with weights w from its shifts, so its energy is
-    wᵀ·Γ[k, l]·w; the cache holds that energy for every kind and axis pair.
-    Values agree with the pointwise route to rounding.  ``reference`` gives
-    the sweep's ψ, tangents and gradient 2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).
+    The batch route runs ``_state_tangents_and_hessian`` once at θ₀, at
+    every register size.  Its cache holds the unshifted and single-axis
+    energies, quadratic forms in the 2×2 matrix Re⟨u|H|v⟩ over
+    u, v ∈ (ψ, tₖ), and the exact pair block
+    eD_kl = 8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), k < l (``pair_coefficients``).
+    A pair point asked of ``schedule_energies`` is prepared and measured on
+    its own.  ``reference`` gives the sweep's ψ, tangents and gradient
+    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
@@ -570,32 +589,17 @@ class CircuitOracle:
     def _build_cache(self):
         circuit, h = self.circuit, self.h
         nu = circuit.num_parameters
-        # gram[k, l] is Γ over (ψ, t_k, t_l, t_kl); filled on and above its
-        # diagonal, then mirrored.  Entries of t_kl stay zero unless k < l.
-        # Every chunk of the sweep carries the same ψ and tangents.
-        gram = np.zeros((nu, nu, 4, 4))
-        chunks = _state_tangents_and_pairs(circuit, np.zeros(nu))
-        for psi, tangents, k, l, pairs in chunks:
-            h_pairs = _apply_hamiltonian(pairs, h)
-            with_tangents = _real_overlaps(h_pairs, tangents)
-            rows = np.arange(len(k))
-            gram[k, l, 0, 3] = _real_overlaps(h_pairs, psi)
-            gram[k, l, 1, 3] = with_tangents[rows, k]
-            gram[k, l, 2, 3] = with_tangents[rows, l]
-            gram[k, l, 3, 3] = np.einsum(
-                "ij,ij->i", h_pairs.view(np.float64), pairs.view(np.float64)
-            )
+        psi, tangents, hessian = _state_tangents_and_hessian(circuit, np.zeros(nu), h)
         h_psi = _apply_hamiltonian(psi, h)
         g = _real_overlaps(tangents, h_psi)
         G = _real_overlaps(tangents, _apply_hamiltonian(tangents, h))
-        gram[:, :, 0, 0] = _real_overlaps(psi, h_psi)
-        gram[:, :, 0, 1] = g[:, None]
-        gram[:, :, 0, 2] = g[None, :]
-        gram[:, :, 1, 1] = np.diag(G)[:, None]
-        gram[:, :, 1, 2] = G
-        gram[:, :, 2, 2] = np.diag(G)[None, :]
-        gram += np.swapaxes(np.triu(gram, 1), -1, -2)
-        self._cache = np.einsum("si,klij,sj->skl", _SHIFT_WEIGHTS, gram, _SHIFT_WEIGHTS)
+        # gram[k] is Re⟨u|H|v⟩ over u, v ∈ (ψ, t_k).
+        gram = np.empty((nu, 2, 2))
+        gram[:, 0, 0] = _real_overlaps(psi, h_psi)
+        gram[:, 0, 1] = gram[:, 1, 0] = g
+        gram[:, 1, 1] = np.diag(G)
+        self._cache = np.einsum("si,kij,sj->sk", _SINGLE_WEIGHTS, gram, _SINGLE_WEIGHTS)
+        self._pair_block = np.triu(8.0 * (hessian + G), 1)
         self._reference = (psi, tangents, 2.0 * g)
 
     def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -604,13 +608,24 @@ class CircuitOracle:
             self._build_cache()
         return self._reference
 
+    def pair_coefficients(self) -> np.ndarray:
+        """The exact eD: ((E₊₊ + E₋₋) − E₋₊) − E₊₋ for every pair k < l, to rounding."""
+        if self._cache is None:
+            self._build_cache()
+        return self._pair_block
+
     def schedule_energies(self, points: list[QueryPoint], table=None) -> np.ndarray:
         """Energies at ``points``; ``table`` is their `_point_table`, if built."""
         if self._cache is None:
             self._build_cache()
-        # Padded axes carry zero weight.
-        _, kind, first, second = _point_table(points) if table is None else table
-        return self._cache[kind, first, second]
+        _, kind, first, _ = _point_table(points) if table is None else table
+        single = _ARITY[kind] < 2
+        values = np.empty(len(kind))
+        values[single] = self._cache[kind[single], first[single]]
+        nu = len(self.theta0)
+        for position in np.flatnonzero(~single).tolist():
+            values[position] = self(points[position].shift(nu))
+        return values
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from analytic_descent import (
     zero_state,
 )
 from analytic_descent import pauli, simulator
-from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_pairs
+from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_hessian
 from conftest import (
     dense_hamiltonian,
     pauli_matrix,
@@ -291,34 +291,26 @@ def test_tangent_matches_central_differences():
         assert np.max(np.abs(diff - tangents[m].amplitudes)) < 1e-7
 
 
-def test_second_order_sweep_keeps_the_first_order_rows(monkeypatch):
-    """Every chunk of the second-order sweep carries ψ and T bit for bit."""
-    rng = np.random.default_rng(89)
-    circuit = random_circuit(rng, 3, 7)
-    theta = rng.uniform(-1.0, 1.0, 7)
-    psi, tangents = _state_and_tangents(circuit, theta)
-    monkeypatch.setattr(simulator, "_PAIR_CHUNK_BYTES", 3 * 16 * 8)  # three rows
-    chunks = list(_state_tangents_and_pairs(circuit, theta))
-    assert len(chunks) > 1
-    for chunk_psi, chunk_tangents, *_ in chunks:
-        assert np.array_equal(chunk_psi, psi)
-        assert np.array_equal(chunk_tangents, tangents)
-    pairs = [(k, l) for *_, ks, ls, _ in chunks for k, l in zip(ks, ls)]
-    assert sorted(pairs) == [(k, l) for k in range(7) for l in range(k + 1, 7)]
-
-
-def test_pair_tangents_match_central_differences():
-    """ || (t_k(θ + ε e_l) - t_k(θ - ε e_l)) / 2ε - t_kl ||  =  O(ε²) """
+def test_adjoint_hessian_matches_central_differences():
+    """ h[k, l] = Re⟨Hψ₀|t_kl⟩: the central difference of Re⟨Hψ₀|t_k(θ)⟩ in θ_l,
+    with ψ and T bit-identical to the first-order sweep's. """
     rng = np.random.default_rng(97)
-    circuit = random_circuit(rng, 3, 5)
-    theta = rng.uniform(-0.5, 0.5, 5)
-    ((_, _, ks, ls, pairs),) = _state_tangents_and_pairs(circuit, theta)
+    circuit = random_circuit(rng, 3, 6)
+    h = random_hamiltonian(rng, 3, 6)
+    theta = rng.uniform(-0.5, 0.5, 6)
+    psi, tangents = _state_and_tangents(circuit, theta)
+    got_psi, got_tangents, hessian = _state_tangents_and_hessian(circuit, theta, h)
+    assert np.array_equal(got_psi, psi)
+    assert np.array_equal(got_tangents, tangents)
+    h_psi = dense_hamiltonian(h) @ psi
+    assert np.array_equal(hessian, np.triu(hessian, 1))
     eps = 1e-4
-    for k, l, pair in zip(ks, ls, pairs):
-        shift = np.zeros(5)
+    for l in range(1, 6):
+        shift = np.zeros(6)
         shift[l] = eps
         diff = (
-            _state_and_tangents(circuit, theta + shift)[1][k]
-            - _state_and_tangents(circuit, theta - shift)[1][k]
+            _state_and_tangents(circuit, theta + shift)[1]
+            - _state_and_tangents(circuit, theta - shift)[1]
         ) / (2.0 * eps)
-        assert np.max(np.abs(diff - pair)) < 1e-7
+        want = (np.conj(h_psi) @ diff.T).real
+        assert np.max(np.abs(hessian[:l, l] - want[:l])) < 1e-7

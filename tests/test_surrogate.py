@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
@@ -18,6 +18,7 @@ from analytic_descent import (
     PauliString,
     SurrogateModel,
     TrustRegionError,
+    build_hardware_efficient,
     energy,
     energy_gradient,
     estimate_coefficients,
@@ -33,7 +34,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     symmetry_report,
 )
-from analytic_descent import simulator, surrogate
+from analytic_descent import surrogate
 from analytic_descent.surrogate import (
     MonomialBasis,
     NoiseLevels,
@@ -346,13 +347,15 @@ def test_batched_noise_equals_one_default_rng_per_query(nu, key, levels):
     oracle = CircuitOracle(circuit, random_hamiltonian(rng, 3, 6))
     schedule = query_schedule(nu)
     parts = list(key) if isinstance(key, tuple) else [key]
+    clean = oracle.schedule_energies(schedule)
+    table = {tuple(p.shift(nu)): value for p, value in zip(schedule, clean)}
     values = {}
-    for point, clean in zip(schedule, oracle.schedule_energies(schedule)):
+    for point, value in zip(schedule, clean):
         sigma = levels.for_kind(point.kind)
         if sigma > 0.0:
             draw = np.random.default_rng(parts + [point.index]).standard_normal()
-            clean += sigma * draw
-        values[point.kind, point.axes] = clean
+            value += sigma * draw
+        values[point.kind, point.axes] = value
     eB = np.array([values["B+", (k,)] - values["B-", (k,)] for k in range(nu)])
     eC = np.array([values["C", (k,)] for k in range(nu)])
     eD = np.zeros((nu, nu))
@@ -367,8 +370,22 @@ def test_batched_noise_equals_one_default_rng_per_query(nu, key, levels):
         np.full(nu, levels.sigma_c**2),
         np.triu(np.full((nu, nu), 4.0 * levels.sigma_d**2), 1),
     )
+
+    class Table:
+        theta0 = circuit.theta_ref
+
+        def __call__(self, shift):
+            return table[tuple(shift)]
+
+    tabled = estimate_coefficients(Table(), schedule, levels, rng_seed=key)
+    assert model_to_json(tabled) == model_to_json(reference)
+    # The circuit oracle takes eD from its sweep: the same draws, the other
+    # coefficients and every variance bit for bit, eD to rounding.
     model = estimate_coefficients(oracle, schedule, levels, rng_seed=key)
-    assert model_to_json(model) == model_to_json(reference)
+    for f in fields(SurrogateModel):
+        if f.name != "eD":
+            assert np.array_equal(getattr(model, f.name), getattr(reference, f.name)), f.name
+    assert np.max(np.abs(model.eD - reference.eD)) < 1e-12
 
 
 def test_fast_oracle_agrees_with_pointwise_energies():
@@ -382,9 +399,8 @@ def test_fast_oracle_agrees_with_pointwise_energies():
     assert np.max(np.abs(fast - naive)) < 1e-12
 
 
-def test_large_register_oracle_falls_back_to_pointwise(monkeypatch):
-    # dim 256 takes the same sweep route as small registers, also when its
-    # pair tangents are split over several chunks of the second-order sweep
+def test_large_register_oracle_falls_back_to_pointwise():
+    # dim 256 takes the same sweep route as small registers
     rng = np.random.default_rng(41)
     circuit = random_circuit(rng, 8, 3)
     h = random_hamiltonian(rng, 8, 4)
@@ -397,17 +413,65 @@ def test_large_register_oracle_falls_back_to_pointwise(monkeypatch):
         rng.uniform(-np.pi, np.pi, 5),
     )
     ring_h = spin_ring_hamiltonian(8, 1.0, rng.uniform(-1.0, 1.0, 8))
-    for budget in (simulator._PAIR_CHUNK_BYTES, 2 * 16 * 256):  # two pair rows
-        monkeypatch.setattr(simulator, "_PAIR_CHUNK_BYTES", budget)
-        for circuit, h in ((circuit, h), (ring, ring_h)):
-            nu = circuit.num_parameters
-            schedule = query_schedule(nu)
-            values = CircuitOracle(circuit, h).schedule_energies(schedule)
-            for p, value in zip(schedule, values):
-                assert abs(value - energy(circuit, p.shift(nu), h)) < 1e-12
-    chunks = list(simulator._state_tangents_and_pairs(ring, np.zeros(5)))
-    assert len(chunks) > 1
+    for circuit, h in ((circuit, h), (ring, ring_h)):
+        nu = circuit.num_parameters
+        schedule = query_schedule(nu)
+        values = np.array([energy(circuit, p.shift(nu), h) for p in schedule])
+        oracle = CircuitOracle(circuit, h)
+        assert np.max(np.abs(oracle.schedule_energies(schedule) - values)) < 1e-12
+        by_point = {(p.kind, p.axes): value for p, value in zip(schedule, values)}
+        eD = estimate_coefficients(oracle, schedule).eD
+        for k in range(nu):
+            for l in range(k + 1, nu):
+                pair = [by_point[kind, (k, l)] for kind in ("D++", "D--", "D-+", "D+-")]
+                assert abs(eD[k, l] - (((pair[0] + pair[1]) - pair[2]) - pair[3])) < 1e-12
     assert np.ptp(values) > 0.1  # the ring case has non-trivial energies
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), nu=st.integers(1, 6))
+@example(seed=0, n=1, nu=1)
+@example(seed=1, n=3, nu=2)
+def test_pair_block_is_the_four_point_combination(seed, n, nu):
+    """Noiseless, the oracle's eD equals ((E₊₊ + E₋₋) − E₋₊) − E₊₋ of the
+    pointwise pair energies to 1e-12·max|E| (ν = 1 has no pairs)."""
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, nu)
+    h = random_hamiltonian(rng, n, 5)
+    schedule = query_schedule(nu)
+    values = {(p.kind, p.axes): energy(circuit, p.shift(nu), h) for p in schedule}
+    want = np.zeros((nu, nu))
+    for k in range(nu):
+        for l in range(k + 1, nu):
+            pair = [values[kind, (k, l)] for kind in ("D++", "D--", "D-+", "D+-")]
+            want[k, l] = ((pair[0] + pair[1]) - pair[2]) - pair[3]
+    model = estimate_coefficients(CircuitOracle(circuit, h), schedule)
+    scale = max(abs(value) for value in values.values())
+    assert np.max(np.abs(model.eD - want)) <= 1e-12 * scale
+
+
+def test_an_estimation_sweeps_once_and_prepares_no_point_alone(monkeypatch):
+    """A ring6-size estimation (N = 6, ν = 42) builds the oracle's cache once,
+    asks ``schedule_energies`` once, and prepares no schedule point on its own."""
+    calls = dict.fromkeys(("energy", "_build_cache", "schedule_energies"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(surrogate, "energy")
+    count(CircuitOracle, "_build_cache")
+    count(CircuitOracle, "schedule_energies")
+    h = spin_ring_hamiltonian(6, 0.05, np.random.default_rng(7).uniform(-1.0, 1.0, 6))
+    oracle = CircuitOracle(build_hardware_efficient(6, 2), h)
+    levels = NoiseLevels(0.01, 0.02, 0.03, 0.04)
+    estimate_coefficients(oracle, query_schedule(42), levels, rng_seed=(0, 1, 1, 0))
+    assert calls == {"energy": 0, "_build_cache": 1, "schedule_energies": 1}
 
 
 def test_oracle_agrees_with_pointwise_at_one_and_two_parameters():
