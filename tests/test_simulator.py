@@ -291,19 +291,31 @@ def test_tangent_matches_central_differences():
         assert np.max(np.abs(diff - tangents[m].amplitudes)) < 1e-7
 
 
-def test_adjoint_hessian_matches_central_differences():
-    """ h[k, l] = Re⟨Hψ₀|t_kl⟩: the central difference of Re⟨Hψ₀|t_k(θ)⟩ in θ_l,
-    with ψ and T bit-identical to the first-order sweep's. """
-    rng = np.random.default_rng(97)
-    circuit = random_circuit(rng, 3, 6)
+def test_second_order_sweep_keeps_the_first_order_rows():
+    """The adjoint Hessian sweep carries ψ and T bit for bit, and fills only
+    the strict upper triangle of the pair block."""
+    rng = np.random.default_rng(89)
+    circuit = random_circuit(rng, 3, 7)
     h = random_hamiltonian(rng, 3, 6)
-    theta = rng.uniform(-0.5, 0.5, 6)
+    theta = rng.uniform(-1.0, 1.0, 7)
     psi, tangents = _state_and_tangents(circuit, theta)
     got_psi, got_tangents, hessian = _state_tangents_and_hessian(circuit, theta, h)
     assert np.array_equal(got_psi, psi)
     assert np.array_equal(got_tangents, tangents)
-    h_psi = dense_hamiltonian(h) @ psi
+    assert hessian.shape == (7, 7)
     assert np.array_equal(hessian, np.triu(hessian, 1))
+
+
+def test_pair_tangents_match_central_differences():
+    """ h[k, l] = Re⟨Hψ₀|t_kl⟩: the pair tangents, contracted with Hψ₀, equal
+    the central difference of Re⟨Hψ₀|t_k(θ)⟩ in θ_l to O(ε²). """
+    rng = np.random.default_rng(97)
+    circuit = random_circuit(rng, 3, 6)
+    h = random_hamiltonian(rng, 3, 6)
+    theta = rng.uniform(-0.5, 0.5, 6)
+    psi, _ = _state_and_tangents(circuit, theta)
+    _, _, hessian = _state_tangents_and_hessian(circuit, theta, h)
+    h_psi = dense_hamiltonian(h) @ psi
     eps = 1e-4
     for l in range(1, 6):
         shift = np.zeros(6)
