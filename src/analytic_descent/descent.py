@@ -28,7 +28,6 @@ from .surrogate import (
     HALF_PI,
     CircuitOracle,
     NoiseLevels,
-    _point_table,
     estimate_coefficients,
     eval_energy,
     eval_gradient,
@@ -297,62 +296,62 @@ def run_analytic_descent(
     if run.record("outer", 0, 0, energy(current, zeros, h)):
         return run.finish(current.theta_ref)
 
+    step_size, eta, trust_radius = config.step_size, config.eta, config.trust_radius
+    max_inner, frozen_metric = config.max_inner, config.frozen_metric
+    record_every, feedback_period = config.record_inner_every, config.feedback_period
     inner_exits = []
     schedule = query_schedule(nu)
-    table = _point_table(schedule)
     for outer in range(1, config.max_outer + 1):
         oracle = CircuitOracle(current, h)
         psi, tangents, g_reference = oracle.reference()
         g_norm = float(np.linalg.norm(g_reference))
         levels = precision_policy(g_norm, nu, noise) if noise.enabled else None
         model = estimate_coefficients(
-            oracle,
-            schedule,
-            levels,
-            rng_seed=(noise.rng_seed, rng_seed, outer, 0),
-            table=table,
+            oracle, schedule, levels, rng_seed=(noise.rng_seed, rng_seed, outer, 0)
         )
         run.raw += len(schedule)
         run.cost += 2.0
 
         theta = zeros.copy()
-        # the surrogate and true energies at θ, once a record has needed them
-        e_model = e_true = None
+        # e_model and e_true are the surrogate and true energies at the θ of
+        # step ``held``, the last step that recorded or checked
+        held = -1
         metric = qfi_from_tangents(psi, tangents)  # at θ = 0
         exit_reason = "max_inner"
         inner_done = 0
         feedback_events = 0
-        for inner in range(1, config.max_inner + 1):
+        for inner in range(1, max_inner + 1):
             g_model = eval_gradient(model, theta)
             if np.abs(g_model).max() < _STATIONARY_GRADIENT:
                 exit_reason = "stationary"
                 break
             if metric is None:
                 metric = qfi_exact(current, theta)
-            direction = regularized_natural_direction(metric, config.eta, g_model)
-            theta = theta - config.step_size * direction
-            e_model = e_true = None
+            direction = regularized_natural_direction(metric, eta, g_model)
+            theta = theta - step_size * direction
             inner_done = inner
+            if not frozen_metric:
+                metric = None
             norm = np.abs(theta).max()  # NaN and inf propagate through max
-            if not np.isfinite(norm):
+            outside = not norm < trust_radius
+            if outside and not np.isfinite(norm):
                 raise DivergenceError(
                     f"non-finite parameters at outer {outer} inner {inner}; "
-                    f"step_size {config.step_size} diverged",
+                    f"step_size {step_size} diverged",
                     run.trace,
                 )
-            metric = metric if config.frozen_metric else None
-            outside = norm >= config.trust_radius
-            record = config.record_inner_every and inner % config.record_inner_every == 0
-            check = config.feedback_period and inner % config.feedback_period == 0
-            if record or (check and not outside):
+            record = record_every and inner % record_every == 0
+            check = feedback_period and not outside and inner % feedback_period == 0
+            if record or check:
+                held = inner
                 e_model = eval_energy(model, theta)
                 # a sweep's metric serves the next step, when the loop goes on
-                if metric is None and not (outside or inner == config.max_inner):
+                if metric is None and not (outside or inner == max_inner):
                     e_true, g_true, metric = energy_gradient_metric(current, theta, h)
                 else:
                     e_true, g_true = energy(current, theta, h), None
-            if record:
-                run.record("inner", outer, inner, e_true, e_model)
+                if record:
+                    run.record("inner", outer, inner, e_true, e_model)
             if outside:
                 exit_reason = "trust_radius"
                 break
@@ -384,11 +383,14 @@ def run_analytic_descent(
         inner_exits.append({"outer": outer, "reason": exit_reason, "steps": inner_done})
 
         current = current.rebased(theta)
-        if e_true is None:  # rebased adds θ to θ₀ as ``energy`` does: same angles
+        # A record at the loop's last θ holds both energies there; ``rebased``
+        # adds θ to θ₀ as ``energy`` does, so they are the rebased circuit's.
+        recorded = held == inner_done
+        if not recorded:
             e_true = energy(current, zeros, h)
         if not np.isfinite(e_true):
             raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
-        if e_model is None:
+        if not recorded:
             e_model = eval_energy(model, theta)
         if run.record("outer", outer, inner_done, e_true, e_model):
             break

@@ -11,6 +11,7 @@ optimizer defaults to the exact metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
@@ -22,6 +23,14 @@ from .surrogate import HALF_PI, MonomialBasis, TrustRegionError
 
 _SYMMETRY_TOLERANCE = 1e-10
 _PSD_TOLERANCE = -1e-8
+
+
+@cache
+def _identity(nu: int) -> np.ndarray:
+    """The ν×ν identity, read-only, built once per ν."""
+    eye = np.eye(nu)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class MetricTensor:
         asym = float(np.max(np.abs(entries - entries.T))) if self.nu else 0.0
         if asym > _SYMMETRY_TOLERANCE:
             raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
-        if self.nu and dpotrf(entries - _PSD_TOLERANCE * np.eye(self.nu))[1]:
+        if self.nu and dpotrf(entries - _PSD_TOLERANCE * _identity(self.nu))[1]:
             smallest = float(np.linalg.eigvalsh(entries)[0])
             raise ValueError(
                 f"metric is not positive semidefinite: smallest eigenvalue {smallest:.3g}"
@@ -181,7 +190,7 @@ def regularized_natural_direction(F: MetricTensor, eta: float, g) -> np.ndarray:
         raise ValueError(f"expected gradient of length {F.nu}, got shape {g.shape}")
     factor = F._factors.get(eta)
     if factor is None:
-        shifted = F.entries + eta * np.eye(F.nu)
+        shifted = F.entries + eta * _identity(F.nu)
         try:
             factor, _ = cho_factor(shifted, lower=True, check_finite=False)
         except LinAlgError as exc:

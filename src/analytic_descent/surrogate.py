@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
@@ -86,26 +88,35 @@ class QueryPoint:
         return vec
 
 
-def query_schedule(nu: int) -> list[QueryPoint]:
+def query_schedule(nu: int) -> tuple[QueryPoint, ...]:
     """Canonical estimation schedule: exactly 2ν²+ν+1 distinct points.
 
     Order: the unshifted point, then (B+, B-) per axis, then C per axis,
     then the four pair points (++, --, -+, +-) per lexicographic pair k<l.
+    Built once per ν and process: every call returns the same immutable
+    tuple, and `estimate_coefficients` reuses its point table and checks
+    (kept in ``_CANONICAL``) instead of repeating them per estimation.
     """
     if nu < 1:
         raise ValueError(f"parameter count must be >= 1, got {nu}")
-    points = [QueryPoint(0, "A", ())]
-    for k in range(nu):
-        points.append(QueryPoint(len(points), "B+", (k,)))
-        points.append(QueryPoint(len(points), "B-", (k,)))
-    for k in range(nu):
-        points.append(QueryPoint(len(points), "C", (k,)))
-    for k in range(nu):
-        for l in range(k + 1, nu):
-            for kind in ("D++", "D--", "D-+", "D+-"):
-                points.append(QueryPoint(len(points), kind, (k, l)))
-    assert len(points) == 2 * nu * nu + nu + 1
-    return points
+    nu = operator.index(nu)  # an int, as range() takes, whatever is cached
+    size = 2 * nu * nu + nu + 1
+    canonical = _CANONICAL.get(size)
+    if canonical is None:
+        points = [QueryPoint(0, "A", ())]
+        for k in range(nu):
+            points.append(QueryPoint(len(points), "B+", (k,)))
+            points.append(QueryPoint(len(points), "B-", (k,)))
+        for k in range(nu):
+            points.append(QueryPoint(len(points), "C", (k,)))
+        for k in range(nu):
+            for l in range(k + 1, nu):
+                for kind in ("D++", "D--", "D-+", "D+-"):
+                    points.append(QueryPoint(len(points), kind, (k, l)))
+        points = tuple(points)
+        table = _point_table(points)
+        canonical = _CANONICAL[size] = points, table, _checked_nu(points, table)
+    return canonical[0]
 
 
 @dataclass(frozen=True)
@@ -168,10 +179,15 @@ class SurrogateModel:
     def nu(self) -> int:
         return len(self.eB)
 
+    # ½·eB and ½·(eD + eDᵀ), computed once per model for the gradient.  Halving
+    # is exact, so the gradient rounds as if it halved its own sums.
     @cached_property
-    def _eD_symmetric(self) -> np.ndarray:
-        # eD + eDᵀ, computed once per model for the gradient's pair term
-        return self.eD + self.eD.T
+    def _half_eB(self) -> np.ndarray:
+        return 0.5 * self.eB
+
+    @cached_property
+    def _half_eD_symmetric(self) -> np.ndarray:
+        return 0.5 * (self.eD + self.eD.T)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator).
@@ -400,16 +416,26 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     return wi, ki
 
 
+# Each canonical schedule, keyed by its point count 2ν²+ν+1, with its point
+# table and its parameter count ν: (schedule, table, ν).
+_CANONICAL: dict[int, tuple] = {}
+
+
 def _point_table(points) -> tuple:
     """The schedule's bookkeeping: (indices, kind numbers, first axes, second axes).
 
-    Each point's fields are read once.  Axes are padded to a pair as the
-    oracle's energy table is indexed: () as (0, 0) and (k,) as (k, k).
+    Each point's fields are read once, into read-only arrays.  Indices stay
+    exact: an object array holds them when int64 cannot.  Axes are padded to
+    a pair as the oracle's energy table is indexed: () as (0, 0) and (k,) as
+    (k, k).
     """
     # One comprehension per field: building a tuple per point costs more.
     indices = [p.index for p in points]
     kinds = [p.kind for p in points]
     axes = [p.axes for p in points]
+    index = np.asarray(indices)
+    if index.dtype.kind != "i":  # past int64, or not all ints
+        index = np.array(indices, dtype=object)
     kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(kinds))
     arity = _ARITY[kind]
     counts = np.fromiter(map(len, axes), np.intp, len(axes))
@@ -425,39 +451,17 @@ def _point_table(points) -> tuple:
     flat[:-1] = np.fromiter(itertools.chain.from_iterable(axes), np.intp, len(flat) - 1)
     first = np.where(arity > 0, flat[ends - arity], 0)
     second = np.where(arity == 2, flat[ends - 1], first)
-    return indices, kind, first, second
+    for array in (index, kind, first, second):
+        array.flags.writeable = False
+    return index, kind, first, second
 
 
-def estimate_coefficients(
-    oracle,
-    schedule: list[QueryPoint],
-    noise: NoiseLevels | None = None,
-    rng_seed: int | tuple[int, ...] = 0,
-    max_workers: int | None = None,
-    table: tuple | None = None,
-) -> SurrogateModel:
-    """Combine (optionally noisy) schedule energies into a SurrogateModel.
+def _checked_nu(schedule, table) -> int:
+    """The parameter count ν of a schedule that holds every canonical point once.
 
-    ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
-    evaluated batched and supplies eD from its sweep, to which the pair
-    queries' noise is added as to measured pair energies.  The schedule must
-    hold every canonical point once: each kind's axes distinct and in range,
-    with k < l for pairs.  Each raw query is perturbed by an independent
-    zero-mean Gaussian whose std is the class level from ``noise``.  Its draw is the first ``standard_normal()``
-    of ``default_rng(list(key) + [index])``, keyed by ``rng_seed`` (an int or
-    a tuple of non-negative ints) and the canonical point index, so the
-    result does not depend on the schedule's order.  The seeds and the draws
-    are computed for all noisy queries in one batch, bit-identical to those
-    generators; one is built only for a query whose draw leaves the
-    ziggurat's fast path (about 1.5% of them).  Variance fields sum
-    the raw-query variances per combined coefficient.  ``max_workers`` is
-    accepted for compatibility and has no effect: the batched oracle is one
-    vectorized build that threads have nothing to split in.  ``table`` is the
-    schedule's `_point_table`, for a caller that estimates on one schedule
-    repeatedly; it is built here when omitted.
+    Raises ``ValueError`` otherwise: each kind's axes must be distinct and
+    in range, with k < l for pairs, and the indices distinct.
     """
-    if table is None:
-        table = _point_table(schedule)
     indices, kind, first, second = table
     nu = int(np.maximum(first, second).max(initial=0)) + 1
     if len(schedule) != 2 * nu * nu + nu + 1:
@@ -465,7 +469,7 @@ def estimate_coefficients(
             f"schedule with {len(schedule)} points does not match any full "
             f"canonical schedule (nearest parameter count {nu})"
         )
-    if len(set(indices)) != len(schedule):
+    if len(set(indices.tolist())) != len(schedule):
         raise ValueError("schedule contains duplicate query-point indices")
     # With the point count right, distinct in-range axes per kind mean the
     # schedule holds every canonical point exactly once.
@@ -479,13 +483,55 @@ def estimate_coefficients(
             f"schedule's {name} points need distinct axes in [0, {nu})"
             + (" with k < l" if name.startswith("D") else "")
         )
+    return nu
+
+
+def estimate_coefficients(
+    oracle,
+    schedule: Sequence[QueryPoint],
+    noise: NoiseLevels | None = None,
+    rng_seed: int | tuple[int, ...] = 0,
+    max_workers: int | None = None,
+    table: tuple | None = None,
+) -> SurrogateModel:
+    """Combine (optionally noisy) schedule energies into a SurrogateModel.
+
+    ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
+    evaluated batched and supplies eD from its sweep, to which the pair
+    queries' noise is added as to measured pair energies.  ``schedule`` is
+    any sequence of `QueryPoint` that holds every canonical point once: each
+    kind's axes distinct and in range, with k < l for pairs, and the indices
+    distinct.  Each raw query is perturbed by an independent zero-mean
+    Gaussian whose std is the class level from ``noise``.  Its draw is the
+    first ``standard_normal()`` of ``default_rng(list(key) + [index])``,
+    keyed by ``rng_seed`` (an int or a tuple of non-negative ints) and the
+    canonical point index, so the result does not depend on the schedule's
+    order.  The seeds and the draws are computed for all noisy queries in
+    one batch, bit-identical to those generators; one is built only for a
+    query whose draw leaves the ziggurat's fast path (about 1.5% of them).
+    Variance fields sum the raw-query variances per combined coefficient.
+    ``max_workers`` is accepted for compatibility and has no effect: the
+    batched oracle is one vectorized build that threads have nothing to
+    split in.  ``table`` is the schedule's `_point_table`, built here when
+    omitted.  The schedule `query_schedule` returns comes with its table and
+    was checked when it was built; any other schedule, or a ``table`` of the
+    caller's, is checked on every call.
+    """
+    canonical = _CANONICAL.get(len(schedule))
+    if canonical and canonical[0] is schedule and (table is None or table is canonical[1]):
+        _, table, nu = canonical
+    else:
+        if table is None:
+            table = _point_table(schedule)
+        nu = _checked_nu(schedule, table)
+    indices, kind, first, second = table
 
     values, pair_block = _raw_energies(oracle, schedule, nu, table)
     if noise is not None:
         sigma = np.array([noise.for_kind(name) for name in QueryPoint._SHIFTS])[kind]
         noisy = np.flatnonzero(sigma > 0.0)
         if noisy.size:
-            keys = [indices[position] for position in noisy.tolist()]
+            keys = indices[noisy]
             draws = _first_normals(rng_seed, keys, _seed_states(rng_seed, keys))
             values[noisy] += sigma[noisy] * draws
 
@@ -751,8 +797,9 @@ def eval_gradient(model: SurrogateModel, theta) -> np.ndarray:
     at θ=0 the result is exactly eB/2, the parameter-shift gradient.
     """
     t, q = _half_angle_tangents(model, theta)
-    u = 0.5 * (model.eB + model._eD_symmetric @ t) + t * model.eC
-    bracket = model.eA + np.dot(t, u + 0.5 * model.eB)
+    half_eB = model._half_eB
+    u = (half_eB + model._half_eD_symmetric @ t) + t * model.eC
+    bracket = model.eA + np.dot(t, u + half_eB)
     return (q * u - t * bracket) / q.prod()
 
 

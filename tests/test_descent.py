@@ -476,15 +476,20 @@ def test_traced_descent_boundaries_are_called_once_per_step(monkeypatch, frozen_
 
 
 def test_schedule_bookkeeping_is_built_once_per_run(monkeypatch):
+    """With the schedule memo empty, two runs at one ν build and check the
+    schedule's point table once between them."""
     ring, start = _ring3_start()
-    counts = _counting(monkeypatch, descent, ("_point_table", "estimate_coefficients"))
-    monkeypatch.setattr(surrogate, "_point_table", descent._point_table)
+    monkeypatch.setattr(surrogate, "_CANONICAL", {})
+    built = _counting(monkeypatch, surrogate, ("_point_table", "_checked_nu"))
+    counts = _counting(monkeypatch, descent, ("query_schedule", "estimate_coefficients"))
     config = OptimizerConfig(
         step_size=0.01, max_outer=3, max_inner=40, record_inner_every=0,
     )
-    trace = run_analytic_descent(start, ring, config, NoiseSpec())
-    assert counts["estimate_coefficients"] == trace.final.outer == 3
-    assert counts["_point_table"] == 1
+    traces = [run_analytic_descent(start, ring, config, NoiseSpec()) for _ in range(2)]
+    assert traces[0].records == traces[1].records
+    assert counts["estimate_coefficients"] == 2 * traces[0].final.outer == 6
+    assert counts["query_schedule"] == 2
+    assert built == {"_point_table": 1, "_checked_nu": 1}
 
 
 def test_outer_record_reuses_the_last_recorded_energy(monkeypatch):
@@ -534,6 +539,54 @@ def test_inner_records_leave_the_trajectory_unchanged():
     assert {r.phase for r in kept} == {"outer", "feedback"}
     assert {e["reason"] for e in exits} == {"max_inner", "trust_radius", "feedback"}
     assert runs[1] == runs[0] and runs[3] == runs[0]
+
+
+def _trace_bytes(trace, path):
+    write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+def test_trust_radius_just_under_half_pi_exits_on_the_radius(monkeypatch, tmp_path):
+    """At trust_radius = π/2 − 1e-9 the walk leaves on the radius; the
+    surrogate gradient is only asked inside it, so no TrustRegionError."""
+    config = OptimizerConfig(
+        step_size=0.5, max_outer=1, max_inner=200, trust_radius=0.5 * np.pi - 1e-9,
+        feedback_period=3, record_inner_every=2,
+    )
+    asked = []
+    gradient = descent.eval_gradient
+
+    def recording(model, theta):
+        asked.append(np.abs(theta).max())
+        return gradient(model, theta)
+
+    monkeypatch.setattr(descent, "eval_gradient", recording)
+    traces = [run_analytic_descent(_rx(0.1), Z_FIELD, config, NoiseSpec()) for _ in range(2)]
+    (exit_,) = traces[0].metadata["inner_exits"]
+    assert exit_["reason"] == "trust_radius" and exit_["steps"] > 3
+    assert asked and max(asked) < config.trust_radius
+    assert abs(traces[0].theta[0] - 0.1) >= config.trust_radius
+    first, second = (_trace_bytes(t, tmp_path / f"{i}.csv") for i, t in enumerate(traces))
+    assert first == second
+
+
+def test_one_parameter_runs_under_frozen_and_per_step_metrics(tmp_path):
+    """ν = 1 under both metrics: a single RX's metric is 1 everywhere, so the
+    two walks are the same, and each rerun writes the same bytes."""
+    written = {}
+    for frozen in (True, False):
+        config = OptimizerConfig(
+            step_size=0.01, max_outer=4, max_inner=15, frozen_metric=frozen,
+            feedback_period=4, record_inner_every=3, convergence_threshold=1e-9,
+        )
+        traces = [run_analytic_descent(_rx(2.0), Z_FIELD, config, NoiseSpec()) for _ in range(2)]
+        assert traces[0].metadata["exit"] == "budget"
+        assert {e["reason"] for e in traces[0].metadata["inner_exits"]} == {"max_inner"}
+        assert any(r.phase == "inner" for r in traces[0].records)
+        runs = [_trace_bytes(t, tmp_path / f"{frozen}{i}.csv") for i, t in enumerate(traces)]
+        assert runs[0] == runs[1]
+        written[frozen] = runs[0]
+    assert written[True] == written[False]
 
 
 # ------------------------------------------------- natural-gradient runs

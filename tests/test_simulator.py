@@ -2,6 +2,10 @@
 tangent vectors.  Every nontrivial value is cross-checked against the dense
 matrix oracles in conftest."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,19 +245,51 @@ def test_ground_energy_two_site_ring():
 
 
 def test_ground_energy_matches_dense_diagonalization():
-    """Iterative path vs numpy.linalg.eigvalsh for N up to 6."""
+    """Both paths vs numpy.linalg.eigvalsh: dense for N up to 6, the
+    iterative solver at N = 7 and 8."""
     rng = np.random.default_rng(61)
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 7, 8):
         h = random_hamiltonian(rng, n, 3 * n)
         want = float(np.linalg.eigvalsh(dense_hamiltonian(h)).min())
         assert abs(ground_energy(h) - want) < 1e-8
+
+
+def test_ground_energy_is_dense_through_six_qubits(monkeypatch):
+    """N = 6 (dimension 64) is the largest register diagonalized densely;
+    N = 7 takes the iterative solver.  Both match eigvalsh to 1e-10."""
+    import scipy.sparse.linalg
+
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    rng = np.random.default_rng(67)
+    for n, solves in ((6, 0), (7, 1)):
+        h = spin_ring_hamiltonian(n, 0.05, rng.uniform(-1.0, 1.0, n))
+        want = float(np.linalg.eigvalsh(hamiltonian_matrix(h))[0])
+        assert abs(ground_energy(h) - want) < 1e-10
+        assert len(calls) == solves
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    src = os.path.dirname(os.path.dirname(simulator.__file__))
+    code = "import sys, analytic_descent; print('scipy.sparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_ground_energy_is_reproducible_on_the_field_free_ring():
     """The field-free ring's uniform state is an eigenvector far from the
     ground space, so the iterative solve must not start from it: repeated
     calls agree exactly and match dense diagonalization."""
-    for n in (4, 6):
+    for n in (4, 6, 7):
         h = spin_ring_hamiltonian(n, 1.0)
         values = {ground_energy(h) for _ in range(3)}
         assert len(values) == 1

@@ -147,6 +147,81 @@ def test_estimation_rejects_a_repeated_or_misplaced_point():
             estimate_coefficients(oracle, broken)
 
 
+def test_query_schedule_is_one_immutable_tuple_per_nu():
+    schedule = query_schedule(3)
+    assert isinstance(schedule, tuple)
+    assert query_schedule(3) is schedule
+    assert query_schedule(np.int64(3)) is schedule
+    assert query_schedule(4) is not schedule
+    with pytest.raises(TypeError):
+        schedule[0] = QueryPoint(0, "A", ())
+
+
+def test_cached_point_table_is_read_only_and_equals_a_fresh_one():
+    schedule = query_schedule(3)
+    cached_schedule, table, nu = surrogate._CANONICAL[len(schedule)]
+    assert cached_schedule is schedule and nu == 3
+    fresh = surrogate._point_table(list(schedule))
+    for cached, built in zip(table, fresh):
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, built)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
+
+
+def test_a_shuffled_copy_of_the_schedule_estimates_bit_identically():
+    rng = np.random.default_rng(47)
+    circuit = random_circuit(rng, 2, 4)
+    oracle = CircuitOracle(circuit, random_hamiltonian(rng, 2, 5))
+    schedule = query_schedule(4)
+    levels = NoiseLevels(0.05, 0.04, 0.03, 0.02)
+    shuffled = list(schedule)
+    np.random.default_rng(1).shuffle(shuffled)
+    straight = estimate_coefficients(oracle, schedule, levels, rng_seed=(1, 2))
+    for other in (shuffled, tuple(shuffled)):
+        reordered = estimate_coefficients(oracle, other, levels, rng_seed=(1, 2))
+        assert model_to_json(reordered) == model_to_json(straight)
+
+
+def test_a_callers_table_of_a_bad_schedule_is_checked():
+    """A ``table=`` that is not the canonical schedule's own is checked with
+    the same messages as a schedule passed without one, also next to the
+    canonical schedule."""
+    rng = np.random.default_rng(23)
+    oracle = CircuitOracle(random_circuit(rng, 2, 2), random_hamiltonian(rng, 2, 4))
+    schedule = query_schedule(2)
+    for position, point, message in (
+        (3, QueryPoint(3, "B+", (0,)), r"B\+ points need distinct axes"),
+        (5, QueryPoint(5, "C", (-1,)), "C points need distinct axes in"),
+        (7, QueryPoint(7, "D++", (1, 0)), r"D\+\+ points .* with k < l"),
+        (4, QueryPoint(3, "B-", (1,)), "duplicate query-point indices"),
+    ):
+        broken = list(schedule)
+        broken[position] = point
+        table = surrogate._point_table(broken)
+        for paired in (broken, schedule):
+            with pytest.raises(ValueError, match=message):
+                estimate_coefficients(oracle, paired, table=table)
+    partial = schedule[:-1]
+    with pytest.raises(ValueError, match="does not match any full"):
+        estimate_coefficients(oracle, partial, table=surrogate._point_table(partial))
+
+
+@pytest.mark.parametrize(
+    "indices", [(0, 1, 2, 3), (0, 1, 2, 2**63 + 1), (2**63, 2**63 + 1, 7, 2**64 + 5)]
+)
+def test_point_indices_key_their_noise_exactly(indices):
+    """Indices int64 cannot hold are kept as Python ints: each draw is still
+    the first ``standard_normal()`` of ``default_rng(key + [index])``."""
+    schedule = [QueryPoint(i, p.kind, p.axes) for i, p in zip(indices, query_schedule(1))]
+    levels = NoiseLevels(0.1, 0.2, 0.3, 0.4)
+    model = estimate_coefficients(lambda shift: 0.0, schedule, levels, rng_seed=(3, 1))
+    draw = [np.random.default_rng([3, 1, p.index]).standard_normal() for p in schedule]
+    assert model.eA == 0.1 * draw[0]
+    assert model.eB[0] == 0.2 * draw[1] - 0.2 * draw[2]
+    assert model.eC[0] == 0.3 * draw[3]
+
+
 def test_oracle_failure_names_the_query_point():
     class Faulty:
         theta0 = np.zeros(2)
