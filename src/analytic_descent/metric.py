@@ -6,6 +6,12 @@ For a pure state |ψ(θ)⟩ the metric is F_mn = 2 tr[∂ₘρ ∂ₙρ] with
 A two-term overlap-based surrogate of the metric (leading b·b and a·b
 words only, O(δ) accurate near θ₀) is provided alongside for study; the
 optimizer defaults to the exact metric.
+
+The linear algebra is numpy's alone: a Cholesky factorization checks that
+a metric is PSD, and ``regularized_natural_direction`` keeps, per metric
+and η, the inverse (F + ηI)⁻¹ built from the Cholesky factor of F + ηI,
+so each solve is one matrix-vector product.  No LAPACK wrapper is called
+directly, and importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError
 
 from .ansatz import AnsatzCircuit, _frozen_array, prepare_state
 from .simulator import _expectation, _real_overlaps, _state_and_tangents, overlap
@@ -37,9 +42,8 @@ def _identity(nu: int) -> np.ndarray:
 class MetricTensor:
     """Symmetric PSD ν×ν metric: F + 1e-8·I must have a Cholesky factor.
 
-    ``regularized_natural_direction`` keeps the Cholesky factor of
-    (F + ηI) here, keyed by η, so a metric reused across solves is
-    factorized once per η.
+    ``regularized_natural_direction`` keeps (F + ηI)⁻¹ here, keyed by η,
+    so a metric reused across solves is factorized once per η.
     """
 
     nu: int
@@ -52,16 +56,22 @@ class MetricTensor:
             raise ValueError(
                 f"expected {self.nu}x{self.nu} entries, got shape {entries.shape}"
             )
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("non-finite metric entries")
-        asym = float(np.max(np.abs(entries - entries.T))) if self.nu else 0.0
-        if asym > _SYMMETRY_TOLERANCE:
-            raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
-        if self.nu and dpotrf(entries - _PSD_TOLERANCE * _identity(self.nu))[1]:
-            smallest = float(np.linalg.eigvalsh(entries)[0])
-            raise ValueError(
-                f"metric is not positive semidefinite: smallest eigenvalue {smallest:.3g}"
-            )
+        if self.nu:
+            # a non-finite entry makes its (i, j) − (j, i) difference NaN or
+            # ±inf, so one comparison screens finiteness and symmetry
+            asym = float(abs(entries - entries.T).max())
+            if not asym <= _SYMMETRY_TOLERANCE:
+                if not np.all(np.isfinite(entries)):
+                    raise ValueError("non-finite metric entries")
+                raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
+            try:
+                np.linalg.cholesky(entries - _PSD_TOLERANCE * _identity(self.nu))
+            except LinAlgError:
+                smallest = float(np.linalg.eigvalsh(entries)[0])
+                raise ValueError(
+                    "metric is not positive semidefinite: "
+                    f"smallest eigenvalue {smallest:.3g}"
+                ) from None
         entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -92,12 +102,22 @@ class MetricSurrogate:
 
 
 def qfi_from_tangents(psi: np.ndarray, tangents: np.ndarray) -> MetricTensor:
-    """Fisher information of a state ψ with tangent rows tₘ = ∂ψ/∂θₘ."""
-    gram = tangents.conj() @ tangents.T
-    s = tangents.conj() @ psi  # s_m* = ⟨∂ₘψ|ψ⟩, so outer(s̄,s̄) pairs ⟨ψ|∂ψ⟩ factors
-    s = np.conj(s)
-    entries = 4.0 * np.real(gram) + 4.0 * np.real(np.outer(s, s))
-    entries = 0.5 * (entries + entries.T)
+    """Fisher information of a state ψ with tangent rows tₘ = ∂ψ/∂θₘ.
+
+    Both terms are real products.  Re⟨∂ₘψ|∂ₙψ⟩ is X·Xᵀ + Y·Yᵀ for the
+    rows' real parts X and imaginary parts Y, and with sₘ = ⟨∂ₘψ|ψ⟩,
+    Re(⟨ψ|∂ₘψ⟩⟨ψ|∂ₙψ⟩) = Re(sₘsₙ) = s_r s_rᵀ − s_i s_iᵀ.  Every term is
+    exactly symmetric, so F is.  X and Y are summed apart, not interleaved
+    in one real row: a one-parameter metric then rounds as the complex
+    inner product ⟨∂ψ|∂ψ⟩ does, so frozen and per-step ν = 1 walks agree.
+    """
+    real, imag = tangents.real, tangents.imag
+    s = tangents.conj() @ psi
+    entries = real @ real.T
+    entries += imag @ imag.T
+    entries += s.real[:, None] * s.real
+    entries -= s.imag[:, None] * s.imag
+    entries *= 4.0
     return MetricTensor(len(tangents), entries)
 
 
@@ -176,33 +196,39 @@ def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
     return MetricTensor(s.nu, entries)
 
 
-def regularized_natural_direction(F: MetricTensor, eta: float, g) -> np.ndarray:
-    """Solve (F + ηI)·d = g with a symmetric positive-definite factorization.
+def cho_factor(entries: np.ndarray, eta: float) -> np.ndarray:
+    """(F + ηI)⁻¹ as L⁻ᵀL⁻¹, from the Cholesky factor L of F + ηI.
 
-    The Cholesky factor of F + ηI is computed on the first solve at a given
-    η and cached on ``F``; later solves with the same metric and η reuse it,
-    so a metric frozen over an inner loop is factorized once.
+    A system that is not positive definite raises ``LinAlgError`` naming
+    its smallest eigenvalue.
+    """
+    shifted = entries + eta * _identity(len(entries))
+    try:
+        lower = np.linalg.cholesky(shifted)
+    except LinAlgError as exc:
+        smallest = float(np.linalg.eigvalsh(shifted)[0])
+        raise LinAlgError(
+            f"regularized metric is not positive definite "
+            f"(smallest eigenvalue {smallest:.6g}, eta={eta})"
+        ) from exc
+    inverse = np.linalg.inv(lower)
+    return inverse.T @ inverse
+
+
+def regularized_natural_direction(F: MetricTensor, eta: float, g) -> np.ndarray:
+    """Solve (F + ηI)·d = g through a Cholesky factorization.
+
+    The first solve at a given η runs ``cho_factor`` and caches its
+    (F + ηI)⁻¹ on ``F``; every solve, that one included, is then one
+    product (F + ηI)⁻¹·g, so a metric frozen over an inner loop is
+    factorized once.
     """
     if eta < 0.0:
         raise ValueError(f"regularization must be >= 0, got {eta}")
     g = np.asarray(g, dtype=float)
     if g.shape != (F.nu,):
         raise ValueError(f"expected gradient of length {F.nu}, got shape {g.shape}")
-    factor = F._factors.get(eta)
-    if factor is None:
-        shifted = F.entries + eta * _identity(F.nu)
-        try:
-            factor, _ = cho_factor(shifted, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            smallest = float(np.linalg.eigvalsh(shifted)[0])
-            raise LinAlgError(
-                f"regularized metric is not positive definite "
-                f"(smallest eigenvalue {smallest:.6g}, eta={eta})"
-            ) from exc
-        F._factors[eta] = factor
-    # LAPACK's potrs itself: at ν ~ 40 cho_solve's argument handling costs
-    # more than the triangular solves, and the shapes are checked above.
-    solution, info = dpotrs(factor, g, lower=True)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} to the Cholesky solve")
-    return solution
+    inverse = F._factors.get(eta)
+    if inverse is None:
+        inverse = F._factors[eta] = cho_factor(F.entries, eta)
+    return inverse @ g

@@ -1,9 +1,14 @@
 """Fisher-information metric: exact tangent-sweep evaluation, the
 overlap-based two-word surrogate, and the regularized direction solver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 
 from analytic_descent import (
     AnsatzCircuit,
@@ -83,6 +88,44 @@ def test_metric_tensor_validation():
     tensor = MetricTensor(2, np.eye(2))
     with pytest.raises(ValueError):
         tensor.entries[0, 0] = 5.0  # frozen storage
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_named_on_and_off_the_diagonal(value):
+    """The symmetry test screens finiteness too: every non-finite entry,
+    mirrored or not, is reported as such, not as an asymmetry or a failed
+    Cholesky check ([[inf]] itself has a Cholesky factor).  inf − inf in
+    that test makes numpy warn before the error is raised."""
+    with pytest.raises(ValueError, match="non-finite"):
+        MetricTensor(1, [[value]])
+    base = np.eye(5)
+    for i, j, mirrored in ((2, 2, False), (1, 3, False), (3, 1, False), (0, 4, True)):
+        entries = base.copy()
+        entries[i, j] = value
+        if mirrored:
+            entries[j, i] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            MetricTensor(5, entries)
+
+
+def test_empty_metric_constructs_and_solves():
+    F = MetricTensor(0, np.zeros((0, 0)))
+    assert F.entries.shape == (0, 0)
+    assert regularized_natural_direction(F, 0.01, []).shape == (0,)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(metric_module.__file__))
+    code = (
+        "import sys, analytic_descent, analytic_descent.cli\n"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cholesky_psd_check_at_its_edges(monkeypatch):
@@ -231,6 +274,40 @@ def test_direction_solves_the_shifted_system():
     d = regularized_natural_direction(F, eta, g)
     residual = (F.entries + eta * np.eye(5)) @ d - g
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("nu", [1, 8, 42, 70])
+def test_direction_solve_contract(nu):
+    """On full-rank metrics the cached inverse solves to 1e-10·‖g‖ and
+    agrees with LAPACK's Cholesky solve to 1e-12 relative."""
+    rng = np.random.default_rng(100 + nu)
+    a = rng.normal(size=(nu, nu))
+    F = MetricTensor(nu, a @ a.T / nu)
+    for eta in (1e-6, 0.01, 0.5):
+        shifted = F.entries + eta * np.eye(nu)
+        reference = cho_factor(shifted, lower=True)
+        for g in rng.normal(size=(3, nu)):
+            d = regularized_natural_direction(F, eta, g)
+            assert np.linalg.norm(shifted @ d - g) <= 1e-10 * np.linalg.norm(g)
+            want = cho_solve(reference, g)
+            assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("qubits, blocks", [(2, 1), (6, 2), (10, 2)])
+def test_direction_backward_error_on_ansatz_metrics(qubits, blocks):
+    """Exact metrics of the hardware-efficient ansatz are rank-deficient, so
+    at η = 1e-6 no solver reaches 1e-10·‖g‖; the residual stays within a
+    Cholesky solve's backward-error scale, a few ν·ε·‖F + ηI‖·‖d‖."""
+    rng = np.random.default_rng(qubits)
+    circuit = build_hardware_efficient(qubits, blocks)
+    nu = circuit.num_parameters
+    F = qfi_exact(circuit, rng.uniform(-1.0, 1.0, nu))
+    for eta in (1e-6, 0.01, 0.5):
+        shifted = F.entries + eta * np.eye(nu)
+        scale = 4 * nu * np.finfo(float).eps * np.linalg.norm(shifted, 2)
+        for g in rng.normal(size=(20, nu)):
+            d = regularized_natural_direction(F, eta, g)
+            assert np.linalg.norm(shifted @ d - g) <= scale * np.linalg.norm(d)
 
 
 def test_direction_factorizes_once_per_eta(monkeypatch):
