@@ -4,6 +4,7 @@ overlap-based two-word surrogate, and the regularized direction solver."""
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -90,23 +91,23 @@ def test_metric_tensor_validation():
         tensor.entries[0, 0] = 5.0  # frozen storage
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_entries_are_named_on_and_off_the_diagonal(value):
-    """The symmetry test screens finiteness too: every non-finite entry,
-    mirrored or not, is reported as such, not as an asymmetry or a failed
-    Cholesky check ([[inf]] itself has a Cholesky factor).  inf − inf in
-    that test makes numpy warn before the error is raised."""
-    with pytest.raises(ValueError, match="non-finite"):
-        MetricTensor(1, [[value]])
-    base = np.eye(5)
-    for i, j, mirrored in ((2, 2, False), (1, 3, False), (3, 1, False), (0, 4, True)):
-        entries = base.copy()
-        entries[i, j] = value
-        if mirrored:
-            entries[j, i] = value
+    """Every non-finite entry, mirrored or not, is reported as such, not as
+    an asymmetry or a failed Cholesky check ([[inf]] itself has a Cholesky
+    factor), and is caught before any arithmetic can warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
-            MetricTensor(5, entries)
+            MetricTensor(1, [[value]])
+        base = np.eye(5)
+        for i, j, mirrored in ((2, 2, False), (1, 3, False), (3, 1, False), (0, 4, True)):
+            entries = base.copy()
+            entries[i, j] = value
+            if mirrored:
+                entries[j, i] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                MetricTensor(5, entries)
 
 
 def test_empty_metric_constructs_and_solves():
@@ -296,15 +297,18 @@ def test_direction_solve_contract(nu):
 @pytest.mark.parametrize("qubits, blocks", [(2, 1), (6, 2), (10, 2)])
 def test_direction_backward_error_on_ansatz_metrics(qubits, blocks):
     """Exact metrics of the hardware-efficient ansatz are rank-deficient, so
-    at η = 1e-6 no solver reaches 1e-10·‖g‖; the residual stays within a
-    Cholesky solve's backward-error scale, a few ν·ε·‖F + ηI‖·‖d‖."""
+    at η = 1e-6 no solver reaches 1e-10·‖g‖.  The residual is bounded by
+    16·ε·‖F + ηI‖·‖d‖ at every ν: the cached explicit inverse reached 1.8 ε
+    on these draws and 12.8 ε over 8,000 wider ones at ν = 8, where a
+    triangular Cholesky solve reached 1.1 ε; a bound that grew with ν would
+    hide a loss of accuracy."""
     rng = np.random.default_rng(qubits)
     circuit = build_hardware_efficient(qubits, blocks)
     nu = circuit.num_parameters
     F = qfi_exact(circuit, rng.uniform(-1.0, 1.0, nu))
     for eta in (1e-6, 0.01, 0.5):
         shifted = F.entries + eta * np.eye(nu)
-        scale = 4 * nu * np.finfo(float).eps * np.linalg.norm(shifted, 2)
+        scale = 16 * np.finfo(float).eps * np.linalg.norm(shifted, 2)
         for g in rng.normal(size=(20, nu)):
             d = regularized_natural_direction(F, eta, g)
             assert np.linalg.norm(shifted @ d - g) <= scale * np.linalg.norm(d)
