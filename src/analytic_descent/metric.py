@@ -3,9 +3,11 @@
 For a pure state |ψ(θ)⟩ the metric is F_mn = 2 tr[∂ₘρ ∂ₙρ] with
 ρ = |ψ⟩⟨ψ|, which expands to 4 Re⟨∂ₘψ|∂ₙψ⟩ + 4 Re(⟨ψ|∂ₘψ⟩⟨ψ|∂ₙψ⟩).
 `qfi_from_tangents` evaluates this from a tangent sweep's ψ and tangents.
-A two-term overlap-based surrogate of the metric (leading b·b and a·b
-words only, O(δ) accurate near θ₀) is provided alongside for study; the
-optimizer defaults to the exact metric.
+The paper's two-word metric surrogate (leading b·b and a·b words only,
+O(δ) accurate near θ₀) is provided alongside for study.  For every
+circuit the package builds its coefficients are fBB = 2F(θ₀) and fAB = 0,
+so it is estimated from the same sweep; the optimizer defaults to the
+exact metric.
 
 The linear algebra is numpy's alone: a Cholesky factorization checks that
 a metric is PSD, and ``regularized_natural_direction`` keeps, per metric
@@ -25,9 +27,11 @@ from functools import cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .ansatz import AnsatzCircuit, _frozen_array, prepare_state
-from .simulator import _expectation, _real_overlaps, _state_and_tangents, overlap
-from .surrogate import HALF_PI, MonomialBasis, TrustRegionError
+from .ansatz import AnsatzCircuit, _frozen_array
+# Not used here: the benchmark's boundaries() wraps metric.prepare_state.
+from .ansatz import prepare_state  # noqa: F401
+from .simulator import _expectation, _real_overlaps, _state_and_tangents
+from .surrogate import _half_angle_tangents
 
 _SYMMETRY_TOLERANCE = 1e-10
 _PSD_TOLERANCE = -1e-8
@@ -80,10 +84,12 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class MetricSurrogate:
-    """Overlap-based coefficients of the two leading metric word classes.
+    """Coefficients of the two leading metric word classes at θ₀.
 
     fBB[m,n] multiplies the b'·b' word, fAB[m,n] the a'·b' word with the
-    a-derivative on axis m (so fAB is constant down each column).
+    a-derivative on axis m (so fAB is constant down each column).  For
+    every circuit the package builds, fBB = 2F(θ₀) and fAB = 0 (see
+    ``qfi_surrogate_estimate``); a hand-built instance may set either.
     """
 
     theta0: np.ndarray
@@ -92,6 +98,8 @@ class MetricSurrogate:
 
     def __post_init__(self):
         nu = len(self.theta0)
+        if nu < 1:
+            raise ValueError(f"parameter count must be >= 1, got {nu}")
         for name in ("theta0", "fBB", "fAB"):
             shape = (nu,) if name == "theta0" else (nu, nu)
             value = _frozen_array(getattr(self, name), shape, name)
@@ -135,42 +143,16 @@ def energy_gradient_metric(circuit: AnsatzCircuit, theta, h):
 
 
 def qfi_surrogate_estimate(circuit: AnsatzCircuit, theta0) -> MetricSurrogate:
-    """Leading metric coefficients from state overlaps at ±π/2 single shifts.
+    """Leading metric coefficients at θ₀, from one tangent sweep.
 
-    fBB[m,n] combines the four overlaps of the (±m, ±n)-shifted states,
-    fAB[·,n] the two overlaps of the unshifted state with the ±n-shifted
-    ones.  All 2ν+1 states are prepared once.
+    The paper combines overlaps of ±π/2 single-shifted states: fBB[m,n] the
+    four of the (±m, ±n) pairs, fAB[·,n] the two of ψ with the ±n ones.
+    Every gate is exp(−iθP/2) with P² = I, so ψ(±π/2·eₘ) = (ψ ± 2tₘ)/√2
+    with tₘ = ∂ψ/∂θₘ, and ⟨ψ|tₘ⟩ is imaginary because ψ stays normalized;
+    the four-overlap combination is then 2·F(θ₀) and the two-overlap one 0.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    nu = circuit.num_parameters
-    if theta0.shape != (nu,):
-        raise ValueError(f"expected {nu} parameters, got shape {theta0.shape}")
-    base = prepare_state(circuit, theta0)
-    shifted = {}
-    for m in range(nu):
-        for sign in (1.0, -1.0):
-            shift = theta0.copy()
-            shift[m] += sign * HALF_PI
-            shifted[(m, sign)] = prepare_state(circuit, shift)
-    fBB = np.empty((nu, nu))
-    for m in range(nu):
-        for n in range(m, nu):
-            value = (
-                overlap(shifted[(m, 1.0)], shifted[(n, 1.0)])
-                + overlap(shifted[(m, -1.0)], shifted[(n, -1.0)])
-                - overlap(shifted[(m, -1.0)], shifted[(n, 1.0)])
-                - overlap(shifted[(m, 1.0)], shifted[(n, -1.0)])
-            )
-            fBB[m, n] = value
-            fBB[n, m] = value
-    column = np.array(
-        [
-            overlap(base, shifted[(n, 1.0)]) - overlap(base, shifted[(n, -1.0)])
-            for n in range(nu)
-        ]
-    )
-    fAB = np.tile(column, (nu, 1))
-    return MetricSurrogate(theta0, fBB, fAB)
+    metric = qfi_from_tangents(*_state_and_tangents(circuit, theta0))
+    return MetricSurrogate(theta0, 2.0 * metric.entries, np.zeros_like(metric.entries))
 
 
 def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
@@ -178,20 +160,14 @@ def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
 
     Entry (m,n) sums fBB[m,n]·2·B'ₘB'ₙ and fAB[m,n]·2·A'ₘB'ₙ, where A'ₘ
     and B'ₘ are the θₘ-derivatives of the all-a product and the single-b
-    monomial; the result is symmetrized.  At θ=0 this is fBB/2 exactly.
+    monomial; the result is symmetrized.  In t = tan(θ/2) and q = 1 + t²,
+    A'ₘ = −tₘ/∏q and B'ₘ = (1 − tₘ²)/(2∏q), declared for ‖θ‖∞ < π/2 only
+    (``TrustRegionError`` outside).  At θ=0 this is fBB/2 exactly.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (s.nu,):
-        raise ValueError(f"expected {s.nu} parameters, got shape {theta.shape}")
-    if s.nu and np.max(np.abs(theta)) >= HALF_PI:
-        raise TrustRegionError(
-            f"‖θ‖∞ = {np.max(np.abs(theta)):.6g} is outside the |θₖ| < π/2 "
-            "region where the metric surrogate is declared"
-        )
-    basis = MonomialBasis.from_theta(theta)
-    loo = basis.leave_one_out()
-    dB = basis.db * loo
-    dA = basis.da * loo
+    t, q = _half_angle_tangents(s, theta)
+    product = q.prod()
+    dB = (1.0 - t * t) / (2.0 * product)
+    dA = -t / product
     raw = 2.0 * s.fBB * np.outer(dB, dB) + 2.0 * s.fAB * np.outer(dA, dB)
     entries = 0.5 * (raw + raw.T)
     return MetricTensor(s.nu, entries)

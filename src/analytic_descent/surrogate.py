@@ -161,6 +161,8 @@ class SurrogateModel:
 
     def __post_init__(self):
         nu = len(self.eB)
+        if nu < 1:
+            raise ValueError(f"parameter count must be >= 1, got {nu}")
         for name in ("theta0", "eB", "eC", "eD", "varB", "varC", "varD"):
             shape = (nu, nu) if name.endswith("D") else (nu,)
             value = getattr(self, name)
@@ -492,7 +494,6 @@ def estimate_coefficients(
     noise: NoiseLevels | None = None,
     rng_seed: int | tuple[int, ...] = 0,
     max_workers: int | None = None,
-    table: tuple | None = None,
 ) -> SurrogateModel:
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
@@ -512,17 +513,15 @@ def estimate_coefficients(
     Variance fields sum the raw-query variances per combined coefficient.
     ``max_workers`` is accepted for compatibility and has no effect: the
     batched oracle is one vectorized build that threads have nothing to
-    split in.  ``table`` is the schedule's `_point_table`, built here when
-    omitted.  The schedule `query_schedule` returns comes with its table and
-    was checked when it was built; any other schedule, or a ``table`` of the
-    caller's, is checked on every call.
+    split in.  The schedule `query_schedule` returns comes with its table and
+    was checked when it was built; any other schedule is checked on every
+    call.
     """
     canonical = _CANONICAL.get(len(schedule))
-    if canonical and canonical[0] is schedule and (table is None or table is canonical[1]):
+    if canonical and canonical[0] is schedule:
         _, table, nu = canonical
     else:
-        if table is None:
-            table = _point_table(schedule)
+        table = _point_table(schedule)
         nu = _checked_nu(schedule, table)
     indices, kind, first, second = table
 
@@ -868,9 +867,9 @@ def symmetry_report(
     not exceed the supplied threshold, defaulting to 10× the largest
     per-coefficient std, or 1e-8 for a noiseless model.
     """
-    eb_max = float(np.max(np.abs(model.eB))) if model.nu else 0.0
+    eb_max = float(np.max(np.abs(model.eB)))
     if stationarity_threshold is None:
-        largest_std = float(np.sqrt(np.max(model.varB))) if model.nu else 0.0
+        largest_std = float(np.sqrt(np.max(model.varB)))
         stationarity_threshold = 10.0 * largest_std if largest_std > 0.0 else 1e-8
     if eb_max > stationarity_threshold:
         raise ValueError(

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from analytic_descent import (
@@ -22,7 +24,9 @@ from analytic_descent import (
     parse_pauli_sum,
     spin_ring_hamiltonian,
 )
+from analytic_descent import ansatz as ansatz_module
 from analytic_descent import metric as metric_module
+from analytic_descent.ansatz import prepare_state
 from analytic_descent.metric import (
     MetricSurrogate,
     MetricTensor,
@@ -33,6 +37,8 @@ from analytic_descent.metric import (
     qfi_surrogate_eval,
     regularized_natural_direction,
 )
+from analytic_descent.simulator import overlap
+from analytic_descent.surrogate import MonomialBasis
 from conftest import fd_metric, random_circuit
 
 
@@ -247,6 +253,84 @@ def test_surrogate_validation():
     with pytest.raises(ValueError, match="expected 1 parameters"):
         circuit = AnsatzCircuit(1, (PauliString("X"),))
         qfi_surrogate_estimate(circuit, np.zeros(2))
+
+
+def _overlap_coefficients(circuit, theta0):
+    """The paper's overlap combinations at ±π/2 single shifts, literally:
+    fBB[m,n] from the four (±m, ±n) pairs, fAB[·,n] from ψ and the ±n states."""
+    nu = circuit.num_parameters
+    base = prepare_state(circuit, theta0)
+    shifted = {}
+    for m in range(nu):
+        for sign in (1.0, -1.0):
+            shift = np.array(theta0, dtype=float)
+            shift[m] += sign * 0.5 * np.pi
+            shifted[m, sign] = prepare_state(circuit, shift)
+    fBB = np.array([
+        [
+            overlap(shifted[m, 1.0], shifted[n, 1.0])
+            + overlap(shifted[m, -1.0], shifted[n, -1.0])
+            - overlap(shifted[m, -1.0], shifted[n, 1.0])
+            - overlap(shifted[m, 1.0], shifted[n, -1.0])
+            for n in range(nu)
+        ]
+        for m in range(nu)
+    ])
+    column = [overlap(base, shifted[n, 1.0]) - overlap(base, shifted[n, -1.0]) for n in range(nu)]
+    return fBB, np.tile(column, (nu, 1))
+
+
+def _monomial_eval(s, theta):
+    """``qfi_surrogate_eval``'s two words from the division-free monomial basis."""
+    basis = MonomialBasis.from_theta(theta)
+    loo = basis.leave_one_out()
+    dB, dA = basis.db * loo, basis.da * loo
+    raw = 2.0 * s.fBB * np.outer(dB, dB) + 2.0 * s.fAB * np.outer(dA, dB)
+    return 0.5 * (raw + raw.T)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 4), nu=st.integers(1, 8))
+def test_surrogate_from_the_sweep_is_the_overlap_surrogate(seed, qubits, nu):
+    """fBB = 2F(θ₀) and fAB = 0 are the overlap combinations, and the
+    half-angle evaluation is the monomial one inside the trust region."""
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, qubits, nu)
+    theta0 = rng.uniform(-np.pi, np.pi, nu)
+    s = qfi_surrogate_estimate(circuit, theta0)
+    fBB, fAB = _overlap_coefficients(circuit, theta0)
+    assert np.max(np.abs(s.fBB - fBB)) < 1e-12
+    assert np.max(np.abs(s.fAB - fAB)) < 1e-12
+    assert not s.fAB.any()
+    exact = qfi_exact(circuit, theta0).entries
+    assert np.array_equal(qfi_surrogate_eval(s, np.zeros(nu)).entries, exact)
+    overlaps = MetricSurrogate(theta0, fBB, fAB)
+    scale = np.max(np.abs(fBB))
+    for _ in range(5):
+        theta = rng.uniform(-1.5, 1.5, nu)
+        for surrogate in (s, overlaps):
+            got = qfi_surrogate_eval(surrogate, theta).entries
+            assert np.max(np.abs(got - _monomial_eval(surrogate, theta))) <= 1e-13 * scale
+
+
+def test_surrogate_estimate_is_one_sweep(monkeypatch):
+    calls = {"sweep": 0, "prepare": 0}
+    sweep = metric_module._state_and_tangents
+
+    def counting_sweep(*args):
+        calls["sweep"] += 1
+        return sweep(*args)
+
+    def counting_prepare(*args):
+        calls["prepare"] += 1
+        return prepare_state(*args)
+
+    monkeypatch.setattr(metric_module, "_state_and_tangents", counting_sweep)
+    monkeypatch.setattr(metric_module, "prepare_state", counting_prepare)
+    monkeypatch.setattr(ansatz_module, "prepare_state", counting_prepare)
+    circuit = random_circuit(np.random.default_rng(31), 2, 5)
+    qfi_surrogate_estimate(circuit, np.zeros(5))
+    assert calls == {"sweep": 1, "prepare": 0}
 
 
 # ------------------------------------------------------- direction solver

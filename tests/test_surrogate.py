@@ -2,6 +2,7 @@
 gradients, variance propagation, Hessian extraction, symmetry diagnostics,
 and the untruncated brute-force oracle."""
 
+import json
 import time
 from dataclasses import fields
 
@@ -15,6 +16,7 @@ from scipy.optimize import minimize
 from analytic_descent import (
     AnsatzCircuit,
     CircuitOracle,
+    MetricSurrogate,
     PauliString,
     SurrogateModel,
     TrustRegionError,
@@ -140,6 +142,7 @@ def test_estimation_rejects_a_repeated_or_misplaced_point():
         (7, QueryPoint(7, "D++", (1, 0)), r"D\+\+ points .* with k < l"),
         (5, QueryPoint(5, "C", (0, 1)), r"C points shift 1 axis\(es\), got axes"),
         (0, QueryPoint(0, "A", (1,)), r"A points shift 0 axis\(es\)"),
+        (4, QueryPoint(3, "B-", (1,)), "duplicate query-point indices"),
     ):
         broken = list(schedule)
         broken[position] = point
@@ -181,30 +184,6 @@ def test_a_shuffled_copy_of_the_schedule_estimates_bit_identically():
     for other in (shuffled, tuple(shuffled)):
         reordered = estimate_coefficients(oracle, other, levels, rng_seed=(1, 2))
         assert model_to_json(reordered) == model_to_json(straight)
-
-
-def test_a_callers_table_of_a_bad_schedule_is_checked():
-    """A ``table=`` that is not the canonical schedule's own is checked with
-    the same messages as a schedule passed without one, also next to the
-    canonical schedule."""
-    rng = np.random.default_rng(23)
-    oracle = CircuitOracle(random_circuit(rng, 2, 2), random_hamiltonian(rng, 2, 4))
-    schedule = query_schedule(2)
-    for position, point, message in (
-        (3, QueryPoint(3, "B+", (0,)), r"B\+ points need distinct axes"),
-        (5, QueryPoint(5, "C", (-1,)), "C points need distinct axes in"),
-        (7, QueryPoint(7, "D++", (1, 0)), r"D\+\+ points .* with k < l"),
-        (4, QueryPoint(3, "B-", (1,)), "duplicate query-point indices"),
-    ):
-        broken = list(schedule)
-        broken[position] = point
-        table = surrogate._point_table(broken)
-        for paired in (broken, schedule):
-            with pytest.raises(ValueError, match=message):
-                estimate_coefficients(oracle, paired, table=table)
-    partial = schedule[:-1]
-    with pytest.raises(ValueError, match="does not match any full"):
-        estimate_coefficients(oracle, partial, table=surrogate._point_table(partial))
 
 
 @pytest.mark.parametrize(
@@ -1204,3 +1183,16 @@ def test_model_validation():
             np.zeros(2), 1.0, np.zeros(2), np.zeros(2),
             lower, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, 2)),
         )
+
+
+def test_models_of_no_parameters_are_rejected_where_they_are_built():
+    """ν = 0 is refused by both model classes (and so by a checkpoint), not
+    left to fail inside numpy at the first evaluation."""
+    message = "parameter count must be >= 1, got 0"
+    with pytest.raises(ValueError, match=message):
+        SurrogateModel(np.zeros(0), 1.5, [], [], np.zeros((0, 0)))
+    empty = {f.name: [] for f in fields(SurrogateModel)} | {"eA": 1.5, "varA": 0.0}
+    with pytest.raises(ValueError, match=message):
+        model_from_json(json.dumps(empty))
+    with pytest.raises(ValueError, match=message):
+        MetricSurrogate(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
