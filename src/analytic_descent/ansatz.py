@@ -112,6 +112,8 @@ def _total_angles(circuit: AnsatzCircuit, theta) -> np.ndarray:
         raise ValueError(
             f"expected {circuit.num_parameters} parameters, got shape {theta.shape}"
         )
+    if not np.isfinite(theta).all():
+        raise ValueError("non-finite entries in theta")
     return circuit.theta_ref + theta
 
 

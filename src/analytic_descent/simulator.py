@@ -261,6 +261,8 @@ def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
     nu = circuit.num_parameters
     if theta.shape != (nu,):
         raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("non-finite entries in theta")
     half = 0.5 * (np.asarray(circuit.theta_ref, dtype=float) + theta)
     # Row 0 carries |ψ⟩, rows 1..l the tangents started before gate l.
     block = np.zeros((nu + 1, 2**circuit.num_qubits), dtype=np.complex128)

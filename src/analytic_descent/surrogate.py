@@ -12,7 +12,9 @@ words) and estimates their coefficients from 2ν²+ν+1 energy queries at
 shifts of 0, ±π/2 and π on at most two axes.  The resulting model is exact
 along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 
-`estimate_coefficients` accepts any callable `shift ↦ energy`; the
+The queries are the fixed schedule `query_schedule(ν)`; a point's index is
+its position there, and `estimate_coefficients` reads each coefficient's
+queries from their positions.  It accepts any callable `shift ↦ energy`; the
 `CircuitOracle` here additionally exposes a batched route from one tangent
 sweep at θ₀.  Every gate is exp(-iθP/2) with P² = I, so shifting axis k by
 σ gives the state cos(σ/2)·ψ + 2·sin(σ/2)·t_k exactly (t_k = ∂ψ/∂θ_k), and
@@ -36,8 +38,8 @@ the region.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -60,9 +62,10 @@ class TrustRegionError(ValueError):
 class QueryPoint:
     """One energy query of the estimation schedule.
 
-    ``index`` is the canonical position in the schedule and keys the query's
-    noise stream; ``kind`` names the coefficient class the query serves
-    (A, B+, B-, C, D++, D--, D-+, D+-); ``axes`` lists the shifted axes.
+    ``index`` is the point's position in `query_schedule` and keys the
+    query's noise stream; ``kind`` names the coefficient class the query
+    serves (A, B+, B-, C, D++, D--, D-+, D+-); ``axes`` lists the shifted
+    axes, one per shift of the kind.
     """
 
     index: int
@@ -80,6 +83,15 @@ class QueryPoint:
         "D+-": (HALF_PI, -HALF_PI),
     }
 
+    def __post_init__(self):
+        shifts = self._SHIFTS.get(self.kind)
+        if shifts is None:
+            raise ValueError(f"unknown query kind {self.kind!r}; one of {list(self._SHIFTS)}")
+        if len(self.axes) != len(shifts):
+            raise ValueError(
+                f"{self.kind} points shift {len(shifts)} axis(es), got axes {self.axes}"
+            )
+
     def shift(self, nu: int) -> np.ndarray:
         """Dense ν-vector form; at most 2 nonzero entries from {±π/2, π}."""
         vec = np.zeros(nu)
@@ -93,30 +105,27 @@ def query_schedule(nu: int) -> tuple[QueryPoint, ...]:
 
     Order: the unshifted point, then (B+, B-) per axis, then C per axis,
     then the four pair points (++, --, -+, +-) per lexicographic pair k<l.
-    Built once per ν and process: every call returns the same immutable
-    tuple, and `estimate_coefficients` reuses its point table and checks
-    (kept in ``_CANONICAL``) instead of repeating them per estimation.
+    Each point's index is its position.  Built once per ν and process:
+    every call returns the same immutable tuple.
     """
     if nu < 1:
         raise ValueError(f"parameter count must be >= 1, got {nu}")
-    nu = operator.index(nu)  # an int, as range() takes, whatever is cached
-    size = 2 * nu * nu + nu + 1
-    canonical = _CANONICAL.get(size)
-    if canonical is None:
-        points = [QueryPoint(0, "A", ())]
-        for k in range(nu):
-            points.append(QueryPoint(len(points), "B+", (k,)))
-            points.append(QueryPoint(len(points), "B-", (k,)))
-        for k in range(nu):
-            points.append(QueryPoint(len(points), "C", (k,)))
-        for k in range(nu):
-            for l in range(k + 1, nu):
-                for kind in ("D++", "D--", "D-+", "D+-"):
-                    points.append(QueryPoint(len(points), kind, (k, l)))
-        points = tuple(points)
-        table = _point_table(points)
-        canonical = _CANONICAL[size] = points, table, _checked_nu(points, table)
-    return canonical[0]
+    return _canonical_schedule(operator.index(nu))  # an int, as range() takes
+
+
+@cache
+def _canonical_schedule(nu: int) -> tuple[QueryPoint, ...]:
+    points = [QueryPoint(0, "A", ())]
+    for k in range(nu):
+        points.append(QueryPoint(len(points), "B+", (k,)))
+        points.append(QueryPoint(len(points), "B-", (k,)))
+    for k in range(nu):
+        points.append(QueryPoint(len(points), "C", (k,)))
+    for k in range(nu):
+        for l in range(k + 1, nu):
+            for kind in ("D++", "D--", "D-+", "D+-"):
+                points.append(QueryPoint(len(points), kind, (k, l)))
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -125,12 +134,19 @@ class NoiseLevels:
 
     This is what the shot-noise precision policy resolves to; the B class
     gets its own level because its coefficient combines two raw queries.
+    Every level is finite and non-negative.
     """
 
     sigma_a: float
     sigma_b: float
     sigma_c: float
     sigma_d: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be a finite std >= 0, got {value}")
 
     def for_kind(self, kind: str) -> float:
         return {
@@ -418,76 +434,6 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     return wi, ki
 
 
-# Each canonical schedule, keyed by its point count 2ν²+ν+1, with its point
-# table and its parameter count ν: (schedule, table, ν).
-_CANONICAL: dict[int, tuple] = {}
-
-
-def _point_table(points) -> tuple:
-    """The schedule's bookkeeping: (indices, kind numbers, first axes, second axes).
-
-    Each point's fields are read once, into read-only arrays.  Indices stay
-    exact: an object array holds them when int64 cannot.  Axes are padded to
-    a pair as the oracle's energy table is indexed: () as (0, 0) and (k,) as
-    (k, k).
-    """
-    # One comprehension per field: building a tuple per point costs more.
-    indices = [p.index for p in points]
-    kinds = [p.kind for p in points]
-    axes = [p.axes for p in points]
-    index = np.asarray(indices)
-    if index.dtype.kind != "i":  # past int64, or not all ints
-        index = np.array(indices, dtype=object)
-    kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(kinds))
-    arity = _ARITY[kind]
-    counts = np.fromiter(map(len, axes), np.intp, len(axes))
-    if np.any(counts != arity):
-        first_bad = points[int(np.argmax(counts != arity))]
-        raise ValueError(
-            f"schedule's {first_bad.kind} points shift "
-            f"{len(QueryPoint._SHIFTS[first_bad.kind])} axis(es), "
-            f"got axes {first_bad.axes}"
-        )
-    ends = np.cumsum(arity)
-    flat = np.zeros(int(ends[-1]) + 1 if len(ends) else 1, dtype=np.intp)
-    flat[:-1] = np.fromiter(itertools.chain.from_iterable(axes), np.intp, len(flat) - 1)
-    first = np.where(arity > 0, flat[ends - arity], 0)
-    second = np.where(arity == 2, flat[ends - 1], first)
-    for array in (index, kind, first, second):
-        array.flags.writeable = False
-    return index, kind, first, second
-
-
-def _checked_nu(schedule, table) -> int:
-    """The parameter count ν of a schedule that holds every canonical point once.
-
-    Raises ``ValueError`` otherwise: each kind's axes must be distinct and
-    in range, with k < l for pairs, and the indices distinct.
-    """
-    indices, kind, first, second = table
-    nu = int(np.maximum(first, second).max(initial=0)) + 1
-    if len(schedule) != 2 * nu * nu + nu + 1:
-        raise ValueError(
-            f"schedule with {len(schedule)} points does not match any full "
-            f"canonical schedule (nearest parameter count {nu})"
-        )
-    if len(set(indices.tolist())) != len(schedule):
-        raise ValueError("schedule contains duplicate query-point indices")
-    # With the point count right, distinct in-range axes per kind mean the
-    # schedule holds every canonical point exactly once.
-    valid = (first >= 0) & (second >= 0) & ((_ARITY[kind] < 2) | (first < second))
-    slot = np.where(valid, (kind * nu + first) * nu + second, -1 - np.arange(len(kind)))
-    _, where, repeats = np.unique(slot, return_inverse=True, return_counts=True)
-    bad = ~valid | (repeats[where] > 1)
-    if bad.any():
-        name = list(QueryPoint._SHIFTS)[kind[bad].min()]
-        raise ValueError(
-            f"schedule's {name} points need distinct axes in [0, {nu})"
-            + (" with k < l" if name.startswith("D") else "")
-        )
-    return nu
-
-
 def estimate_coefficients(
     oracle,
     schedule: Sequence[QueryPoint],
@@ -500,51 +446,45 @@ def estimate_coefficients(
     ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
     evaluated batched and supplies eD from its sweep, to which the pair
     queries' noise is added as to measured pair energies.  ``schedule`` is
-    any sequence of `QueryPoint` that holds every canonical point once: each
-    kind's axes distinct and in range, with k < l for pairs, and the indices
-    distinct.  Each raw query is perturbed by an independent zero-mean
-    Gaussian whose std is the class level from ``noise``.  Its draw is the
-    first ``standard_normal()`` of ``default_rng(list(key) + [index])``,
-    keyed by ``rng_seed`` (an int or a tuple of non-negative ints) and the
-    canonical point index, so the result does not depend on the schedule's
-    order.  The seeds and the draws are computed for all noisy queries in
-    one batch, bit-identical to those generators; one is built only for a
-    query whose draw leaves the ziggurat's fast path (about 1.5% of them).
-    Variance fields sum the raw-query variances per combined coefficient.
-    ``max_workers`` is accepted for compatibility and has no effect: the
-    batched oracle is one vectorized build that threads have nothing to
-    split in.  The schedule `query_schedule` returns comes with its table and
-    was checked when it was built; any other schedule is checked on every
-    call.
+    ``query_schedule(ν)``, or a sequence equal to it point for point; each
+    coefficient is read from the positions that schedule gives its queries.
+    Each raw query is perturbed by an independent zero-mean Gaussian whose
+    std is the class level from ``noise``.  Its draw is the first
+    ``standard_normal()`` of ``default_rng(list(key) + [index])``, keyed by
+    ``rng_seed`` (an int or a tuple of non-negative ints) and the point's
+    index, which is its position.  The seeds and the draws are computed for
+    all noisy queries in one batch, bit-identical to those generators; one
+    is built only for a query whose draw leaves the ziggurat's fast path
+    (about 1.5% of them).  Variance fields sum the raw-query variances per
+    combined coefficient.  ``max_workers`` is accepted for compatibility and
+    has no effect: the batched oracle is one vectorized build that threads
+    have nothing to split in.
     """
-    canonical = _CANONICAL.get(len(schedule))
-    if canonical and canonical[0] is schedule:
-        _, table, nu = canonical
-    else:
-        table = _point_table(schedule)
-        nu = _checked_nu(schedule, table)
-    indices, kind, first, second = table
+    # 2ν²+ν+1 = n has the root ν = (√(8n−7) − 1)/4.
+    nu = (math.isqrt(max(8 * len(schedule) - 7, 1)) - 1) // 4
+    if nu < 1 or len(schedule) != 2 * nu * nu + nu + 1:
+        raise ValueError(
+            f"schedule with {len(schedule)} points does not match any full "
+            "canonical schedule (2ν²+ν+1 points, ν >= 1)"
+        )
+    if tuple(schedule) != _canonical_schedule(nu):
+        raise ValueError(f"schedule is not query_schedule({nu}) point for point")
 
-    values, pair_block = _raw_energies(oracle, schedule, nu, table)
+    values, pair_block = _raw_energies(oracle, schedule, nu)
     if noise is not None:
-        sigma = np.array([noise.for_kind(name) for name in QueryPoint._SHIFTS])[kind]
+        counts = (1, 2 * nu, nu, 2 * nu * (nu - 1))
+        sigma = np.repeat([noise.for_kind(kind) for kind in "ABCD"], counts)
         noisy = np.flatnonzero(sigma > 0.0)
         if noisy.size:
-            keys = indices[noisy]
-            draws = _first_normals(rng_seed, keys, _seed_states(rng_seed, keys))
+            draws = _first_normals(rng_seed, noisy, _seed_states(rng_seed, noisy))
             values[noisy] += sigma[noisy] * draws
 
-    # Every coefficient is one fixed combination of its own queries, so a
-    # permuted schedule assembles (and rounds) bit-identically to the
-    # straight one.  by_kind[s, k, l] is the value of kind s at axes (k, l),
-    # padded as in the oracle's table.
-    by_kind = np.zeros((len(QueryPoint._SHIFTS), nu, nu))
-    by_kind[kind, first, second] = values
-    A, Bp, Bm, C, Dpp, Dmm, Dmp, Dpm = by_kind
-    eA = float(A[0, 0])
-    eB = np.diag(Bp) - np.diag(Bm)
-    eC = np.diag(C)
-    eD = ((Dpp + Dmm) - Dmp) - Dpm
+    eA = float(values[0])
+    eB = values[1 : 2 * nu + 1 : 2] - values[2 : 2 * nu + 1 : 2]
+    eC = values[2 * nu + 1 : 3 * nu + 1]
+    pp, mm, mp, pm = values[3 * nu + 1 :].reshape(-1, 4).T
+    eD = np.zeros((nu, nu))
+    eD[np.triu_indices(nu, 1)] = ((pp + mm) - mp) - pm
     if pair_block is not None:
         eD += pair_block
 
@@ -562,21 +502,16 @@ def estimate_coefficients(
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
-def _raw_energies(oracle, schedule, nu, table) -> tuple[np.ndarray, np.ndarray | None]:
+def _raw_energies(oracle, schedule, nu) -> tuple[np.ndarray, np.ndarray | None]:
     """Clean energies at the schedule's points, and the exact pair block.
 
-    A ``CircuitOracle`` is asked for the unshifted and single-axis points
-    only; its pair points stay 0 here, to carry their noise onto its eD.  A
-    callable is queried at every point, and the block is None.
+    A ``CircuitOracle`` is asked for the unshifted and single-axis points,
+    the first 3ν+1; its pair points stay 0 here, to carry their noise onto
+    its eD.  A callable is queried at every point, and the block is None.
     """
     if isinstance(oracle, CircuitOracle):
-        _, kind, first, second = table
-        single = np.flatnonzero(_ARITY[kind] < 2)
-        values = np.zeros(len(kind))
-        values[single] = oracle.schedule_energies(
-            [schedule[position] for position in single.tolist()],
-            (None, kind[single], first[single], second[single]),
-        )
+        values = np.zeros(len(schedule))
+        values[: 3 * nu + 1] = oracle.schedule_energies(schedule[: 3 * nu + 1])
         return values, oracle.pair_coefficients()
 
     def pointwise(point):
@@ -592,7 +527,6 @@ def _raw_energies(oracle, schedule, nu, table) -> tuple[np.ndarray, np.ndarray |
 
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(QueryPoint._SHIFTS)}
-_ARITY = np.array([len(shifts) for shifts in QueryPoint._SHIFTS.values()])
 # cos(σ/2) and 2·sin(σ/2), the weights of ψ and tₖ in the state shifted by σ on
 # axis k, for the unshifted and single-axis kinds (kind numbers 0 to 3).
 _SINGLE_WEIGHTS = np.array(
@@ -659,17 +593,18 @@ class CircuitOracle:
             self._build_cache()
         return self._pair_block
 
-    def schedule_energies(self, points: list[QueryPoint], table=None) -> np.ndarray:
-        """Energies at ``points``; ``table`` is their `_point_table`, if built."""
+    def schedule_energies(self, points: Sequence[QueryPoint]) -> np.ndarray:
+        """Energies at ``points``, in order."""
         if self._cache is None:
             self._build_cache()
-        _, kind, first, _ = _point_table(points) if table is None else table
-        single = _ARITY[kind] < 2
-        values = np.empty(len(kind))
-        values[single] = self._cache[kind[single], first[single]]
         nu = len(self.theta0)
-        for position in np.flatnonzero(~single).tolist():
-            values[position] = self(points[position].shift(nu))
+        values = np.empty(len(points))
+        for position, point in enumerate(points):
+            if len(point.axes) < 2:
+                axis = point.axes[0] if point.axes else 0
+                values[position] = self._cache[_KIND_INDEX[point.kind], axis]
+            else:
+                values[position] = self(point.shift(nu))
         return values
 
 

@@ -17,8 +17,12 @@ from analytic_descent import (
     parameter_shift_gradient,
     parse_pauli_sum,
     prepare_state,
+    qfi_exact,
+    qfi_surrogate_estimate,
+    tangent_states,
     zero_state,
 )
+from analytic_descent.metric import energy_gradient_metric
 from conftest import (
     dense_energy,
     dense_prepared_state,
@@ -272,3 +276,23 @@ def test_non_finite_angles_are_rejected_where_they_enter():
     circuit = AnsatzCircuit(1, (PauliString("X"), PauliString("X")))
     with pytest.raises(ValueError, match="non-finite entries in delta"):
         circuit.rebased([0.1, np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_is_rejected_where_a_simulation_starts(bad):
+    circuit = AnsatzCircuit(1, (PauliString("X"), PauliString("Y")))
+    h = parse_pauli_sum("1 Z")
+    calls = (
+        lambda theta: prepare_state(circuit, theta),
+        lambda theta: energy(circuit, theta, h),
+        lambda theta: energy_gradient(circuit, theta, h),
+        lambda theta: parameter_shift_gradient(circuit, theta, h),
+        lambda theta: tangent_states(circuit, theta),
+        lambda theta: qfi_exact(circuit, theta),
+        lambda theta: energy_gradient_metric(circuit, theta, h),
+        lambda theta: qfi_surrogate_estimate(circuit, theta),
+    )
+    for call in calls:
+        for theta in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="non-finite entries in theta"):
+                call(theta)

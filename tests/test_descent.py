@@ -476,11 +476,10 @@ def test_traced_descent_boundaries_are_called_once_per_step(monkeypatch, frozen_
 
 
 def test_schedule_bookkeeping_is_built_once_per_run(monkeypatch):
-    """With the schedule memo empty, two runs at one ν build and check the
-    schedule's point table once between them."""
+    """With the schedule memo empty, two runs at one ν build the schedule
+    once between them."""
     ring, start = _ring3_start()
-    monkeypatch.setattr(surrogate, "_CANONICAL", {})
-    built = _counting(monkeypatch, surrogate, ("_point_table", "_checked_nu"))
+    surrogate._canonical_schedule.cache_clear()
     counts = _counting(monkeypatch, descent, ("query_schedule", "estimate_coefficients"))
     config = OptimizerConfig(
         step_size=0.01, max_outer=3, max_inner=40, record_inner_every=0,
@@ -489,7 +488,7 @@ def test_schedule_bookkeeping_is_built_once_per_run(monkeypatch):
     assert traces[0].records == traces[1].records
     assert counts["estimate_coefficients"] == 2 * traces[0].final.outer == 6
     assert counts["query_schedule"] == 2
-    assert built == {"_point_table": 1, "_checked_nu": 1}
+    assert surrogate._canonical_schedule.cache_info().misses == 1
 
 
 def test_outer_record_reuses_the_last_recorded_energy(monkeypatch):
