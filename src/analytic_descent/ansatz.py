@@ -9,6 +9,7 @@ work in a local frame around the current reference and move it with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .simulator import (
     StateVector,
     _apply_hamiltonian,
     _apply_rotation,
+    _gate_table as _gate_table_of,
     _real_overlaps,
     _state_and_tangents,
     expectation,
@@ -68,6 +70,11 @@ class AnsatzCircuit:
     @property
     def num_parameters(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def _gate_table(self):
+        """The simulator's table of these generators, looked up on first use."""
+        return _gate_table_of(tuple(g.letters for g in self.generators))
 
     def rebased(self, delta) -> "AnsatzCircuit":
         """New circuit with θ₀ ← θ₀ + delta (the local frame resets to 0)."""

@@ -17,11 +17,16 @@ solve, so that inverse is the one factor-time form that keeps a frozen
 metric's solves cheap; it costs an explicit inverse per factorization and
 some accuracy (see ``regularized_natural_direction``).  No LAPACK wrapper
 is called directly, and importing this module loads no scipy.
+
+A Gram metric from ``qfi_from_tangents`` is PSD by construction and skips
+the separate check (``MetricTensor``'s ``check_psd=False``): the Cholesky
+of F + ηI in its factorization is its PSD check, so a per-step metric pays
+one Cholesky, not two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -51,13 +56,20 @@ class MetricTensor:
 
     ``regularized_natural_direction`` keeps (F + ηI)⁻¹ here, keyed by η,
     so a metric reused across solves is factorized once per η.
+
+    ``check_psd=False`` is reserved for ``qfi_from_tangents``: a Gram metric
+    is exactly symmetric and PSD up to rounding by construction, so only its
+    shape and finiteness are checked, and its fresh entries are kept without
+    a copy.  The Cholesky of F + ηI in ``cho_factor`` is then its PSD check,
+    and still rejects a system that is not positive definite.
     """
 
     nu: int
     entries: np.ndarray
+    check_psd: InitVar[bool] = True
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, check_psd: bool):
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (self.nu, self.nu):
             raise ValueError(
@@ -65,19 +77,20 @@ class MetricTensor:
             )
         if not np.all(np.isfinite(entries)):
             raise ValueError("non-finite metric entries")
-        if self.nu:
-            asym = float(abs(entries - entries.T).max())
-            if asym > _SYMMETRY_TOLERANCE:
-                raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
-            try:
-                np.linalg.cholesky(entries - _PSD_TOLERANCE * _identity(self.nu))
-            except LinAlgError:
-                smallest = float(np.linalg.eigvalsh(entries)[0])
-                raise ValueError(
-                    "metric is not positive semidefinite: "
-                    f"smallest eigenvalue {smallest:.3g}"
-                ) from None
-        entries = entries.copy()
+        if check_psd:
+            if self.nu:
+                asym = float(abs(entries - entries.T).max())
+                if asym > _SYMMETRY_TOLERANCE:
+                    raise ValueError(f"metric asymmetry {asym:.3g} exceeds 1e-10")
+                try:
+                    np.linalg.cholesky(entries - _PSD_TOLERANCE * _identity(self.nu))
+                except LinAlgError:
+                    smallest = float(np.linalg.eigvalsh(entries)[0])
+                    raise ValueError(
+                        "metric is not positive semidefinite: "
+                        f"smallest eigenvalue {smallest:.3g}"
+                    ) from None
+            entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -127,7 +140,7 @@ def qfi_from_tangents(psi: np.ndarray, tangents: np.ndarray) -> MetricTensor:
     entries += s.real[:, None] * s.real
     entries -= s.imag[:, None] * s.imag
     entries *= 4.0
-    return MetricTensor(len(tangents), entries)
+    return MetricTensor(len(tangents), entries, check_psd=False)
 
 
 def qfi_exact(circuit: AnsatzCircuit, theta) -> MetricTensor:

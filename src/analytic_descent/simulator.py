@@ -13,18 +13,24 @@ kernel (``pauli._pauli_kernel``); every use of H, from expectations to the
 dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
 
 Derivatives come from one forward tangent sweep that carries ψ and its
-first derivatives t_m = ∂ψ/∂θ_m.  On request it also takes the energy's
-pair terms Re⟨Hψ|t_kl⟩ (t_kl = ∂²ψ/∂θ_k∂θ_l) as overlaps with one adjoint
-row per gate, without forming any t_kl.  The metric, the energy gradient
-and the batched schedule oracle are all built from it.
+first derivatives t_m = ∂ψ/∂θ_m.  Each gate rotates the live rows, then
+spawns its tangent from the rotated ψ as (-i/2)·P·(Uψ), a gather and one
+product; a diagonal (Z/I-only) generator's rotation skips the gather.  The
+gathers and phases come from a gate table, built once per gate sequence.
+On request the sweep also takes the energy's pair terms Re⟨Hψ|t_kl⟩
+(t_kl = ∂²ψ/∂θ_k∂θ_l) as overlaps with one adjoint row per gate, without
+forming any t_kl.  The metric, the energy gradient and the batched schedule
+oracle are all built from it.
 
-All operations are pure functions over immutable values; kernels and
-compiled sums are cached on first use and never changed.
+All operations are pure functions over immutable values; kernels, gate
+tables and compiled sums are cached on first use and never changed, and
+importing the module builds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -247,15 +253,43 @@ def ground_energy(h: PauliSum) -> float:
     return float(values[0])
 
 
+@lru_cache(maxsize=16)
+def _gate_table(letters: tuple[str, ...]):
+    """A gate sequence's signed permutations, stacked: per gate the gather
+    index (None for a diagonal, Z/I-only generator, whose index is the
+    identity), then the ν×2^N phases and the spawn phases -(i/2)·phase.
+
+    Built on the first sweep of a circuit with these generators and shared
+    by every later one (``AnsatzCircuit._gate_table``); read-only.
+    """
+    kernels = [_pauli_kernel(word) for word in letters]
+    srcs = tuple(src if src[0] else None for src, _ in kernels)
+    phases = np.stack([phase for _, phase in kernels])
+    spawns = -0.5j * phases
+    phases.flags.writeable = spawns.flags.writeable = False
+    return srcs, phases, spawns
+
+
+def _rotations(circuit: AnsatzCircuit, theta):
+    """The circuit's gathers and spawn phases, and at θ₀+θ every gate's
+    cos(half-angle) and -i·sin(half-angle)·phase, the latter in one product."""
+    srcs, phases, spawns = circuit._gate_table
+    half = 0.5 * (np.asarray(circuit.theta_ref, dtype=float) + theta)
+    return srcs, spawns, np.cos(half).tolist(), (-1j * np.sin(half))[:, None] * phases
+
+
 def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
     """ψ and the ν tangents tₘ = ∂ψ/∂θₘ in one forward sweep; with ``adjoint``
     rows aₗ, also the matrix of overlaps Re⟨aₗ|tₖ after gate l⟩, k < l, at
     [k, l] (zero elsewhere).
 
-    Gate l spawns tₗ = (-i/2)·P·U·ψ = -(i/2)·(c·Pψ - i·s·ψ), so the Pauli
-    image the rotation needs anyway also yields the new row.  ψ and the
-    started tangents sit in one block, and each gate is pushed through all of
-    its live rows at once.
+    ψ and the started tangents sit in one block.  Gate l first rotates its
+    live rows, c·x + (-i·s·phase)·x[src], with one gather (none for a
+    diagonal generator), then spawns tₗ = (-i/2)·Pₗ·(Uₗψ) from the rotated ψ
+    with one more gather and one product.  Pₗ commutes with Uₗ, and products
+    with ±1, ±i and ±i/2 are exact, so tₗ equals (-i/2)·(c·Pψ - i·s·ψ), the
+    spawn from the rotation's own Pauli image, value for value.  The gathers
+    and phases come from the circuit's gate table (``_gate_table``).
     """
     theta = np.asarray(theta, dtype=float)
     nu = circuit.num_parameters
@@ -263,23 +297,22 @@ def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
         raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
     if not np.isfinite(theta).all():
         raise ValueError("non-finite entries in theta")
-    half = 0.5 * (np.asarray(circuit.theta_ref, dtype=float) + theta)
+    srcs, spawns, cos, rotate = _rotations(circuit, theta)
     # Row 0 carries |ψ⟩, rows 1..l the tangents started before gate l.
     block = np.zeros((nu + 1, 2**circuit.num_qubits), dtype=np.complex128)
     block[0, 0] = 1.0
     overlaps = None if adjoint is None else np.zeros((nu, nu))
-    gates = zip(circuit.generators, np.cos(half).tolist(), np.sin(half).tolist())
-    for l, (generator, c, s) in enumerate(gates):
-        src, phase = _pauli_kernel(generator.letters)
-        minus_is = -1j * s
+    for l, (src, c) in enumerate(zip(srcs, cos)):
         live = block[: l + 1]
-        pauli_applied = live.take(src, axis=1)
-        pauli_applied *= phase
-        spawned = np.multiply(pauli_applied[0], c, out=block[l + 1])
-        spawned += minus_is * live[0]
-        spawned *= -0.5j
+        if src is None:  # diagonal: the gather would be the identity
+            rotated = live * rotate[l]
+        else:
+            rotated = live.take(src, axis=1)
+            rotated *= rotate[l]
         live *= c
-        live += minus_is * pauli_applied
+        live += rotated
+        psi = live[0] if src is None else live[0].take(src)
+        np.multiply(psi, spawns[l], out=block[l + 1])
         if adjoint is not None:
             overlaps[:l, l] = _real_overlaps(block[1 : l + 1], adjoint[l])
     return block[0], block[1:], overlaps
@@ -307,17 +340,16 @@ def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
     sweep each row's overlaps: O(ν²·2^N) work, and no pair tangent is formed.
     """
     theta = np.asarray(theta, dtype=float)
-    angles = np.asarray(circuit.theta_ref, dtype=float) + theta
-    letters = [generator.letters for generator in circuit.generators]
+    srcs, spawns, cos, rotate = _rotations(circuit, theta)
     psi = zero_state(circuit.num_qubits).amplitudes
-    for generator, angle in zip(letters, angles):
-        psi = _apply_rotation(psi, generator, angle)
+    for src, rot, c in zip(srcs, rotate, cos):
+        psi = c * psi + rot * (psi if src is None else psi.take(src))
     mu = _apply_hamiltonian(psi, h)
-    adjoint = np.empty((len(letters), len(psi)), dtype=np.complex128)
-    for l in reversed(range(len(letters))):
-        pauli_mu = _apply_pauli(mu, letters[l])
-        adjoint[l] = 0.5j * pauli_mu
-        mu = np.cos(0.5 * angles[l]) * mu + (1j * np.sin(0.5 * angles[l])) * pauli_mu
+    adjoint = np.empty((len(srcs), len(psi)), dtype=np.complex128)
+    for l in reversed(range(len(srcs))):
+        gathered = mu if srcs[l] is None else mu.take(srcs[l])
+        np.multiply(gathered, -spawns[l], out=adjoint[l])  # (i/2)·Pₗ·μ
+        mu = cos[l] * mu - rotate[l] * gathered  # Uₗ†·μ
     return _sweep(circuit, theta, adjoint)
 
 

@@ -65,7 +65,7 @@ class QueryPoint:
     ``index`` is the point's position in `query_schedule` and keys the
     query's noise stream; ``kind`` names the coefficient class the query
     serves (A, B+, B-, C, D++, D--, D-+, D+-); ``axes`` lists the shifted
-    axes, one per shift of the kind.
+    axes, one per shift of the kind, distinct and non-negative.
     """
 
     index: int
@@ -90,6 +90,10 @@ class QueryPoint:
         if len(self.axes) != len(shifts):
             raise ValueError(
                 f"{self.kind} points shift {len(shifts)} axis(es), got axes {self.axes}"
+            )
+        if self.axes and (min(self.axes) < 0 or len(set(self.axes)) < len(self.axes)):
+            raise ValueError(
+                f"{self.kind} points shift distinct non-negative axes, got axes {self.axes}"
             )
 
     def shift(self, nu: int) -> np.ndarray:
@@ -272,22 +276,17 @@ def _seed_states(rng_seed, indices) -> np.ndarray:
     """Row i is ``SeedSequence(key + [indices[i]]).generate_state(4, np.uint64)``.
 
     The seed words of ``default_rng(list(key) + [index])`` for every index in
-    one batch.  Indices split into one or more 32-bit words; each word count
-    is one batch.
+    one batch.  Indices are int64 schedule positions, split into one or two
+    32-bit words; each word count is one batch.
     """
     key_words = _key_words(_key_parts(rng_seed))
     key = [np.array([word], dtype=np.uint32) for word in key_words]
-    index = np.asarray(indices)
-    if index.dtype.kind in "iu" and not (index.size and index.min() < 0):
-        index = index.astype(np.uint64)
-        words = np.stack([index & _MASK32, index >> 32], axis=1).astype(np.uint32)
-        lengths = 1 + (words[:, 1] != 0)
-    else:  # negative, 2**64 and above, or not one integer dtype
-        split = [_key_words([i]) for i in indices]
-        lengths = np.array([len(row) for row in split], dtype=np.intp)
-        words = np.zeros((len(split), lengths.max()), dtype=np.uint32)
-        for row, value in zip(words, split):
-            row[: len(value)] = value
+    index = np.asarray(indices, dtype=np.int64)
+    if index.size and index.min() < 0:
+        raise ValueError(f"noise key parts must be non-negative, got {index.min()}")
+    index = index.astype(np.uint64)
+    words = np.stack([index & _MASK32, index >> 32], axis=1).astype(np.uint32)
+    lengths = 1 + (words[:, 1] != 0)
     states = np.empty((len(lengths), 4), dtype=np.uint64)
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)

@@ -35,7 +35,7 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     write_trace_csv,
 )
-from analytic_descent import descent, surrogate
+from analytic_descent import descent, simulator, surrogate
 from analytic_descent import metric as metric_module
 from analytic_descent.descent import NOISE_FLOOR, TRACE_COLUMNS
 from conftest import random_circuit, random_hamiltonian
@@ -427,6 +427,20 @@ def _ring3_start(seed=6):
     ansatz = build_hardware_efficient(3, 1)
     shift = np.random.default_rng(seed).uniform(-0.5, 0.5, ansatz.num_parameters)
     return ring, ansatz.rebased(shift)
+
+
+def test_gate_table_is_built_once_per_gate_sequence():
+    """Every rebased circuit of a run, the oracle's sweep and the per-step
+    metric's sweeps read one gate table."""
+    simulator._gate_table.cache_clear()
+    ring, start = _ring3_start()
+    config = OptimizerConfig(step_size=0.01, max_outer=3, max_inner=40, frozen_metric=False)
+    trace = run_analytic_descent(start, ring, config, NoiseSpec())
+    assert len(trace.metadata["inner_exits"]) == 3
+    run_natural_gradient(start, ring, config, NoiseSpec())
+    info = simulator._gate_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 2  # the rebased circuits; each circuit keeps its table
 
 
 def _counting(monkeypatch, module, names):

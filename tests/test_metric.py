@@ -135,6 +135,55 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_package_and_cli_builds_no_table():
+    """Kernels, gate tables, canonical schedules and the ziggurat table are
+    built on first use; a fresh interpreter pays none of them at import."""
+    src = os.path.dirname(os.path.dirname(metric_module.__file__))
+    code = (
+        "import analytic_descent, analytic_descent.cli\n"
+        "from analytic_descent import pauli, simulator, surrogate\n"
+        "tables = (pauli._pauli_kernel, simulator._gate_table,\n"
+        "          surrogate._canonical_schedule, surrogate._ziggurat_tables)\n"
+        "print([table.cache_info().currsize for table in tables])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
+
+
+def test_a_gram_metric_is_checked_by_its_factorization(monkeypatch):
+    """qfi_exact's metric skips the PSD Cholesky: with its direction it
+    makes one np.linalg.cholesky call, the factorization's.  A public
+    MetricTensor of the same entries keeps its own check, and both solve
+    bit for bit alike."""
+    rng = np.random.default_rng(43)
+    circuit = random_circuit(rng, 3, 6)
+    cholesky = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    F = qfi_exact(circuit, rng.uniform(-1.0, 1.0, 6))
+    assert calls == [] and not F.entries.flags.writeable
+    g = rng.standard_normal(6)
+    direction = regularized_natural_direction(F, 0.01, g)
+    assert len(calls) == 1
+    checked = MetricTensor(6, F.entries)
+    assert len(calls) == 2
+    assert np.array_equal(regularized_natural_direction(checked, 0.01, g), direction)
+    assert len(calls) == 3
+
+
+def test_a_rank_deficient_gram_metric_is_refused_at_zero_eta():
+    """A repeated generator gives a singular Gram metric: it constructs,
+    and the factorization of F + 0·I refuses it."""
+    repeated = AnsatzCircuit(1, (PauliString("X"), PauliString("X")))
+    F = qfi_exact(repeated, [0.4, -0.2])
+    with pytest.raises(LinAlgError, match="regularized metric is not positive definite"):
+        regularized_natural_direction(F, 0.0, [1.0, 0.0])
+    assert np.all(np.isfinite(regularized_natural_direction(F, 1e-3, [1.0, 0.0])))
+
+
 def test_cholesky_psd_check_at_its_edges(monkeypatch):
     """A rank-deficient metric, eigenvalues inside the -1e-8 tolerance and
     1x1 metrics pass the Cholesky check without a diagonalization; only a

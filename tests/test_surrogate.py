@@ -3,6 +3,7 @@ gradients, variance propagation, Hessian extraction, symmetry diagnostics,
 and the untruncated brute-force oracle."""
 
 import json
+import re
 import time
 from dataclasses import fields
 
@@ -154,7 +155,7 @@ def test_estimation_rejects_a_repeated_or_misplaced_point():
     broken = [shuffled, tuple(shuffled)]
     for position, point in (
         (3, QueryPoint(3, "B+", (0,))),
-        (5, QueryPoint(5, "C", (-1,))),
+        (5, QueryPoint(5, "C", (2,))),
         (7, QueryPoint(7, "D++", (1, 0))),
         (4, QueryPoint(3, "B-", (1,))),
         (4, QueryPoint(2**64 + 4, "B-", (1,))),
@@ -180,6 +181,15 @@ def test_query_points_reject_an_unknown_kind_or_a_wrong_axis_count():
     ):
         with pytest.raises(ValueError, match=message):
             QueryPoint(0, kind, axes)
+
+
+def test_query_points_reject_negative_or_repeated_axes():
+    """A negative axis would wrap to the last one, and a repeated pair axis
+    would shift one axis once: both are refused, naming the axes."""
+    for kind, axes in (("C", (-1,)), ("B+", (-3,)), ("D-+", (0, -1)), ("D++", (3, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"non-negative axes, got axes {axes}")):
+            QueryPoint(0, kind, axes)
+    assert QueryPoint(0, "D+-", (1, 0)).shift(3).tolist() == [-HALF_PI, HALF_PI, 0.0]
 
 
 def test_query_schedule_is_one_immutable_tuple_per_nu():
@@ -287,8 +297,9 @@ def test_query_rng_draws_equal_the_seed_sequence_of_the_key(part):
             assert np.array_equal(_query_rng(key, index).standard_normal(4), expected)
     expected = np.random.default_rng([part, 9]).standard_normal(4)
     assert np.array_equal(_query_rng(part, 9).standard_normal(4), expected)
-    # The precomputed rows: one batch mixes one-, two- and three-word indices.
-    indices = [0, 17, 2**32, part]
+    # The precomputed rows: one batch mixes one- and two-word int64 indices;
+    # the key's parts may take any number of words.
+    indices = [0, 17, 2**32 - 1, 2**32, 2**63 - 1]
     for key in (0, part, (part,), (3, part, 1, 0)):
         parts = list(key) if isinstance(key, tuple) else [key]
         states = _seed_states(key, indices)
@@ -314,8 +325,8 @@ _KEY_PART = st.integers(0, 2**70)
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(
     key=st.one_of(_KEY_PART, st.lists(_KEY_PART, min_size=1, max_size=4).map(tuple)),
-    first=st.one_of(st.integers(0, 2**16), _KEY_PART),
-    extra=st.lists(_KEY_PART, max_size=20),
+    first=st.one_of(st.integers(0, 2**16), st.integers(0, 2**63 - 400)),
+    extra=st.lists(st.integers(0, 2**63 - 1), max_size=20),
 )
 def test_vectorized_draws_equal_one_default_rng_per_query(key, first, extra):
     # ~1.5% of draws leave the ziggurat's fast path: about 6 of the 400
