@@ -13,7 +13,6 @@ from .ansatz import (
     circuit_to_text,
     energy,
     energy_gradient,
-    parameter_shift_gradient,
     prepare_state,
 )
 from .descent import (
@@ -49,18 +48,13 @@ from .pauli import (
 from .simulator import (
     GroundEnergyError,
     StateVector,
-    apply_pauli_rotation,
-    apply_pauli_string,
     expectation,
     ground_energy,
     hamiltonian_matrix,
-    overlap,
-    tangent_states,
     zero_state,
 )
 from .surrogate import (
     CircuitOracle,
-    MonomialBasis,
     NoiseLevels,
     QueryPoint,
     SurrogateModel,
@@ -74,7 +68,6 @@ from .surrogate import (
     model_from_json,
     model_to_json,
     query_schedule,
-    symmetry_report,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +79,6 @@ __all__ = [
     "GroundEnergyError",
     "MetricSurrogate",
     "MetricTensor",
-    "MonomialBasis",
     "NoiseLevels",
     "NoiseSpec",
     "OptimizationTrace",
@@ -98,8 +90,6 @@ __all__ = [
     "SurrogateModel",
     "TraceRecord",
     "TrustRegionError",
-    "apply_pauli_rotation",
-    "apply_pauli_string",
     "build_hardware_efficient",
     "circuit_from_text",
     "circuit_to_text",
@@ -120,8 +110,6 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "one_minus_f",
-    "overlap",
-    "parameter_shift_gradient",
     "parse_pauli_sum",
     "precision_policy",
     "prepare_state",
@@ -134,8 +122,6 @@ __all__ = [
     "run_analytic_descent",
     "run_natural_gradient",
     "spin_ring_hamiltonian",
-    "symmetry_report",
-    "tangent_states",
     "write_trace_csv",
     "zero_state",
 ]

@@ -17,12 +17,12 @@ from .pauli import PauliString, _parse_lines
 from .simulator import (
     StateVector,
     _apply_hamiltonian,
-    _apply_rotation,
+    _forward,
     _gate_table as _gate_table_of,
     _real_overlaps,
+    _rotations,
     _state_and_tangents,
     expectation,
-    zero_state,
 )
 
 
@@ -113,24 +113,9 @@ def build_hardware_efficient(N: int, blocks: int) -> AnsatzCircuit:
     return AnsatzCircuit(N, tuple(generators))
 
 
-def _total_angles(circuit: AnsatzCircuit, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.num_parameters,):
-        raise ValueError(
-            f"expected {circuit.num_parameters} parameters, got shape {theta.shape}"
-        )
-    if not np.isfinite(theta).all():
-        raise ValueError("non-finite entries in theta")
-    return circuit.theta_ref + theta
-
-
 def prepare_state(circuit: AnsatzCircuit, theta) -> StateVector:
     """Apply the gates in index order at angles θ₀ + θ to the zero state."""
-    angles = _total_angles(circuit, theta)
-    amps = zero_state(circuit.num_qubits).amplitudes
-    for generator, angle in zip(circuit.generators, angles):
-        amps = _apply_rotation(amps, generator.letters, angle)
-    return StateVector(circuit.num_qubits, amps)
+    return StateVector(circuit.num_qubits, _forward(circuit, _rotations(circuit, theta)))
 
 
 def energy(circuit: AnsatzCircuit, theta, h) -> float:
@@ -146,22 +131,6 @@ def energy_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
     """
     psi, tangents = _state_and_tangents(circuit, theta)
     return 2.0 * _real_overlaps(tangents, _apply_hamiltonian(psi, h))
-
-
-def parameter_shift_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
-    """Gradient from the two-query shift rule: gₖ = [E(θ+π/2vₖ) - E(θ-π/2vₖ)]/2.
-
-    This is the literal device protocol (2ν energy queries); it agrees with
-    ``energy_gradient`` to rounding and exists as the independent route.
-    """
-    theta = np.asarray(theta, dtype=float)
-    nu = circuit.num_parameters
-    grad = np.empty(nu)
-    for k in range(nu):
-        shift = np.zeros(nu)
-        shift[k] = 0.5 * np.pi
-        grad[k] = (energy(circuit, theta + shift, h) - energy(circuit, theta - shift, h)) / 2
-    return grad
 
 
 def circuit_to_text(circuit: AnsatzCircuit) -> str:

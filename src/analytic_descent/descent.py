@@ -212,12 +212,14 @@ def feedback_check(
 
     ``e_device`` is ``energy`` at θ₀+θ and ``e_model`` is ``eval_energy`` at
     θ.  The device query is perturbed with the coarse (eA-class) std when
-    noise levels are given; noiseless it measures the pure truncation
-    defect, which vanishes for ν=1 where the surrogate is the full series.
+    noise levels are given, drawn from ``rng``, which is then required;
+    noiseless it measures the pure truncation defect, which vanishes for
+    ν=1 where the surrogate is the full series.
     """
     if noise is not None:
-        generator = rng if rng is not None else np.random.default_rng(0)
-        e_device += noise.sigma_a * generator.standard_normal()
+        if rng is None:
+            raise ValueError("noise levels need a generator for the query's draw")
+        e_device += noise.sigma_a * rng.standard_normal()
     return abs(e_device - e_model)
 
 

@@ -3,11 +3,10 @@
 For a pure state |ψ(θ)⟩ the metric is F_mn = 2 tr[∂ₘρ ∂ₙρ] with
 ρ = |ψ⟩⟨ψ|, which expands to 4 Re⟨∂ₘψ|∂ₙψ⟩ + 4 Re(⟨ψ|∂ₘψ⟩⟨ψ|∂ₙψ⟩).
 `qfi_from_tangents` evaluates this from a tangent sweep's ψ and tangents.
-The paper's two-word metric surrogate (leading b·b and a·b words only,
-O(δ) accurate near θ₀) is provided alongside for study.  For every
-circuit the package builds its coefficients are fBB = 2F(θ₀) and fAB = 0,
-so it is estimated from the same sweep; the optimizer defaults to the
-exact metric.
+The paper's metric surrogate (O(δ) accurate near θ₀) is provided alongside
+for study.  For a circuit of Pauli rotations its a·b word vanishes and its
+b·b coefficients are fBB = 2F(θ₀), so it keeps the b·b word alone and is
+estimated from the same sweep; the optimizer defaults to the exact metric.
 
 The linear algebra is numpy's alone: a Cholesky factorization checks that
 a metric is PSD, and ``regularized_natural_direction`` keeps, per metric
@@ -97,26 +96,21 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class MetricSurrogate:
-    """Coefficients of the two leading metric word classes at θ₀.
+    """Coefficients of the leading metric word class at θ₀.
 
-    fBB[m,n] multiplies the b'·b' word, fAB[m,n] the a'·b' word with the
-    a-derivative on axis m (so fAB is constant down each column).  For
-    every circuit the package builds, fBB = 2F(θ₀) and fAB = 0 (see
-    ``qfi_surrogate_estimate``); a hand-built instance may set either.
+    fBB[m,n] multiplies the b'·b' word.  For every circuit the package
+    builds, fBB = 2F(θ₀) (see ``qfi_surrogate_estimate``).
     """
 
     theta0: np.ndarray
     fBB: np.ndarray
-    fAB: np.ndarray
 
     def __post_init__(self):
         nu = len(self.theta0)
         if nu < 1:
             raise ValueError(f"parameter count must be >= 1, got {nu}")
-        for name in ("theta0", "fBB", "fAB"):
-            shape = (nu,) if name == "theta0" else (nu, nu)
-            value = _frozen_array(getattr(self, name), shape, name)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "theta0", _frozen_array(self.theta0, (nu,), "theta0"))
+        object.__setattr__(self, "fBB", _frozen_array(self.fBB, (nu, nu), "fBB"))
 
     @property
     def nu(self) -> int:
@@ -159,31 +153,29 @@ def qfi_surrogate_estimate(circuit: AnsatzCircuit, theta0) -> MetricSurrogate:
     """Leading metric coefficients at θ₀, from one tangent sweep.
 
     The paper combines overlaps of ±π/2 single-shifted states: fBB[m,n] the
-    four of the (±m, ±n) pairs, fAB[·,n] the two of ψ with the ±n ones.
-    Every gate is exp(−iθP/2) with P² = I, so ψ(±π/2·eₘ) = (ψ ± 2tₘ)/√2
-    with tₘ = ∂ψ/∂θₘ, and ⟨ψ|tₘ⟩ is imaginary because ψ stays normalized;
-    the four-overlap combination is then 2·F(θ₀) and the two-overlap one 0.
+    four of the (±m, ±n) pairs, and the a·b word's [·,n] the two of ψ with
+    the ±n ones.  Every gate is exp(−iθP/2) with P² = I, so
+    ψ(±π/2·eₘ) = (ψ ± 2tₘ)/√2 with tₘ = ∂ψ/∂θₘ, and ⟨ψ|tₘ⟩ is imaginary
+    because ψ stays normalized; the four-overlap combination is then 2·F(θ₀)
+    and the two-overlap one 0.
     """
     metric = qfi_from_tangents(*_state_and_tangents(circuit, theta0))
-    return MetricSurrogate(theta0, 2.0 * metric.entries, np.zeros_like(metric.entries))
+    return MetricSurrogate(theta0, 2.0 * metric.entries)
 
 
 def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
-    """Two-word metric surrogate at θ (relative to θ₀); O(δ) accurate.
+    """Metric surrogate at θ (relative to θ₀); O(δ) accurate.
 
-    Entry (m,n) sums fBB[m,n]·2·B'ₘB'ₙ and fAB[m,n]·2·A'ₘB'ₙ, where A'ₘ
-    and B'ₘ are the θₘ-derivatives of the all-a product and the single-b
-    monomial; the result is symmetrized.  In t = tan(θ/2) and q = 1 + t²,
-    A'ₘ = −tₘ/∏q and B'ₘ = (1 − tₘ²)/(2∏q), declared for ‖θ‖∞ < π/2 only
-    (``TrustRegionError`` outside).  At θ=0 this is fBB/2 exactly.
+    Entry (m,n) is fBB[m,n]·2·B'ₘB'ₙ, symmetrized, where B'ₘ is the
+    θₘ-derivative of the single-b monomial; with fBB = 2F(θ₀) that is
+    F(θ₀)∘wwᵀ, w = 2B'.  In t = tan(θ/2) and q = 1 + t², B'ₘ = (1 − tₘ²)/(2∏q),
+    declared for ‖θ‖∞ < π/2 only (``TrustRegionError`` outside).  At θ=0
+    this is fBB/2 exactly.
     """
     t, q = _half_angle_tangents(s, theta)
-    product = q.prod()
-    dB = (1.0 - t * t) / (2.0 * product)
-    dA = -t / product
-    raw = 2.0 * s.fBB * np.outer(dB, dB) + 2.0 * s.fAB * np.outer(dA, dB)
-    entries = 0.5 * (raw + raw.T)
-    return MetricTensor(s.nu, entries)
+    dB = (1.0 - t * t) / (2.0 * q.prod())
+    raw = 2.0 * s.fBB * np.outer(dB, dB)
+    return MetricTensor(s.nu, 0.5 * (raw + raw.T))
 
 
 def cho_factor(entries: np.ndarray, eta: float) -> np.ndarray:

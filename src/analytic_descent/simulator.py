@@ -8,19 +8,21 @@ letter of a Pauli string).  Every gate is a Pauli rotation
 
 and a Pauli string acts as a signed permutation of the computational basis:
 P|i⟩ = i^{n_Y} (-1)^{popcount(i & m_{YZ})} |i ^ m_{XY}⟩, where m_{XY} flips
-the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  Gates use that
-kernel (``pauli._pauli_kernel``); every use of H, from expectations to the
+the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  A circuit's
+gates are read from one gate table of those kernels (``pauli._pauli_kernel``),
+built once per gate sequence; every use of H, from expectations to the
 dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
 
-Derivatives come from one forward tangent sweep that carries ψ and its
-first derivatives t_m = ∂ψ/∂θ_m.  Each gate rotates the live rows, then
-spawns its tangent from the rotated ψ as (-i/2)·P·(Uψ), a gather and one
-product; a diagonal (Z/I-only) generator's rotation skips the gather.  The
-gathers and phases come from a gate table, built once per gate sequence.
-On request the sweep also takes the energy's pair terms Re⟨Hψ|t_kl⟩
-(t_kl = ∂²ψ/∂θ_k∂θ_l) as overlaps with one adjoint row per gate, without
-forming any t_kl.  The metric, the energy gradient and the batched schedule
-oracle are all built from it.
+A state is prepared by one loop over the gate table (``_forward``): each
+gate is c·ψ + (-i·s·phase)·ψ[src], with no gather for a diagonal
+(Z/I-only) generator.  Derivatives come from one forward tangent sweep over
+the same table that carries ψ and its first derivatives t_m = ∂ψ/∂θ_m.
+Each gate rotates the live rows, then spawns its tangent from the rotated ψ
+as (-i/2)·P·(Uψ), a gather and one product.  On request the sweep also
+takes the energy's pair terms Re⟨Hψ|t_kl⟩ (t_kl = ∂²ψ/∂θ_k∂θ_l) as
+overlaps with one adjoint row per gate, without forming any t_kl.  The
+metric, the energy gradient and the batched schedule oracle are all built
+from it.
 
 All operations are pure functions over immutable values; kernels, gate
 tables and compiled sums are cached on first use and never changed, and
@@ -29,13 +31,13 @@ importing the module builds none of them.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _pauli_kernel
+from .pauli import PauliSum, _pauli_kernel
 
 if TYPE_CHECKING:  # import only for annotations; ansatz imports us at runtime
     from .ansatz import AnsatzCircuit
@@ -48,6 +50,9 @@ MAX_QUBITS = 20
 # wins from dimension 256 on.
 _DENSE_DIM = 64
 
+# Largest register ``hamiltonian_matrix`` writes densely (a 16 MiB matrix).
+_DENSE_MATRIX_QUBITS = 10
+
 _NORM_TOLERANCE = 1e-10
 
 class GroundEnergyError(RuntimeError):
@@ -58,44 +63,28 @@ class GroundEnergyError(RuntimeError):
 class StateVector:
     """Immutable 2^num_qubits complex amplitude vector.
 
-    The L2 norm must be 1 within 1e-10 on construction.  ``check_norm=False``
-    is reserved for derivative (tangent) vectors, which are not quantum
-    states and have norm ≤ 1/2.
+    The L2 norm must be 1 within 1e-10 on construction.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
-    check_norm: InitVar[bool] = True
 
-    def __post_init__(self, check_norm: bool):
+    def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {amps.shape}"
             )
-        if check_norm:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > _NORM_TOLERANCE:
-                raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > _NORM_TOLERANCE:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-def _apply_pauli(amps: np.ndarray, letters: str) -> np.ndarray:
-    """P·amps for 1-D amplitudes or batches with amplitudes on the last axis."""
-    src, phase = _pauli_kernel(letters)
-    return amps.take(src, axis=-1) * phase
-
-
-def _apply_rotation(amps: np.ndarray, letters: str, theta: float) -> np.ndarray:
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    return c * amps + (-1j * s) * _apply_pauli(amps, letters)
 
 
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
@@ -127,27 +116,6 @@ def zero_state(N: int) -> StateVector:
     return StateVector(N, amps)
 
 
-def apply_pauli_string(psi: StateVector, P: PauliString) -> StateVector:
-    """P|ψ⟩; applying the same string twice returns |ψ⟩ (P² = I)."""
-    if P.num_qubits != psi.num_qubits:
-        raise ValueError(
-            f"Pauli string on {P.num_qubits} qubits cannot act on "
-            f"{psi.num_qubits}-qubit state"
-        )
-    return StateVector(psi.num_qubits, _apply_pauli(psi.amplitudes, P.letters))
-
-
-def apply_pauli_rotation(psi: StateVector, P: PauliString, theta: float) -> StateVector:
-    """Apply exp(-i θ P / 2) = cos(θ/2)·Id - i sin(θ/2)·P to the state."""
-    if P.num_qubits != psi.num_qubits:
-        raise ValueError(
-            f"Pauli string on {P.num_qubits} qubits cannot act on "
-            f"{psi.num_qubits}-qubit state"
-        )
-    amps = _apply_rotation(psi.amplitudes, P.letters, theta)
-    return StateVector(psi.num_qubits, amps)
-
-
 def expectation(psi: StateVector, h: PauliSum) -> float:
     """⟨ψ|H|ψ⟩ = Σ c_j ⟨ψ|P_j|ψ⟩ for a real-weighted Pauli sum, as ⟨ψ|Hψ⟩.
 
@@ -171,26 +139,16 @@ def _expectation(amps: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
     return float(total.real), h_amps
 
 
-def overlap(psi: StateVector, phi: StateVector) -> float:
-    """|⟨ψ|φ⟩|², symmetric and insensitive to global phase, clipped to [0, 1]."""
-    if psi.num_qubits != phi.num_qubits:
-        raise ValueError(
-            f"cannot overlap states on {psi.num_qubits} and {phi.num_qubits} qubits"
-        )
-    value = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-    return float(min(max(value, 0.0), 1.0))
-
-
-def hamiltonian_matrix(h: PauliSum, max_qubits: int = 10) -> np.ndarray:
+def hamiltonian_matrix(h: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli sum (small systems only).
 
     Row i of each flip pattern holds its weight[i] at column src[i] (the
     diagonal for the Z-only pattern), so the dense form is written from the
     compiled sum without any Kronecker products.
     """
-    if h.num_qubits > max_qubits:
+    if h.num_qubits > _DENSE_MATRIX_QUBITS:
         raise ValueError(
-            f"dense matrix limited to {max_qubits} qubits, got {h.num_qubits}"
+            f"dense matrix limited to {_DENSE_MATRIX_QUBITS} qubits, got {h.num_qubits}"
         )
     dim = 2**h.num_qubits
     idx = np.arange(dim)
@@ -259,8 +217,8 @@ def _gate_table(letters: tuple[str, ...]):
     index (None for a diagonal, Z/I-only generator, whose index is the
     identity), then the ν×2^N phases and the spawn phases -(i/2)·phase.
 
-    Built on the first sweep of a circuit with these generators and shared
-    by every later one (``AnsatzCircuit._gate_table``); read-only.
+    Built on the first simulation of a circuit with these generators and
+    shared by every later one (``AnsatzCircuit._gate_table``); read-only.
     """
     kernels = [_pauli_kernel(word) for word in letters]
     srcs = tuple(src if src[0] else None for src, _ in kernels)
@@ -271,25 +229,11 @@ def _gate_table(letters: tuple[str, ...]):
 
 
 def _rotations(circuit: AnsatzCircuit, theta):
-    """The circuit's gathers and spawn phases, and at θ₀+θ every gate's
-    cos(half-angle) and -i·sin(half-angle)·phase, the latter in one product."""
-    srcs, phases, spawns = circuit._gate_table
-    half = 0.5 * (np.asarray(circuit.theta_ref, dtype=float) + theta)
-    return srcs, spawns, np.cos(half).tolist(), (-1j * np.sin(half))[:, None] * phases
+    """The gates of ``circuit`` at θ₀+θ, read from its gate table: the
+    gathers and spawn phases, every gate's cos(half-angle) and
+    -i·sin(half-angle)·phase, the latter in one product.
 
-
-def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
-    """ψ and the ν tangents tₘ = ∂ψ/∂θₘ in one forward sweep; with ``adjoint``
-    rows aₗ, also the matrix of overlaps Re⟨aₗ|tₖ after gate l⟩, k < l, at
-    [k, l] (zero elsewhere).
-
-    ψ and the started tangents sit in one block.  Gate l first rotates its
-    live rows, c·x + (-i·s·phase)·x[src], with one gather (none for a
-    diagonal generator), then spawns tₗ = (-i/2)·Pₗ·(Uₗψ) from the rotated ψ
-    with one more gather and one product.  Pₗ commutes with Uₗ, and products
-    with ±1, ±i and ±i/2 are exact, so tₗ equals (-i/2)·(c·Pψ - i·s·ψ), the
-    spawn from the rotation's own Pauli image, value for value.  The gathers
-    and phases come from the circuit's gate table (``_gate_table``).
+    Every simulation starts here, so θ is checked here: ν entries, all finite.
     """
     theta = np.asarray(theta, dtype=float)
     nu = circuit.num_parameters
@@ -297,7 +241,35 @@ def _sweep(circuit: AnsatzCircuit, theta, adjoint=None):
         raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
     if not np.isfinite(theta).all():
         raise ValueError("non-finite entries in theta")
-    srcs, spawns, cos, rotate = _rotations(circuit, theta)
+    srcs, phases, spawns = circuit._gate_table
+    half = 0.5 * (circuit.theta_ref + theta)
+    return srcs, spawns, np.cos(half).tolist(), (-1j * np.sin(half))[:, None] * phases
+
+
+def _forward(circuit: AnsatzCircuit, gates) -> np.ndarray:
+    """U_ν⋯U₁|0⟩ for ``_rotations``' gates: gate l maps ψ to
+    c·ψ + (-i·s·phase)·ψ[src], with no gather for a diagonal generator."""
+    srcs, _, cos, rotate = gates
+    psi = zero_state(circuit.num_qubits).amplitudes
+    for src, c, rot in zip(srcs, cos, rotate):
+        psi = c * psi + rot * (psi if src is None else psi.take(src))
+    return psi
+
+
+def _sweep(circuit: AnsatzCircuit, gates, adjoint=None):
+    """ψ and the ν tangents tₘ = ∂ψ/∂θₘ in one forward sweep over
+    ``_rotations``' gates; with ``adjoint`` rows aₗ, also the matrix of
+    overlaps Re⟨aₗ|tₖ after gate l⟩, k < l, at [k, l] (zero elsewhere).
+
+    ψ and the started tangents sit in one block.  Gate l first rotates its
+    live rows, c·x + (-i·s·phase)·x[src], with one gather (none for a
+    diagonal generator), then spawns tₗ = (-i/2)·Pₗ·(Uₗψ) from the rotated ψ
+    with one more gather and one product.  Pₗ commutes with Uₗ, and products
+    with ±1, ±i and ±i/2 are exact, so tₗ equals (-i/2)·(c·Pψ - i·s·ψ), the
+    spawn from the rotation's own Pauli image, value for value.
+    """
+    srcs, spawns, cos, rotate = gates
+    nu = circuit.num_parameters
     # Row 0 carries |ψ⟩, rows 1..l the tangents started before gate l.
     block = np.zeros((nu + 1, 2**circuit.num_qubits), dtype=np.complex128)
     block[0, 0] = 1.0
@@ -324,7 +296,7 @@ def _state_and_tangents(circuit: AnsatzCircuit, theta):
     Gate m contributes tangent U_ν...U_{m+1}·(-i/2)P_m·U_m...U_1|0⟩.  The
     work is O(ν²·2^N) flops in O(ν) vectorized operations.
     """
-    psi, tangents, _ = _sweep(circuit, theta)
+    psi, tangents, _ = _sweep(circuit, _rotations(circuit, theta))
     return psi, tangents
 
 
@@ -339,28 +311,13 @@ def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
     on one vector gives ψ, a backward pass from Hψ every aₗ, and the tangent
     sweep each row's overlaps: O(ν²·2^N) work, and no pair tangent is formed.
     """
-    theta = np.asarray(theta, dtype=float)
-    srcs, spawns, cos, rotate = _rotations(circuit, theta)
-    psi = zero_state(circuit.num_qubits).amplitudes
-    for src, rot, c in zip(srcs, rotate, cos):
-        psi = c * psi + rot * (psi if src is None else psi.take(src))
+    gates = _rotations(circuit, theta)
+    srcs, spawns, cos, rotate = gates
+    psi = _forward(circuit, gates)
     mu = _apply_hamiltonian(psi, h)
     adjoint = np.empty((len(srcs), len(psi)), dtype=np.complex128)
     for l in reversed(range(len(srcs))):
         gathered = mu if srcs[l] is None else mu.take(srcs[l])
         np.multiply(gathered, -spawns[l], out=adjoint[l])  # (i/2)·Pₗ·μ
         mu = cos[l] * mu - rotate[l] * gathered  # Uₗ†·μ
-    return _sweep(circuit, theta, adjoint)
-
-
-def tangent_states(circuit: AnsatzCircuit, theta) -> list[StateVector]:
-    """Analytic derivative vectors ∂|ψ(θ)⟩/∂θ_m for every parameter.
-
-    The returned vectors are tangents, not normalized quantum states: their
-    norm is at most 1/2 (generator eigenvalues ±1 with the 1/2 gate factor),
-    hence the relaxed construction.
-    """
-    _, tangents = _state_and_tangents(circuit, np.asarray(theta, dtype=float))
-    return [
-        StateVector(circuit.num_qubits, row, check_norm=False) for row in tangents
-    ]
+    return _sweep(circuit, gates, adjoint)

@@ -31,9 +31,10 @@ half-angle tangents t = tan(θ/2), |tₖ| < 1: there a = 1/(1+t²), b/a = t and
 c/a = t², so Ê(θ) = S/∏(1+tₖ²) with S = eA + t·eB + t²·eC + tᵀ·eD·t, a
 closed form of one matrix-vector product that its gradient and variance
 share.  Outside it (the schedule shifts ±π/2 and π themselves)
-`eval_energy` switches to a division-free route built from partial
-products of a; the gradient and variance routines are declared only inside
-the region.
+`eval_energy` switches to a division-free route, whose leave-out products
+of a are products of prefix and suffix products, so an axis at θₖ = ±π,
+where a vanishes, is never divided by; the gradient and variance routines
+are declared only inside the region.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
@@ -607,54 +608,6 @@ class CircuitOracle:
         return values
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Cached per-axis Fourier components and products for one θ.
-
-    Holds a, b, c and their derivatives per axis, the full product
-    A = ∏ a(θₖ), and prefix/suffix partial products of a so that the
-    leave-one-out product ∏_{j≠k} a(θⱼ) is prefix[k]·suffix[k] without
-    any division.
-    """
-
-    theta: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    da: np.ndarray
-    db: np.ndarray
-    dc: np.ndarray
-    full_product: float
-    prefix: np.ndarray
-    suffix: np.ndarray
-
-    @classmethod
-    def from_theta(cls, theta) -> "MonomialBasis":
-        theta = np.asarray(theta, dtype=float)
-        cos = np.cos(theta)
-        sin = np.sin(theta)
-        a = 0.5 * (1.0 + cos)
-        b = 0.5 * sin
-        c = 0.5 * (1.0 - cos)
-        da = -b
-        db = 0.5 * cos
-        dc = b
-        nu = len(theta)
-        prefix = np.empty(nu)
-        suffix = np.empty(nu)
-        prefix[0] = 1.0
-        if nu > 1:
-            prefix[1:] = np.cumprod(a[:-1])
-        suffix[nu - 1] = 1.0
-        if nu > 1:
-            suffix[:-1] = np.cumprod(a[:0:-1])[::-1]
-        return cls(theta, a, b, c, da, db, dc, float(np.prod(a)), prefix, suffix)
-
-    def leave_one_out(self) -> np.ndarray:
-        """∏_{j≠k} a(θⱼ) for every k, division-free."""
-        return self.prefix * self.suffix
-
-
 def _check_length(model: SurrogateModel, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.nu,):
@@ -685,21 +638,27 @@ def eval_energy(model: SurrogateModel, theta) -> float:
 
 
 def _division_free_energy(model: SurrogateModel, theta: np.ndarray) -> float:
-    basis = MonomialBasis.from_theta(theta)
+    cos = np.cos(theta)
+    a, b, c = 0.5 * (1.0 + cos), 0.5 * np.sin(theta), 0.5 * (1.0 - cos)
     nu = model.nu
-    value = basis.full_product * model.eA
-    loo = basis.leave_one_out()
-    value += float(np.dot(loo, basis.b * model.eB + basis.c * model.eC))
+    # prefix[k] = ∏_{j<k} a(θⱼ) and suffix[k] = ∏_{j>k} a(θⱼ), so every
+    # leave-out product is a product of partial products, never a quotient.
+    prefix = np.ones(nu)
+    prefix[1:] = np.cumprod(a[:-1])
+    suffix = np.ones(nu)
+    suffix[:-1] = np.cumprod(a[:0:-1])[::-1]
+    value = float(np.prod(a)) * model.eA
+    value += float(np.dot(prefix * suffix, b * model.eB + c * model.eC))
     # between[k, l] = ∏_{k<j<l} a(θⱼ): row k of one 2-D cumprod over the a's
     # right of axis k (ones elsewhere), shifted one column to the right.
     cols = np.arange(nu - 1)
     between = np.ones((nu, nu))
     between[:, 1:] = np.cumprod(
-        np.where(cols[None, :] > np.arange(nu)[:, None], basis.a[None, :-1], 1.0),
+        np.where(cols[None, :] > np.arange(nu)[:, None], a[None, :-1], 1.0),
         axis=1,
     )
-    pair = basis.prefix[:, None] * between * basis.suffix[None, :]
-    value += float(np.dot(basis.b, (pair * model.eD) @ basis.b))
+    pair = prefix[:, None] * between * suffix[None, :]
+    value += float(np.dot(b, (pair * model.eD) @ b))
     return float(value)
 
 
@@ -777,45 +736,6 @@ def extract_gradient_hessian(model: SurrogateModel) -> tuple[np.ndarray, np.ndar
     hessian = 0.25 * (model.eD + model.eD.T)
     np.fill_diagonal(hessian, 0.5 * (model.eC - model.eA))
     return grad, hessian
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    max_asymmetry: float
-    samples: int
-    radius: float
-    eB_max: float
-
-
-def symmetry_report(
-    model: SurrogateModel,
-    samples: int,
-    radius: float,
-    rng_seed: int = 0,
-    stationarity_threshold: float | None = None,
-) -> SymmetryReport:
-    """Max |Ê(θ) - Ê(-θ)| over sampled θ in the ∞-ball of the given radius.
-
-    Only the odd eB words break reflection symmetry, so a model with eB = 0
-    reports 0 to rounding.  Requires a (near-)stationary model: ‖eB‖∞ must
-    not exceed the supplied threshold, defaulting to 10× the largest
-    per-coefficient std, or 1e-8 for a noiseless model.
-    """
-    eb_max = float(np.max(np.abs(model.eB)))
-    if stationarity_threshold is None:
-        largest_std = float(np.sqrt(np.max(model.varB)))
-        stationarity_threshold = 10.0 * largest_std if largest_std > 0.0 else 1e-8
-    if eb_max > stationarity_threshold:
-        raise ValueError(
-            f"model is not stationary: ‖eB‖∞ = {eb_max:.3g} exceeds "
-            f"threshold {stationarity_threshold:.3g}"
-        )
-    rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    for _ in range(samples):
-        theta = rng.uniform(-radius, radius, model.nu)
-        worst = max(worst, abs(eval_energy(model, theta) - eval_energy(model, -theta)))
-    return SymmetryReport(worst, samples, radius, eb_max)
 
 
 def model_to_json(model: SurrogateModel) -> str:

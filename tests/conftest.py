@@ -4,7 +4,8 @@ The dense oracles deliberately avoid the package's own gate kernels: states
 and operators are built from explicit 2x2 matrices, Kronecker products, and
 scipy's matrix exponential, so cross-checks run through genuinely different
 arithmetic than the code under test.  The untruncated 3^ν expansion and the
-O(ν⁴) leave-out-product gradient are the surrogate's slow reference routes.
+O(ν⁴) leave-out-product gradient are the surrogate's slow reference routes,
+and the two-query shift rule is the energy gradient's device protocol.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from analytic_descent import AnsatzCircuit, PauliString, PauliSum, SurrogateModel, energy
-from analytic_descent.surrogate import HALF_PI, MonomialBasis, _check_length
+from analytic_descent.surrogate import HALF_PI, _check_length
 
 SINGLE_QUBIT = {
     "I": np.eye(2, dtype=complex),
@@ -52,6 +53,14 @@ def dense_prepared_state(circuit: AnsatzCircuit, theta) -> np.ndarray:
 def dense_energy(circuit: AnsatzCircuit, theta, h: PauliSum) -> float:
     psi = dense_prepared_state(circuit, theta)
     return float(np.real(psi.conj() @ dense_hamiltonian(h) @ psi))
+
+
+def shift_rule_gradient(circuit: AnsatzCircuit, theta, h: PauliSum) -> np.ndarray:
+    """The 2ν-query device protocol gₖ = [E(θ + π/2·eₖ) − E(θ − π/2·eₖ)]/2."""
+    theta = np.asarray(theta, dtype=float)
+    shifts = HALF_PI * np.eye(circuit.num_parameters)
+    pairs = [(energy(circuit, theta + s, h), energy(circuit, theta - s, h)) for s in shifts]
+    return np.array([plus - minus for plus, minus in pairs]) / 2
 
 
 def fd_metric(circuit: AnsatzCircuit, theta, eps: float = 1e-4) -> np.ndarray:
@@ -100,6 +109,12 @@ def random_circuit(rng, n: int, nu: int, spread: float = np.pi) -> AnsatzCircuit
     return AnsatzCircuit(n, generators, theta_ref)
 
 
+def fourier_components(theta):
+    """a, b, c = (1 + cos θ)/2, sin θ/2, (1 − cos θ)/2 on every axis."""
+    cos = np.cos(theta)
+    return 0.5 * (1.0 + cos), 0.5 * np.sin(theta), 0.5 * (1.0 - cos)
+
+
 class FullTrigExpansion:
     """Untruncated 3^ν expansion of a circuit energy (test oracle, ν ≤ 8).
 
@@ -133,9 +148,7 @@ class FullTrigExpansion:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.nu,):
             raise ValueError(f"expected length {self.nu}, got shape {theta.shape}")
-        cos = np.cos(theta)
-        abc = np.stack([0.5 * (1 + cos), 0.5 * np.sin(theta), 0.5 * (1 - cos)])
-        factors = abc[self.words, np.arange(self.nu)]
+        factors = np.stack(fourier_components(theta))[self.words, np.arange(self.nu)]
         return float(np.dot(np.prod(factors, axis=1), self.coeffs))
 
 
@@ -151,10 +164,9 @@ def eval_gradient_reference(model: SurrogateModel, theta) -> np.ndarray:
     for small ν cross-checks of the fast path.
     """
     theta = _check_length(model, theta)
-    basis = MonomialBasis.from_theta(theta)
     nu = model.nu
-    a, b, c = basis.a, basis.b, basis.c
-    da, db, dc = basis.da, basis.db, basis.dc
+    a, b, c = fourier_components(theta)
+    da, db, dc = -b, 0.5 * np.cos(theta), b
 
     def prod_excluding(*skip):
         mask = np.ones(nu, dtype=bool)

@@ -141,6 +141,8 @@ def test_feedback_noise_injection_is_seeded():
     clean = feedback_check(*at)
     assert a == b
     assert abs(a - clean) > 1e-4
+    with pytest.raises(ValueError, match="noise levels need a generator"):
+        feedback_check(*at, levels)
 
 
 # ------------------------------------------------ surrogate descent runs

@@ -1,5 +1,5 @@
 """Fisher-information metric: exact tangent-sweep evaluation, the
-overlap-based two-word surrogate, and the regularized direction solver."""
+overlap-based surrogate, and the regularized direction solver."""
 
 import os
 import subprocess
@@ -37,9 +37,7 @@ from analytic_descent.metric import (
     qfi_surrogate_eval,
     regularized_natural_direction,
 )
-from analytic_descent.simulator import overlap
-from analytic_descent.surrogate import MonomialBasis
-from conftest import fd_metric, random_circuit
+from conftest import fd_metric, fourier_components, random_circuit
 
 
 # ------------------------------------------------------------- qfi_exact
@@ -242,17 +240,20 @@ def test_surrogate_single_rotation_coefficients():
     circuit = AnsatzCircuit(1, (PauliString("X"),))
     s = qfi_surrogate_estimate(circuit, np.zeros(1))
     assert abs(s.fBB[0, 0] - 2.0) < 1e-12
-    assert abs(s.fAB[0, 0]) < 1e-12
+    _, column = _overlap_coefficients(circuit, np.zeros(1))
+    assert abs(column[0]) < 1e-12
 
 
 def test_surrogate_symmetry_and_shapes():
     rng = np.random.default_rng(17)
     circuit = random_circuit(rng, 2, 5)
-    s = qfi_surrogate_estimate(circuit, rng.uniform(-1, 1, 5))
+    theta0 = rng.uniform(-1, 1, 5)
+    s = qfi_surrogate_estimate(circuit, theta0)
     assert np.array_equal(s.fBB, s.fBB.T)
     assert s.fBB.shape == (5, 5)
-    # fAB carries one value per column (a-derivative axis is the row)
-    assert np.max(np.abs(s.fAB - s.fAB[0])) == 0.0
+    # the a·b word's overlap column, which the surrogate leaves out, is zero
+    _, column = _overlap_coefficients(circuit, theta0)
+    assert np.max(np.abs(column)) < 1e-12
 
 
 def test_surrogate_at_anchor_is_half_fBB_and_matches_exact():
@@ -298,7 +299,7 @@ def test_surrogate_eval_trust_region():
 
 def test_surrogate_validation():
     with pytest.raises(ValueError, match="fBB"):
-        MetricSurrogate(np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2)))
+        MetricSurrogate(np.zeros(2), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="expected 1 parameters"):
         circuit = AnsatzCircuit(1, (PauliString("X"),))
         qfi_surrogate_estimate(circuit, np.zeros(2))
@@ -306,15 +307,20 @@ def test_surrogate_validation():
 
 def _overlap_coefficients(circuit, theta0):
     """The paper's overlap combinations at ±π/2 single shifts, literally:
-    fBB[m,n] from the four (±m, ±n) pairs, fAB[·,n] from ψ and the ±n states."""
+    fBB[m,n] from the four (±m, ±n) pairs, and the a·b word's column [·,n]
+    from ψ and the ±n states."""
     nu = circuit.num_parameters
-    base = prepare_state(circuit, theta0)
+    base = prepare_state(circuit, theta0).amplitudes
     shifted = {}
     for m in range(nu):
         for sign in (1.0, -1.0):
             shift = np.array(theta0, dtype=float)
             shift[m] += sign * 0.5 * np.pi
-            shifted[m, sign] = prepare_state(circuit, shift)
+            shifted[m, sign] = prepare_state(circuit, shift).amplitudes
+
+    def overlap(a, b):
+        return abs(np.vdot(a, b)) ** 2
+
     fBB = np.array([
         [
             overlap(shifted[m, 1.0], shifted[n, 1.0])
@@ -326,40 +332,39 @@ def _overlap_coefficients(circuit, theta0):
         for m in range(nu)
     ])
     column = [overlap(base, shifted[n, 1.0]) - overlap(base, shifted[n, -1.0]) for n in range(nu)]
-    return fBB, np.tile(column, (nu, 1))
+    return fBB, np.array(column)
 
 
-def _monomial_eval(s, theta):
-    """``qfi_surrogate_eval``'s two words from the division-free monomial basis."""
-    basis = MonomialBasis.from_theta(theta)
-    loo = basis.leave_one_out()
-    dB, dA = basis.db * loo, basis.da * loo
-    raw = 2.0 * s.fBB * np.outer(dB, dB) + 2.0 * s.fAB * np.outer(dA, dB)
+def _monomial_eval(fBB, theta):
+    """``qfi_surrogate_eval``'s b·b word from leave-one-out products of a."""
+    a, _, _ = fourier_components(theta)
+    dB = 0.5 * np.cos(theta) * [np.prod(np.delete(a, k)) for k in range(len(a))]
+    raw = 2.0 * fBB * np.outer(dB, dB)
     return 0.5 * (raw + raw.T)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 4), nu=st.integers(1, 8))
 def test_surrogate_from_the_sweep_is_the_overlap_surrogate(seed, qubits, nu):
-    """fBB = 2F(θ₀) and fAB = 0 are the overlap combinations, and the
-    half-angle evaluation is the monomial one inside the trust region."""
+    """fBB = 2F(θ₀) is the overlap combination and the a·b word's overlap
+    column is zero, and the half-angle evaluation is the monomial one inside
+    the trust region."""
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, qubits, nu)
     theta0 = rng.uniform(-np.pi, np.pi, nu)
     s = qfi_surrogate_estimate(circuit, theta0)
-    fBB, fAB = _overlap_coefficients(circuit, theta0)
+    fBB, column = _overlap_coefficients(circuit, theta0)
     assert np.max(np.abs(s.fBB - fBB)) < 1e-12
-    assert np.max(np.abs(s.fAB - fAB)) < 1e-12
-    assert not s.fAB.any()
+    assert np.max(np.abs(column)) < 1e-12
     exact = qfi_exact(circuit, theta0).entries
     assert np.array_equal(qfi_surrogate_eval(s, np.zeros(nu)).entries, exact)
-    overlaps = MetricSurrogate(theta0, fBB, fAB)
+    overlaps = MetricSurrogate(theta0, fBB)
     scale = np.max(np.abs(fBB))
     for _ in range(5):
         theta = rng.uniform(-1.5, 1.5, nu)
         for surrogate in (s, overlaps):
             got = qfi_surrogate_eval(surrogate, theta).entries
-            assert np.max(np.abs(got - _monomial_eval(surrogate, theta))) <= 1e-13 * scale
+            assert np.max(np.abs(got - _monomial_eval(surrogate.fBB, theta))) <= 1e-13 * scale
 
 
 def test_surrogate_estimate_is_one_sweep(monkeypatch):

@@ -1,5 +1,5 @@
-"""Statevector engine: gates, expectations, overlaps, ground energies,
-tangent vectors.  Every nontrivial value is cross-checked against the dense
+"""Statevector engine: gates, expectations, ground energies, tangent
+vectors.  Every nontrivial value is cross-checked against the dense
 matrix oracles in conftest."""
 
 import os
@@ -16,28 +16,24 @@ from analytic_descent import (
     PauliString,
     PauliSum,
     StateVector,
-    apply_pauli_rotation,
-    apply_pauli_string,
     expectation,
     ground_energy,
     hamiltonian_matrix,
-    overlap,
     parse_pauli_sum,
     prepare_state,
     spin_ring_hamiltonian,
-    tangent_states,
     zero_state,
 )
 from analytic_descent import pauli, simulator
 from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_hessian
 from conftest import (
     dense_hamiltonian,
+    dense_prepared_state,
     pauli_matrix,
     random_circuit,
     random_hamiltonian,
     random_string,
 )
-from scipy.linalg import expm
 
 
 def test_zero_state_amplitudes():
@@ -51,63 +47,75 @@ def test_state_vector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
 
 
+# Gates act only through circuits: a gate is checked as the last gate of a
+# circuit against the same circuit without it.
+
+_HEAD = (PauliString("YII"), PauliString("XZY"), PauliString("IZX"))
+
+
+def _prepared(generators, angles):
+    circuit = AnsatzCircuit(generators[0].num_qubits, generators, angles)
+    return prepare_state(circuit, np.zeros(len(generators))).amplitudes
+
+
 def test_rotation_identity_at_zero_angle():
-    psi = zero_state(2)
-    out = apply_pauli_rotation(psi, PauliString("XY"), 0.0)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    angles = [0.4, -1.1, 2.3]
+    before = _prepared(_HEAD, angles)
+    for letters in ("XYZ", "ZIZ"):
+        after = _prepared(_HEAD + (PauliString(letters),), angles + [0.0])
+        assert np.array_equal(after, before)
 
 
 def test_rotation_x_pi_on_zero():
-    out = apply_pauli_rotation(zero_state(1), PauliString("X"), np.pi)
-    assert np.allclose(out.amplitudes, [0.0, -1.0j], atol=1e-15)
+    out = _prepared((PauliString("X"),), [np.pi])
+    assert np.allclose(out, [0.0, -1.0j], atol=1e-15)
 
 
 def test_rotation_two_pi_is_minus_identity():
-    rng = np.random.default_rng(5)
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps /= np.linalg.norm(amps)
-    psi = StateVector(3, amps)
-    out = apply_pauli_rotation(psi, PauliString("ZZZ"), 2.0 * np.pi)
-    assert np.allclose(out.amplitudes, -amps, atol=1e-12)
+    angles = list(np.random.default_rng(5).uniform(-np.pi, np.pi, 3))
+    before = _prepared(_HEAD, angles)
+    for letters in ("ZZZ", "XYZ"):
+        after = _prepared(_HEAD + (PauliString(letters),), angles + [2.0 * np.pi])
+        assert np.allclose(after, -before, atol=1e-12)
 
 
 def test_rotation_matches_matrix_exponential():
-    """Gate kernel vs expm(-i theta P / 2) on random states, N <= 4."""
+    """Prepared states vs expm(-i theta P / 2) gate by gate, N <= 4, with
+    identity and diagonal generators among the random strings."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        amps /= np.linalg.norm(amps)
-        string = random_string(rng, n, identity_ok=True)
-        theta = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
-        got = apply_pauli_rotation(StateVector(n, amps), string, theta).amplitudes
-        want = expm(-0.5j * theta * pauli_matrix(string.letters)) @ amps
-        assert np.max(np.abs(got - want)) < 1e-10
+        nu = int(rng.integers(1, 5))
+        generators = tuple(random_string(rng, n, identity_ok=True) for _ in range(nu))
+        circuit = AnsatzCircuit(n, generators, rng.uniform(-np.pi, np.pi, nu))
+        theta = rng.uniform(-np.pi, np.pi, nu)
+        got = prepare_state(circuit, theta).amplitudes
+        assert np.max(np.abs(got - dense_prepared_state(circuit, theta))) < 1e-10
 
 
 def test_rotation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_pauli_rotation(zero_state(2), PauliString("X"), 0.3)
+    with pytest.raises(ValueError, match="circuit declares 2"):
+        AnsatzCircuit(2, (PauliString("X"),))
 
 
 def test_apply_pauli_string_matches_matrix():
+    """The signed-permutation kernel that every gate reads: P·amps is
+    amps[src]·phase."""
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        amps /= np.linalg.norm(amps)
         string = random_string(rng, n, identity_ok=True)
-        got = apply_pauli_string(StateVector(n, amps), string).amplitudes
+        src, phase = pauli._pauli_kernel(string.letters)
+        got = amps.take(src) * phase
         assert np.max(np.abs(got - pauli_matrix(string.letters) @ amps)) < 1e-12
 
 
 def test_norm_preserved_under_long_sequences():
     rng = np.random.default_rng(31)
-    psi = zero_state(10)
-    for _ in range(200):
-        psi = apply_pauli_rotation(
-            psi, random_string(rng, 10), float(rng.uniform(-np.pi, np.pi))
-        )
+    generators = tuple(random_string(rng, 10) for _ in range(200))
+    circuit = AnsatzCircuit(10, generators, rng.uniform(-np.pi, np.pi, 200))
+    psi = prepare_state(circuit, np.zeros(200))
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
 
 
@@ -117,9 +125,9 @@ def test_expectation_zero_state_z():
 
 def test_expectation_rx_slice_is_cosine():
     h = parse_pauli_sum("1 Z")
+    rx = AnsatzCircuit(1, (PauliString("X"),))
     for theta in np.linspace(-np.pi, np.pi, 9):
-        psi = apply_pauli_rotation(zero_state(1), PauliString("X"), theta)
-        assert abs(expectation(psi, h) - np.cos(theta)) < 1e-12
+        assert abs(expectation(prepare_state(rx, [theta]), h) - np.cos(theta)) < 1e-12
 
 
 def test_expectation_identity_term_is_constant():
@@ -142,30 +150,27 @@ def test_expectation_matches_dense_quadratic_form():
 
 
 def test_overlap_properties():
-    psi = zero_state(1)
-    flipped = apply_pauli_rotation(psi, PauliString("X"), np.pi)
-    assert abs(overlap(psi, psi) - 1.0) < 1e-14
-    assert overlap(psi, flipped) < 1e-14
+    """|⟨ψ|RX(θ)ψ⟩|² = cos²(θ/2) between prepared states, in either order."""
+    rx = AnsatzCircuit(1, (PauliString("X"),))
+    psi = zero_state(1).amplitudes
+    assert abs(np.vdot(psi, prepare_state(rx, [np.pi]).amplitudes)) < 1e-14
     for theta in (0.3, 1.1, 2.5):
-        rotated = apply_pauli_rotation(psi, PauliString("X"), theta)
+        rotated = prepare_state(rx, [theta]).amplitudes
         want = np.cos(theta / 2.0) ** 2
-        assert abs(overlap(psi, rotated) - want) < 1e-12
-        assert abs(overlap(rotated, psi) - want) < 1e-12
-
-
-def test_overlap_is_phase_invariant():
-    rng = np.random.default_rng(7)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    amps /= np.linalg.norm(amps)
-    psi = StateVector(2, amps)
-    phased = StateVector(2, np.exp(0.7j) * amps)
-    assert abs(overlap(psi, phased) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(psi, rotated)) ** 2 - want) < 1e-12
+        assert abs(abs(np.vdot(rotated, psi)) ** 2 - want) < 1e-12
 
 
 def test_hamiltonian_matrix_matches_dense():
     rng = np.random.default_rng(53)
     h = random_hamiltonian(rng, 3, 8)
     assert np.max(np.abs(hamiltonian_matrix(h) - dense_hamiltonian(h))) < 1e-14
+
+
+def test_hamiltonian_matrix_rejects_more_than_ten_qubits():
+    h = PauliSum(11, ((1.0, PauliString("Z" * 11)),))
+    with pytest.raises(ValueError, match="dense matrix limited to 10 qubits, got 11"):
+        hamiltonian_matrix(h)
 
 
 # The compiled form against the Kronecker-product oracle: random sums on
@@ -299,15 +304,15 @@ def test_ground_energy_is_reproducible_on_the_field_free_ring():
 
 def test_tangent_single_rx_at_zero():
     circuit = AnsatzCircuit(1, (PauliString("X"),))
-    (tangent,) = tangent_states(circuit, np.zeros(1))
-    assert np.allclose(tangent.amplitudes, [0.0, -0.5j], atol=1e-15)
+    _, (tangent,) = _state_and_tangents(circuit, np.zeros(1))
+    assert np.allclose(tangent, [0.0, -0.5j], atol=1e-15)
 
 
 def test_tangent_norm_bound():
     rng = np.random.default_rng(71)
     circuit = random_circuit(rng, 3, 8)
-    for tangent in tangent_states(circuit, rng.uniform(-1.0, 1.0, 8)):
-        assert np.linalg.norm(tangent.amplitudes) <= 0.5 + 1e-12
+    for tangent in _state_and_tangents(circuit, rng.uniform(-1.0, 1.0, 8))[1]:
+        assert np.linalg.norm(tangent) <= 0.5 + 1e-12
 
 
 def test_tangent_matches_central_differences():
@@ -315,7 +320,7 @@ def test_tangent_matches_central_differences():
     rng = np.random.default_rng(83)
     circuit = random_circuit(rng, 3, 6)
     theta = rng.uniform(-0.5, 0.5, 6)
-    tangents = tangent_states(circuit, theta)
+    _, tangents = _state_and_tangents(circuit, theta)
     eps = 1e-4
     for m in range(6):
         shift = np.zeros(6)
@@ -324,7 +329,7 @@ def test_tangent_matches_central_differences():
             prepare_state(circuit, theta + shift).amplitudes
             - prepare_state(circuit, theta - shift).amplitudes
         ) / (2.0 * eps)
-        assert np.max(np.abs(diff - tangents[m].amplitudes)) < 1e-7
+        assert np.max(np.abs(diff - tangents[m])) < 1e-7
 
 
 # The sweep and the adjoint Hessian pass against a gate-by-gate reference:
@@ -343,40 +348,46 @@ def _circuits(draw):
 
 
 def _run_gates(state, gates):
+    """The gates one by one as cos(θ/2)·I − i·sin(θ/2)·P, P the dense matrix."""
     for generator, angle in gates:
-        state = apply_pauli_rotation(state, generator, angle)
+        kicked = pauli_matrix(generator.letters) @ state
+        state = np.cos(0.5 * angle) * state - 1j * np.sin(0.5 * angle) * kicked
     return state
 
 
 def _kicked(state, generator, gates):
-    """(-i/2)·V·P·|state⟩ for the gates V, as raw amplitudes."""
-    return -0.5j * _run_gates(apply_pauli_string(state, generator), gates).amplitudes
+    """(-i/2)·V·P·|state⟩ for the gates V."""
+    return -0.5j * _run_gates(pauli_matrix(generator.letters) @ state, gates)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=_circuits())
 def test_sweep_equals_the_gate_by_gate_tangents(case):
     """tₘ = U_ν⋯U_{m+1}·(-i/2)Pₘ·Uₘ⋯U₁|0⟩ to 1e-14, and the pair block's
-    Re⟨Hψ|t_kl⟩, with t_kl = U_ν⋯U_{l+1}·(-i/2)Pₗ·U_l⋯U_{k+1}·(-i/2)Pₖ·Uₖ⋯U₁|0⟩."""
+    Re⟨Hψ|t_kl⟩, with t_kl = U_ν⋯U_{l+1}·(-i/2)Pₗ·U_l⋯U_{k+1}·(-i/2)Pₖ·Uₖ⋯U₁|0⟩.
+    ``prepare_state`` runs the same gate-table loop as the sweep, so its
+    amplitudes equal the sweep's ψ value for value."""
     circuit, theta, seed = case
     n, nu = circuit.num_qubits, circuit.num_parameters
     gates = list(zip(circuit.generators, circuit.theta_ref + theta))
     h = random_hamiltonian(np.random.default_rng(seed), n, 4)
     psi, tangents = _state_and_tangents(circuit, theta)
-    want_psi = _run_gates(zero_state(n), gates).amplitudes
+    zero = zero_state(n).amplitudes
+    want_psi = _run_gates(zero, gates)
     assert np.max(np.abs(psi - want_psi)) <= 1e-14
+    assert np.array_equal(prepare_state(circuit, theta).amplitudes, psi)
     for m, (generator, _) in enumerate(gates):
-        head = _run_gates(zero_state(n), gates[: m + 1])
+        head = _run_gates(zero, gates[: m + 1])
         want = _kicked(head, generator, gates[m + 1 :])
         assert np.max(np.abs(tangents[m] - want)) <= 1e-14
     got_psi, got_tangents, hessian = _state_tangents_and_hessian(circuit, theta, h)
     assert np.array_equal(got_psi, psi) and np.array_equal(got_tangents, tangents)
     h_psi = dense_hamiltonian(h) @ want_psi
     for k, (first, _) in enumerate(gates):
-        head = _run_gates(zero_state(n), gates[: k + 1])
+        head = _run_gates(zero, gates[: k + 1])
         for l in range(k + 1, nu):
-            inner = _kicked(head, first, gates[k + 1 : l + 1])  # norm 1/2
-            pair = 0.5 * _kicked(StateVector(n, 2.0 * inner), gates[l][0], gates[l + 1 :])
+            inner = _kicked(head, first, gates[k + 1 : l + 1])
+            pair = _kicked(inner, gates[l][0], gates[l + 1 :])
             assert abs(hessian[k, l] - np.vdot(h_psi, pair).real) <= 1e-13
 
 

@@ -1,6 +1,6 @@
 """Trigonometric surrogate: schedule, coefficient estimation, evaluation,
-gradients, variance propagation, Hessian extraction, symmetry diagnostics,
-and the untruncated brute-force oracle."""
+gradients, variance propagation, Hessian extraction, and the untruncated
+brute-force oracle."""
 
 import json
 import re
@@ -35,11 +35,9 @@ from analytic_descent import (
     parse_pauli_sum,
     query_schedule,
     spin_ring_hamiltonian,
-    symmetry_report,
 )
 from analytic_descent import surrogate
 from analytic_descent.surrogate import (
-    MonomialBasis,
     NoiseLevels,
     QueryPoint,
     _division_free_energy,
@@ -52,6 +50,7 @@ from conftest import (
     FullTrigExpansion,
     brute_force_energy,
     eval_gradient_reference,
+    fourier_components,
     random_circuit,
     random_hamiltonian,
 )
@@ -666,8 +665,8 @@ def _scale(model):
 
 def _series_by_direct_products(model, theta):
     """The truncated series word by word, with masked products (reference)."""
-    basis = MonomialBasis.from_theta(theta)
-    a, nu = basis.a, model.nu
+    a, b, c = fourier_components(theta)
+    nu = model.nu
 
     def rest(*skip):
         mask = np.ones(nu, dtype=bool)
@@ -676,9 +675,9 @@ def _series_by_direct_products(model, theta):
 
     value = rest() * model.eA
     for k in range(nu):
-        value += rest(k) * (basis.b[k] * model.eB[k] + basis.c[k] * model.eC[k])
+        value += rest(k) * (b[k] * model.eB[k] + c[k] * model.eC[k])
         for l in range(k + 1, nu):
-            value += rest(k, l) * basis.b[k] * basis.b[l] * model.eD[k, l]
+            value += rest(k, l) * b[k] * b[l] * model.eD[k, l]
     return value
 
 
@@ -776,25 +775,22 @@ def test_eval_energy_length_mismatch():
         eval_energy(_rx_model(), [0.1, 0.2])
 
 
-# --------------------------------------------------------- monomial basis
-
-
-def test_basis_partition_identity():
-    rng = np.random.default_rng(59)
-    theta = rng.uniform(-np.pi, np.pi, 6)
-    basis = MonomialBasis.from_theta(theta)
-    assert np.allclose(basis.a + basis.c, 1.0, atol=1e-15)
-
-
-def test_leave_one_out_matches_direct_products():
+def test_division_free_route_never_divides_by_a_vanishing_a():
+    """An axis at exactly π, where a(π) = 0, next to one at −π/2: the
+    division-free route takes its leave-out products from partial products
+    of a, so it matches the word-by-word series with no NaN or infinity."""
     rng = np.random.default_rng(61)
-    theta = rng.uniform(-np.pi, np.pi, 7)
-    theta[2] = np.pi  # a(pi) = 0 must not break the reconstruction
-    basis = MonomialBasis.from_theta(theta)
-    loo = basis.leave_one_out()
-    for k in range(7):
-        direct = np.prod(np.delete(basis.a, k))
-        assert abs(loo[k] - direct) < 1e-12
+    nu = 7
+    eD = np.triu(rng.uniform(-1.0, 1.0, (nu, nu)), 1)
+    model = SurrogateModel(
+        np.zeros(nu), 0.7, rng.uniform(-1.0, 1.0, nu), rng.uniform(-1.0, 1.0, nu), eD
+    )
+    theta = rng.uniform(-np.pi, np.pi, nu)
+    theta[2] = np.pi
+    theta[5] = -HALF_PI
+    value = eval_energy(model, theta)
+    assert np.isfinite(value)
+    assert abs(value - _series_by_direct_products(model, theta)) <= 1e-13 * _scale(model)
 
 
 # ---------------------------------------------------------- eval_gradient
@@ -998,27 +994,7 @@ def test_hessian_positive_semidefinite_at_found_optimum():
     assert np.linalg.eigvalsh(hess).min() > -1e-8
 
 
-# ------------------------------------------------------ symmetry report
-
-
-def test_symmetry_report_zero_for_stationary_model():
-    report = symmetry_report(_rx_model(0.0), samples=40, radius=0.3, rng_seed=3)
-    assert report.max_asymmetry < 1e-12
-    assert report.samples == 40
-
-
-def test_symmetry_report_rejects_non_stationary_model():
-    with pytest.raises(ValueError, match="stationar"):
-        symmetry_report(_rx_model(np.pi / 4), samples=10, radius=0.1)
-
-
-def test_symmetry_report_sees_odd_part_when_threshold_lifted():
-    report = symmetry_report(
-        _rx_model(np.pi / 4), samples=40, radius=0.3, rng_seed=5,
-        stationarity_threshold=10.0,
-    )
-    assert report.max_asymmetry > 1e-3
-    assert abs(report.eB_max - np.sqrt(2.0)) < 1e-12
+# ---------------------------------------------------- reflection symmetry
 
 
 def test_true_energy_asymmetry_shrinks_cubically_at_optimum():
@@ -1200,4 +1176,4 @@ def test_models_of_no_parameters_are_rejected_where_they_are_built():
     with pytest.raises(ValueError, match=message):
         model_from_json(json.dumps(empty))
     with pytest.raises(ValueError, match=message):
-        MetricSurrogate(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+        MetricSurrogate(np.zeros(0), np.zeros((0, 0)))
