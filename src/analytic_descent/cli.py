@@ -34,6 +34,7 @@ from .pauli import parse_pauli_sum, spin_ring_hamiltonian
 from .simulator import ground_energy
 from .surrogate import (
     CircuitOracle,
+    _query_rng,
     estimate_coefficients,
     eval_energy,
     eval_gradient,
@@ -270,7 +271,7 @@ def initial_reference(config: ExperimentConfig, circuit, h) -> np.ndarray:
 def _seed_perturbation(config: ExperimentConfig, seed: int, nu: int) -> np.ndarray:
     if config.init_perturbation == 0.0:
         return np.zeros(nu)
-    rng = np.random.default_rng([config.noise.rng_seed, int(seed), 0, 4])
+    rng = _query_rng((config.noise.rng_seed, seed, 0), 4)
     return rng.uniform(-config.init_perturbation, config.init_perturbation, nu)
 
 

@@ -1,16 +1,16 @@
 """Two-loop surrogate descent, the natural-gradient baseline, and traces.
 
-The optimizer alternates an estimation phase (build the trigonometric
-surrogate at the current reference from 2ν²+ν+1 simulated energy queries)
-with a classical inner loop (natural-gradient steps on the surrogate until
-the trust radius, a feedback deviation, or the step budget stops it), then
-rebases the circuit reference and repeats.  The baseline takes conventional
+The optimizer's outer loop alternates an estimation phase (build the
+trigonometric surrogate at the current reference from 2ν²+ν+1 simulated
+energy queries) with the classical inner loop ``_walk`` (natural-gradient
+steps on the surrogate until one of its five exits), then rebases the
+circuit reference and repeats.  The baseline takes conventional
 natural-gradient steps on the true landscape at 2ν queries each.
 
 Costs are tracked in gradient-step-equivalent units: one per baseline step,
 two per estimation phase; raw query counts are tracked alongside.  All
-noise draws come from counter-based RNG streams keyed by (noise seed, run
-seed, iteration, channel), so re-runs are bit-reproducible.
+noise draws come from ``surrogate._query_rng`` streams keyed by (noise
+seed, run seed, iteration, channel, index), so re-runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .surrogate import (
     HALF_PI,
     CircuitOracle,
     NoiseLevels,
+    _query_rng,
     estimate_coefficients,
     eval_energy,
     eval_gradient,
@@ -143,7 +144,7 @@ _CSV_TYPES = {
 @dataclass
 class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    # method, ground_energy and exit; analytic descent adds inner_exits
+    # method, ground_energy, exit; analytic descent: inner_exits, one per _walk
     metadata: dict = field(default_factory=dict)
     theta: np.ndarray | None = None  # last absolute parameters, set at the end
 
@@ -223,10 +224,6 @@ def feedback_check(
     return abs(e_device - e_model)
 
 
-def _stream(*key) -> np.random.Generator:
-    return np.random.default_rng([int(k) for k in key])
-
-
 def _noisy_gradient_sigma(noise: NoiseSpec, g_norm: float, nu: int) -> float:
     """Per-entry std r·‖g‖/√ν of a noisy device gradient, floored."""
     return max(noise.relative_gradient_precision * g_norm / np.sqrt(nu), NOISE_FLOOR)
@@ -270,6 +267,84 @@ class _Recorder:
         return self.trace
 
 
+def _walk(run, outer, model, current, h, metric, config, noise, levels, g_norm, key):
+    """The inner loop: natural-gradient steps on ``model`` from θ = 0.
+
+    The θ₀ ``metric`` serves the first step, and every step under
+    ``frozen_metric``; otherwise a step takes the exact metric at its θ from
+    the sweep a record or check ran there, else from ``qfi_exact``.  A check
+    reuses the energies and sweep gradient taken for it.  Returns θ, the exit
+    reason, the steps taken, and the (true, model) energies held at θ or None:
+
+    - "stationary": the surrogate gradient is flat; the steps before it;
+    - "trust_radius": a step left ‖θ‖∞ < ``trust_radius``; that step counts;
+    - "feedback", "similarity": a check's energy deviation, or its 1−f
+      against the device gradient, is too large; the steps up to the check;
+    - "max_inner": all ``max_inner`` steps.
+    """
+    step_size, eta, trust_radius = config.step_size, config.eta, config.trust_radius
+    max_inner, frozen_metric = config.max_inner, config.frozen_metric
+    record_every, feedback_period = config.record_inner_every, config.feedback_period
+    nu = model.nu
+    theta = np.zeros(nu)
+    held = None
+    checks = 0
+    for inner in range(1, max_inner + 1):
+        g_model = eval_gradient(model, theta)
+        if np.abs(g_model).max() < _STATIONARY_GRADIENT:
+            return theta, "stationary", inner - 1, held
+        if metric is None:
+            metric = qfi_exact(current, theta)
+        direction = regularized_natural_direction(metric, eta, g_model)
+        theta = theta - step_size * direction
+        if not frozen_metric:
+            metric = None
+        norm = np.abs(theta).max()  # NaN and inf propagate through max
+        outside = not norm < trust_radius
+        if outside and not np.isfinite(norm):
+            raise DivergenceError(
+                f"non-finite parameters at outer {outer} inner {inner}; "
+                f"step_size {step_size} diverged",
+                run.trace,
+            )
+        record = record_every and inner % record_every == 0
+        check = feedback_period and not outside and inner % feedback_period == 0
+        held = None
+        if record or check:
+            e_model = eval_energy(model, theta)
+            # a sweep's metric serves the next step, when the walk goes on
+            if metric is None and not (outside or inner == max_inner):
+                e_true, g_true, metric = energy_gradient_metric(current, theta, h)
+            else:
+                e_true, g_true = energy(current, theta, h), None
+            held = e_true, e_model
+            if record:
+                run.record("inner", outer, inner, e_true, e_model)
+        if outside:
+            return theta, "trust_radius", inner, held
+        if check:
+            checks += 1
+            rng = _query_rng(key + (2,), checks)
+            deviation = feedback_check(e_true, e_model, levels, rng)
+            run.raw += 1
+            run.record("feedback", outer, inner, e_true, e_model)
+            if deviation > config.feedback_tolerance:
+                return theta, "feedback", inner, held
+            if config.similarity_feedback:
+                device_grad = g_true
+                if device_grad is None:
+                    device_grad = energy_gradient(current, theta, h)
+                if noise.enabled:
+                    sigma = _noisy_gradient_sigma(noise, g_norm, nu)
+                    draws = _query_rng(key + (3,), checks).standard_normal(nu)
+                    device_grad = device_grad + sigma * draws
+                run.raw += 2 * nu
+                g_model = eval_gradient(model, theta)  # at the device's θ
+                if one_minus_f(g_model, device_grad) > config.similarity_abort:
+                    return theta, "similarity", inner, held
+    return theta, "max_inner", max_inner, held
+
+
 def run_analytic_descent(
     circuit: AnsatzCircuit,
     h,
@@ -279,124 +354,49 @@ def run_analytic_descent(
 ) -> OptimizationTrace:
     """Alternate surrogate estimation and natural-gradient descent on it.
 
-    Each outer iteration costs 2 units and 2ν²+ν+1 raw queries (plus any
-    feedback queries); the inner loop preconditions the surrogate gradient
-    with the exact metric at the displaced point (or the reference-point
-    metric under ``frozen_metric``) and stops on the trust radius, feedback
-    deviation, directional-similarity abort, stationarity, or ``max_inner``.
-    Convergence is declared when the true energy is within
-    ``convergence_threshold`` of the exact ground energy.
-    The θ₀ gradient and metric come from the oracle's sweep; a later metric
-    from ``qfi_exact`` or the ``energy_gradient_metric`` sweep of a record.
-    A feedback check uses the energies its record holds at that θ, and
-    similarity feedback that sweep's gradient when one ran there.
+    The outer loop: each step estimates the surrogate at θ₀ (2 cost units,
+    2ν²+ν+1 raw queries; the oracle's sweep there gives the gradient that
+    sets the noise levels and the walk's first metric), walks it with
+    ``_walk``, rebases the circuit at the walk's θ and records both energies
+    there.  Feedback checks add their queries.  Converged when the true
+    energy is within ``convergence_threshold`` of the exact ground energy.
     """
     nu = circuit.num_parameters
     run = _Recorder("analytic_descent", h, config.convergence_threshold)
+    inner_exits = run.trace.metadata["inner_exits"] = []
     current = circuit
     zeros = np.zeros(nu)
     if run.record("outer", 0, 0, energy(current, zeros, h)):
         return run.finish(current.theta_ref)
 
-    step_size, eta, trust_radius = config.step_size, config.eta, config.trust_radius
-    max_inner, frozen_metric = config.max_inner, config.frozen_metric
-    record_every, feedback_period = config.record_inner_every, config.feedback_period
-    inner_exits = []
     schedule = query_schedule(nu)
     for outer in range(1, config.max_outer + 1):
         oracle = CircuitOracle(current, h)
         psi, tangents, g_reference = oracle.reference()
         g_norm = float(np.linalg.norm(g_reference))
         levels = precision_policy(g_norm, nu, noise) if noise.enabled else None
-        model = estimate_coefficients(
-            oracle, schedule, levels, rng_seed=(noise.rng_seed, rng_seed, outer, 0)
-        )
+        key = (noise.rng_seed, rng_seed, outer)  # a draw's key adds channel, index
+        model = estimate_coefficients(oracle, schedule, levels, rng_seed=key + (0,))
         run.raw += len(schedule)
         run.cost += 2.0
-
-        theta = zeros.copy()
-        # e_model and e_true are the surrogate and true energies at the θ of
-        # step ``held``, the last step that recorded or checked
-        held = -1
-        metric = qfi_from_tangents(psi, tangents)  # at θ = 0
-        exit_reason = "max_inner"
-        inner_done = 0
-        feedback_events = 0
-        for inner in range(1, max_inner + 1):
-            g_model = eval_gradient(model, theta)
-            if np.abs(g_model).max() < _STATIONARY_GRADIENT:
-                exit_reason = "stationary"
-                break
-            if metric is None:
-                metric = qfi_exact(current, theta)
-            direction = regularized_natural_direction(metric, eta, g_model)
-            theta = theta - step_size * direction
-            inner_done = inner
-            if not frozen_metric:
-                metric = None
-            norm = np.abs(theta).max()  # NaN and inf propagate through max
-            outside = not norm < trust_radius
-            if outside and not np.isfinite(norm):
-                raise DivergenceError(
-                    f"non-finite parameters at outer {outer} inner {inner}; "
-                    f"step_size {step_size} diverged",
-                    run.trace,
-                )
-            record = record_every and inner % record_every == 0
-            check = feedback_period and not outside and inner % feedback_period == 0
-            if record or check:
-                held = inner
-                e_model = eval_energy(model, theta)
-                # a sweep's metric serves the next step, when the loop goes on
-                if metric is None and not (outside or inner == max_inner):
-                    e_true, g_true, metric = energy_gradient_metric(current, theta, h)
-                else:
-                    e_true, g_true = energy(current, theta, h), None
-                if record:
-                    run.record("inner", outer, inner, e_true, e_model)
-            if outside:
-                exit_reason = "trust_radius"
-                break
-            if check:
-                feedback_events += 1
-                deviation = feedback_check(
-                    e_true, e_model, levels,
-                    _stream(noise.rng_seed, rng_seed, outer, 2, feedback_events),
-                )
-                run.raw += 1
-                run.record("feedback", outer, inner, e_true, e_model)
-                if deviation > config.feedback_tolerance:
-                    exit_reason = "feedback"
-                    break
-                if config.similarity_feedback:
-                    device_grad = g_true
-                    if device_grad is None:
-                        device_grad = energy_gradient(current, theta, h)
-                    if noise.enabled:
-                        sigma = _noisy_gradient_sigma(noise, g_norm, nu)
-                        device_grad = device_grad + sigma * _stream(
-                            noise.rng_seed, rng_seed, outer, 3, feedback_events
-                        ).standard_normal(nu)
-                    run.raw += 2 * nu
-                    g_model = eval_gradient(model, theta)  # at the device's θ
-                    if one_minus_f(g_model, device_grad) > config.similarity_abort:
-                        exit_reason = "similarity"
-                        break
-        inner_exits.append({"outer": outer, "reason": exit_reason, "steps": inner_done})
+        theta, reason, steps, held = _walk(
+            run, outer, model, current, h, qfi_from_tangents(psi, tangents),
+            config, noise, levels, g_norm, key,
+        )
+        inner_exits.append({"outer": outer, "reason": reason, "steps": steps})
 
         current = current.rebased(theta)
-        # A record at the loop's last θ holds both energies there; ``rebased``
-        # adds θ to θ₀ as ``energy`` does, so they are the rebased circuit's.
-        recorded = held == inner_done
-        if not recorded:
-            e_true = energy(current, zeros, h)
+        # The energies held at the walk's last θ are the rebased circuit's:
+        # ``rebased`` adds θ to θ₀ as ``energy`` does.
+        if held is None:
+            held = energy(current, zeros, h), None
+        e_true, e_model = held
         if not np.isfinite(e_true):
             raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
-        if not recorded:
+        if e_model is None:
             e_model = eval_energy(model, theta)
-        if run.record("outer", outer, inner_done, e_true, e_model):
+        if run.record("outer", outer, steps, e_true, e_model):
             break
-    run.trace.metadata["inner_exits"] = inner_exits
     return run.finish(current.theta_ref)
 
 
@@ -424,9 +424,8 @@ def run_natural_gradient(
     for step in range(1, config.max_outer + 1):
         if noise.enabled:
             sigma = _noisy_gradient_sigma(noise, float(np.linalg.norm(g)), nu)
-            g = g + sigma * _stream(
-                noise.rng_seed, rng_seed, step, 1
-            ).standard_normal(nu)
+            draws = _query_rng((noise.rng_seed, rng_seed, step), 1).standard_normal(nu)
+            g = g + sigma * draws
         direction = regularized_natural_direction(metric, config.eta, g)
         theta = theta - config.step_size * direction
         run.cost += 1.0

@@ -383,6 +383,39 @@ def test_descent_divergence_carries_partial_trace():
     assert len(info.value.trace.records) == 1
 
 
+def test_a_converged_start_reports_no_inner_exits():
+    config = OptimizerConfig(step_size=0.01, record_inner_every=0)
+    trace = run_analytic_descent(_rx(np.pi), Z_FIELD, config, NoiseSpec())
+    assert trace.metadata["exit"] == "converged"
+    assert len(trace.records) == 1
+    assert trace.metadata["inner_exits"] == []
+
+
+def test_a_divergence_keeps_the_inner_exits_of_finished_outer_steps(monkeypatch):
+    """Outer step 2's walk diverges on its first step; the partial trace
+    carries the exit of outer step 1, whose walk and record finished."""
+    ring, start = _ring3_start()
+    counts = _counting(monkeypatch, descent, ("estimate_coefficients",))
+    gradient = descent.eval_gradient
+
+    def diverging(model, theta):
+        g = gradient(model, theta)
+        return np.full_like(g, np.inf) if counts["estimate_coefficients"] == 2 else g
+
+    monkeypatch.setattr(descent, "eval_gradient", diverging)
+    config = OptimizerConfig(
+        step_size=0.01, max_outer=3, max_inner=40, record_inner_every=0,
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+        run_analytic_descent(start, ring, config, NoiseSpec())
+    assert "non-finite parameters at outer 2 inner 1" in str(info.value)
+    trace = info.value.trace
+    assert [r.outer for r in trace.records] == [0, 1]
+    (exit_,) = trace.metadata["inner_exits"]
+    assert exit_ == {"outer": 1, "reason": "max_inner", "steps": 40}
+    assert trace.final.inner == 40
+
+
 def test_spin_ring_descent_regression():
     ring = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(4).uniform(-1, 1, 3))
     ansatz = build_hardware_efficient(3, 1)
@@ -585,11 +618,24 @@ def test_trust_radius_just_under_half_pi_exits_on_the_radius(monkeypatch, tmp_pa
     assert first == second
 
 
-def test_one_parameter_runs_under_frozen_and_per_step_metrics(tmp_path):
+def test_one_parameter_runs_under_frozen_and_per_step_metrics(monkeypatch, tmp_path):
     """ν = 1 under both metrics: a single RX's metric is 1 everywhere, so the
-    two walks are the same, and each rerun writes the same bytes."""
+    two walks are the same, and each rerun writes the same bytes.  The metric
+    is 1 only to rounding: a per-step metric can differ from θ₀'s in its last
+    bits, and the walk's θ by an ulp or two.  So the test asserts its premise
+    first: each outer step starts from the same θ₀ under both metrics, bit
+    for bit, and the walks' θ agree to within 4 ulps at every step."""
+    gradient = descent.eval_gradient
+    walked = {}
     written = {}
     for frozen in (True, False):
+        reached = walked[frozen] = []
+
+        def recording(model, theta, reached=reached):
+            reached.append((model.theta0.tobytes(), theta))
+            return gradient(model, theta)
+
+        monkeypatch.setattr(descent, "eval_gradient", recording)
         config = OptimizerConfig(
             step_size=0.01, max_outer=4, max_inner=15, frozen_metric=frozen,
             feedback_period=4, record_inner_every=3, convergence_threshold=1e-9,
@@ -601,6 +647,18 @@ def test_one_parameter_runs_under_frozen_and_per_step_metrics(tmp_path):
         runs = [_trace_bytes(t, tmp_path / f"{frozen}{i}.csv") for i, t in enumerate(traces)]
         assert runs[0] == runs[1]
         written[frozen] = runs[0]
+    pairs = list(zip(walked[True], walked[False]))
+    assert len(pairs) == 2 * 4 * 15
+    same_start = all(start == start_ for (start, _), (start_, _) in pairs)
+    close = all(
+        np.abs(theta - theta_).max() <= 4 * np.spacing(np.abs(theta).max())
+        for (_, theta), (_, theta_) in pairs
+    )
+    assert same_start and close, (
+        "the per-step walk left the frozen one: its metric's last-bit deviations "
+        "from θ₀'s no longer round away (see the CHANGES.md FOUND line on this "
+        "test passing only by a rounding coincidence)"
+    )
     assert written[True] == written[False]
 
 

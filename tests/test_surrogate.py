@@ -290,8 +290,12 @@ def test_threaded_dispatch_builds_the_oracle_cache_once(monkeypatch):
 
 @pytest.mark.parametrize("part", [0, 2**32 - 1, 2**32, 2**64 + 5])
 def test_query_rng_draws_equal_the_seed_sequence_of_the_key(part):
-    for key in ((part,), (3, part, 1, 0)):
-        for index in (0, 17, part):
+    # (3, part, 1, 0) + [index] is an estimation's query.  4-part keys are
+    # (noise seed, run seed, step) + [1] for an NG gradient and (…, 0) + [4]
+    # for the CLI's start; 5-part keys, (…, outer, 2 or 3) + [check], a walk's.
+    keys = ((part,), (3, part, 1, 0), (3, part, 7), (3, part, 7, 2), (3, 5, part, 3))
+    for key in keys:
+        for index in (0, 1, 17, part):
             expected = np.random.default_rng(list(key) + [index]).standard_normal(4)
             assert np.array_equal(_query_rng(key, index).standard_normal(4), expected)
     expected = np.random.default_rng([part, 9]).standard_normal(4)
