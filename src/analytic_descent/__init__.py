@@ -31,7 +31,6 @@ from .descent import (
     write_trace_csv,
 )
 from .metric import (
-    MetricSurrogate,
     MetricTensor,
     qfi_exact,
     qfi_surrogate_estimate,
@@ -77,7 +76,6 @@ __all__ = [
     "CircuitOracle",
     "DivergenceError",
     "GroundEnergyError",
-    "MetricSurrogate",
     "MetricTensor",
     "NoiseLevels",
     "NoiseSpec",

@@ -25,6 +25,7 @@ from .descent import (
     DivergenceError,
     NoiseSpec,
     OptimizerConfig,
+    _refuse_non_finite,
     one_minus_f,
     run_analytic_descent,
     run_natural_gradient,
@@ -113,6 +114,7 @@ class ExperimentConfig:
     basis_state_init: bool
 
     def __post_init__(self):
+        _refuse_non_finite(self)  # spin_ring_j, ng_step_size, init_perturbation
         if (self.hamiltonian_file is None) == (self.spin_ring_n is None):
             raise ValueError(
                 "config must name exactly one Hamiltonian source: "

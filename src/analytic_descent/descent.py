@@ -52,6 +52,14 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _refuse_non_finite(settings) -> None:
+    """Raise naming the first float field of a settings dataclass that is NaN or ±inf."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "float" and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Shot-noise switch and target relative gradient precision."""
@@ -61,6 +69,7 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if self.relative_gradient_precision <= 0.0:
             raise ValueError(
                 f"relative gradient precision must be > 0, got "
@@ -95,6 +104,7 @@ class OptimizerConfig:
     record_inner_every: int = 1
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if self.step_size <= 0.0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.eta < 0.0:

@@ -5,8 +5,10 @@ For a pure state |ψ(θ)⟩ the metric is F_mn = 2 tr[∂ₘρ ∂ₙρ] with
 `qfi_from_tangents` evaluates this from a tangent sweep's ψ and tangents.
 The paper's metric surrogate (O(δ) accurate near θ₀) is provided alongside
 for study.  For a circuit of Pauli rotations its a·b word vanishes and its
-b·b coefficients are fBB = 2F(θ₀), so it keeps the b·b word alone and is
-estimated from the same sweep; the optimizer defaults to the exact metric.
+b·b coefficients are 2F(θ₀), so it is F(θ₀)∘wwᵀ with one weight wₘ per
+axis, evaluated from the anchor metric itself; the optimizer uses the exact
+metric.  Every sweep starts at ``simulator._rotations``, which checks θ and
+the register's qubit cap.
 
 The linear algebra is numpy's alone: a Cholesky factorization checks that
 a metric is PSD, and ``regularized_natural_direction`` keeps, per metric
@@ -31,7 +33,7 @@ from functools import cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .ansatz import AnsatzCircuit, _frozen_array
+from .ansatz import AnsatzCircuit
 # Not used here: the benchmark's boundaries() wraps metric.prepare_state.
 from .ansatz import prepare_state  # noqa: F401
 from .simulator import _expectation, _real_overlaps, _state_and_tangents
@@ -94,29 +96,6 @@ class MetricTensor:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class MetricSurrogate:
-    """Coefficients of the leading metric word class at θ₀.
-
-    fBB[m,n] multiplies the b'·b' word.  For every circuit the package
-    builds, fBB = 2F(θ₀) (see ``qfi_surrogate_estimate``).
-    """
-
-    theta0: np.ndarray
-    fBB: np.ndarray
-
-    def __post_init__(self):
-        nu = len(self.theta0)
-        if nu < 1:
-            raise ValueError(f"parameter count must be >= 1, got {nu}")
-        object.__setattr__(self, "theta0", _frozen_array(self.theta0, (nu,), "theta0"))
-        object.__setattr__(self, "fBB", _frozen_array(self.fBB, (nu, nu), "fBB"))
-
-    @property
-    def nu(self) -> int:
-        return len(self.theta0)
-
-
 def qfi_from_tangents(psi: np.ndarray, tangents: np.ndarray) -> MetricTensor:
     """Fisher information of a state ψ with tangent rows tₘ = ∂ψ/∂θₘ.
 
@@ -149,33 +128,32 @@ def energy_gradient_metric(circuit: AnsatzCircuit, theta, h):
     return e, 2.0 * _real_overlaps(tangents, h_psi), qfi_from_tangents(psi, tangents)
 
 
-def qfi_surrogate_estimate(circuit: AnsatzCircuit, theta0) -> MetricSurrogate:
-    """Leading metric coefficients at θ₀, from one tangent sweep.
+def qfi_surrogate_estimate(circuit: AnsatzCircuit, theta0) -> MetricTensor:
+    """The metric surrogate's anchor F(θ₀), from one tangent sweep.
 
-    The paper combines overlaps of ±π/2 single-shifted states: fBB[m,n] the
-    four of the (±m, ±n) pairs, and the a·b word's [·,n] the two of ψ with
-    the ±n ones.  Every gate is exp(−iθP/2) with P² = I, so
-    ψ(±π/2·eₘ) = (ψ ± 2tₘ)/√2 with tₘ = ∂ψ/∂θₘ, and ⟨ψ|tₘ⟩ is imaginary
-    because ψ stays normalized; the four-overlap combination is then 2·F(θ₀)
-    and the two-overlap one 0.
+    The paper combines overlaps of ±π/2 single-shifted states: the b·b
+    coefficient [m,n] the four of the (±m, ±n) pairs, and the a·b word's
+    [·,n] the two of ψ with the ±n ones.  Every gate is exp(−iθP/2) with
+    P² = I, so ψ(±π/2·eₘ) = (ψ ± 2tₘ)/√2 with tₘ = ∂ψ/∂θₘ, and ⟨ψ|tₘ⟩ is
+    imaginary because ψ stays normalized; the four-overlap combination is
+    then 2·F(θ₀) and the two-overlap one 0, so the surrogate is fixed by
+    F(θ₀) alone (``qfi_surrogate_eval``).
     """
-    metric = qfi_from_tangents(*_state_and_tangents(circuit, theta0))
-    return MetricSurrogate(theta0, 2.0 * metric.entries)
+    return qfi_exact(circuit, theta0)
 
 
-def qfi_surrogate_eval(s: MetricSurrogate, theta) -> MetricTensor:
-    """Metric surrogate at θ (relative to θ₀); O(δ) accurate.
+def qfi_surrogate_eval(anchor: MetricTensor, theta) -> MetricTensor:
+    """Metric surrogate at θ (relative to θ₀) from the anchor metric F(θ₀).
 
-    Entry (m,n) is fBB[m,n]·2·B'ₘB'ₙ, symmetrized, where B'ₘ is the
-    θₘ-derivative of the single-b monomial; with fBB = 2F(θ₀) that is
-    F(θ₀)∘wwᵀ, w = 2B'.  In t = tan(θ/2) and q = 1 + t², B'ₘ = (1 − tₘ²)/(2∏q),
-    declared for ‖θ‖∞ < π/2 only (``TrustRegionError`` outside).  At θ=0
-    this is fBB/2 exactly.
+    The b·b word alone: F(θ₀)∘wwᵀ with w = 2B', where B'ₘ is the
+    θₘ-derivative of the single-b monomial.  In t = tan(θ/2) that is
+    wₘ = (1 − tₘ²)/∏(1 + t²), declared for ‖θ‖∞ < π/2 only
+    (``TrustRegionError`` outside).  O(δ) accurate; at θ=0 it is F(θ₀)
+    exactly.
     """
-    t, q = _half_angle_tangents(s, theta)
-    dB = (1.0 - t * t) / (2.0 * q.prod())
-    raw = 2.0 * s.fBB * np.outer(dB, dB)
-    return MetricTensor(s.nu, 0.5 * (raw + raw.T))
+    t, q = _half_angle_tangents(anchor, theta)
+    w = (1.0 - t * t) / q.prod()
+    return MetricTensor(anchor.nu, anchor.entries * np.outer(w, w))
 
 
 def cho_factor(entries: np.ndarray, eta: float) -> np.ndarray:

@@ -24,6 +24,9 @@ overlaps with one adjoint row per gate, without forming any t_kl.  The
 metric, the energy gradient and the batched schedule oracle are all built
 from it.
 
+Every simulation starts at ``_rotations``, which refuses a register over
+``MAX_QUBITS`` qubits before any state, block or gate table is allocated.
+
 All operations are pure functions over immutable values; kernels, gate
 tables and compiled sums are cached on first use and never changed, and
 importing the module builds none of them.
@@ -233,8 +236,12 @@ def _rotations(circuit: AnsatzCircuit, theta):
     gathers and spawn phases, every gate's cos(half-angle) and
     -i·sin(half-angle)·phase, the latter in one product.
 
-    Every simulation starts here, so θ is checked here: ν entries, all finite.
+    Every simulation starts here, so the register and θ are checked here:
+    at most ``MAX_QUBITS`` qubits, before any 2^N-sized array is built, and
+    ν entries of θ, all finite.
     """
+    if circuit.num_qubits > MAX_QUBITS:
+        raise ValueError(f"qubit count {circuit.num_qubits} exceeds cap {MAX_QUBITS}")
     theta = np.asarray(theta, dtype=float)
     nu = circuit.num_parameters
     if theta.shape != (nu,):
@@ -250,7 +257,8 @@ def _forward(circuit: AnsatzCircuit, gates) -> np.ndarray:
     """U_ν⋯U₁|0⟩ for ``_rotations``' gates: gate l maps ψ to
     c·ψ + (-i·s·phase)·ψ[src], with no gather for a diagonal generator."""
     srcs, _, cos, rotate = gates
-    psi = zero_state(circuit.num_qubits).amplitudes
+    psi = np.zeros(2**circuit.num_qubits, dtype=np.complex128)
+    psi[0] = 1.0
     for src, c, rot in zip(srcs, cos, rotate):
         psi = c * psi + rot * (psi if src is None else psi.take(src))
     return psi
@@ -301,8 +309,8 @@ def _state_and_tangents(circuit: AnsatzCircuit, theta):
 
 
 def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
-    """ψ, the tangents T, and the matrix of Re⟨Hψ|t_kl⟩, k < l, at [k, l]
-    (zero elsewhere), where t_kl = ∂²ψ/∂θ_k∂θ_l; ψ and T are
+    """ψ, the tangents T, the matrix of Re⟨Hψ|t_kl⟩, k < l, at [k, l]
+    (zero elsewhere), where t_kl = ∂²ψ/∂θ_k∂θ_l, and Hψ; ψ and T are
     ``_state_and_tangents``'s, bit for bit.
 
     t_kl is tₖ carried through gate l, hit by (-i/2)·Pₗ and carried on by
@@ -313,11 +321,12 @@ def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
     """
     gates = _rotations(circuit, theta)
     srcs, spawns, cos, rotate = gates
-    psi = _forward(circuit, gates)
-    mu = _apply_hamiltonian(psi, h)
-    adjoint = np.empty((len(srcs), len(psi)), dtype=np.complex128)
+    # The forward ψ is the sweep's, value for value (the same products in
+    # the same order), so its Hψ serves the caller too.
+    h_psi = mu = _apply_hamiltonian(_forward(circuit, gates), h)
+    adjoint = np.empty((len(srcs), len(mu)), dtype=np.complex128)
     for l in reversed(range(len(srcs))):
         gathered = mu if srcs[l] is None else mu.take(srcs[l])
         np.multiply(gathered, -spawns[l], out=adjoint[l])  # (i/2)·Pₗ·μ
         mu = cos[l] * mu - rotate[l] * gathered  # Uₗ†·μ
-    return _sweep(circuit, gates, adjoint)
+    return *_sweep(circuit, gates, adjoint), h_psi

@@ -277,22 +277,16 @@ def _seed_states(rng_seed, indices) -> np.ndarray:
     """Row i is ``SeedSequence(key + [indices[i]]).generate_state(4, np.uint64)``.
 
     The seed words of ``default_rng(list(key) + [index])`` for every index in
-    one batch.  Indices are int64 schedule positions, split into one or two
-    32-bit words; each word count is one batch.
+    one batch.  Indices are schedule positions, one 32-bit word each: a
+    negative index is refused, and so is one of 2**32 or more.
     """
-    key_words = _key_words(_key_parts(rng_seed))
-    key = [np.array([word], dtype=np.uint32) for word in key_words]
+    key = [np.array([word], dtype=np.uint32) for word in _key_words(_key_parts(rng_seed))]
     index = np.asarray(indices, dtype=np.int64)
     if index.size and index.min() < 0:
         raise ValueError(f"noise key parts must be non-negative, got {index.min()}")
-    index = index.astype(np.uint64)
-    words = np.stack([index & _MASK32, index >> 32], axis=1).astype(np.uint32)
-    lengths = 1 + (words[:, 1] != 0)
-    states = np.empty((len(lengths), 4), dtype=np.uint64)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        states[rows] = _generate_state(key + list(words[rows, :length].T))
-    return states
+    if index.size and index.max() > _MASK32:
+        raise ValueError(f"noise indices must be below 2**32, got {index.max()}")
+    return _generate_state(key + [index.astype(np.uint32)])
 
 
 def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
@@ -323,8 +317,8 @@ def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    rows = max(len(word) for word in entropy)
-    state = np.empty((rows, 2 * _POOL_SIZE), dtype=np.uint32)
+    # Every pool word has mixed with every entropy word, so it has all rows.
+    state = np.empty((len(pool[0]), 2 * _POOL_SIZE), dtype=np.uint32)
     hash_const = _INIT_B
     for i in range(2 * _POOL_SIZE):
         value = pool[i % _POOL_SIZE] ^ hash_const
@@ -568,8 +562,9 @@ class CircuitOracle:
     def _build_cache(self):
         circuit, h = self.circuit, self.h
         nu = circuit.num_parameters
-        psi, tangents, hessian = _state_tangents_and_hessian(circuit, np.zeros(nu), h)
-        h_psi = _apply_hamiltonian(psi, h)
+        psi, tangents, hessian, h_psi = _state_tangents_and_hessian(
+            circuit, np.zeros(nu), h
+        )
         g = _real_overlaps(tangents, h_psi)
         G = _real_overlaps(tangents, _apply_hamiltonian(tangents, h))
         # gram[k] is Re⟨u|H|v⟩ over u, v ∈ (ψ, t_k).

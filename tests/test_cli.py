@@ -399,8 +399,16 @@ def test_run_missing_config_is_an_error(tmp_path, capsys):
         ("N = 2", "N = two", "[hamiltonian] N: "),
         ("enabled = true", "enabled = maybe", "[noise] enabled: "),
         ("seeds = 1", "seeds = 1,x", "[run] seeds: "),
+        ("max_outer = 40", "max_outer = 40\nconvergence_threshold = nan",
+         "convergence_threshold must be finite"),
+        ("max_outer = 40", "max_outer = 40\nng_step_size = inf", "ng_step_size must be finite"),
+        ("relative_gradient_precision = 0.1", "relative_gradient_precision = -inf",
+         "relative_gradient_precision must be finite"),
+        ("init_perturbation = 0.3", "init_perturbation = nan", "init_perturbation must be finite"),
+        ("N = 2", "N = 2\nJ = nan", "spin_ring_j must be finite"),
     ],
-    ids=["eta", "N", "enabled", "seeds"],
+    ids=["eta", "N", "enabled", "seeds", "nan-convergence_threshold", "inf-ng_step_size",
+         "inf-relative_gradient_precision", "nan-init_perturbation", "nan-J"],
 )
 def test_wrong_type_ini_values_name_their_key(tmp_path, capsys, old, new, key):
     config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI.replace(old, new))

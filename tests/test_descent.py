@@ -75,6 +75,9 @@ def test_noise_spec_validation():
         NoiseSpec(True, 0.0)
     with pytest.raises(ValueError):
         NoiseSpec(True, 0.1, -1)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="relative_gradient_precision must be finite"):
+            NoiseSpec(True, value)
 
 
 def test_optimizer_config_validation():
@@ -90,6 +93,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(step_size=0.1, feedback_period=-1)
     with pytest.raises(ValueError, match="convergence_threshold"):
         OptimizerConfig(step_size=0.1, convergence_threshold=0.0)
+    for name in ("step_size", "eta", "trust_radius", "feedback_tolerance",
+                 "convergence_threshold", "similarity_abort"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                OptimizerConfig(**{"step_size": 0.1, name: value})
 
 
 def test_one_minus_f_geometry():
@@ -175,6 +183,47 @@ def test_zero_gradient_start_stays_stationary():
     assert trace.metadata["exit"] == "budget"
     assert all(r.energy_true == 1.0 for r in trace.records)
     assert all(e["reason"] == "stationary" for e in trace.metadata["inner_exits"])
+
+
+def test_noise_floor_lifts_both_optimizers_off_a_stationary_maximum(monkeypatch, tmp_path):
+    """At an exact stationary point that is not the ground state (E = +1,
+    g = 0) every noise level is the floor; its draws alone move both runs
+    off the maximum, reproducibly, and both converge."""
+    circuit = AnsatzCircuit(1, (PauliString("Y"),))
+    noise = NoiseSpec(enabled=True, relative_gradient_precision=0.1, rng_seed=0)
+    levels, sigmas = [], []
+
+    def spy(record, function):
+        def wrapped(*args):
+            record.append(function(*args))
+            return record[-1]
+        return wrapped
+
+    monkeypatch.setattr(descent, "precision_policy", spy(levels, descent.precision_policy))
+    monkeypatch.setattr(
+        descent, "_noisy_gradient_sigma", spy(sigmas, descent._noisy_gradient_sigma)
+    )
+    runs = {
+        "ad": (run_analytic_descent, OptimizerConfig(step_size=0.01, max_outer=100)),
+        "ng": (run_natural_gradient, OptimizerConfig(step_size=0.01, max_outer=30_000)),
+    }
+    for name, (run, config) in runs.items():
+        texts = []
+        for attempt in range(2):
+            trace = run(circuit, Z_FIELD, config, noise, 1)
+            assert trace.metadata["exit"] == "converged"
+            assert trace.records[0].energy_true == 1.0
+            assert trace.final.energy_true < -0.99
+            for r in trace.records:
+                assert np.isfinite(r.energy_true)
+                assert r.energy_model is None or np.isfinite(r.energy_model)
+            path = tmp_path / f"{name}{attempt}.csv"
+            write_trace_csv(trace, path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+    first = levels[0]
+    assert (first.sigma_a, first.sigma_b, first.sigma_c, first.sigma_d) == (NOISE_FLOOR,) * 4
+    assert sigmas[0] == NOISE_FLOOR
 
 
 def test_trust_region_exit_bounds_the_displacement():

@@ -28,7 +28,6 @@ from analytic_descent import ansatz as ansatz_module
 from analytic_descent import metric as metric_module
 from analytic_descent.ansatz import prepare_state
 from analytic_descent.metric import (
-    MetricSurrogate,
     MetricTensor,
     energy_gradient_metric,
     qfi_exact,
@@ -239,8 +238,9 @@ def test_one_sweep_gives_the_separate_routes_bit_for_bit():
 def test_surrogate_single_rotation_coefficients():
     circuit = AnsatzCircuit(1, (PauliString("X"),))
     s = qfi_surrogate_estimate(circuit, np.zeros(1))
-    assert abs(s.fBB[0, 0] - 2.0) < 1e-12
-    _, column = _overlap_coefficients(circuit, np.zeros(1))
+    bb, column = _overlap_coefficients(circuit, np.zeros(1))
+    assert abs(bb[0, 0] - 2.0) < 1e-12
+    assert s.entries[0, 0] == 1.0
     assert abs(column[0]) < 1e-12
 
 
@@ -249,21 +249,22 @@ def test_surrogate_symmetry_and_shapes():
     circuit = random_circuit(rng, 2, 5)
     theta0 = rng.uniform(-1, 1, 5)
     s = qfi_surrogate_estimate(circuit, theta0)
-    assert np.array_equal(s.fBB, s.fBB.T)
-    assert s.fBB.shape == (5, 5)
+    assert np.array_equal(s.entries, s.entries.T)
+    assert s.entries.shape == (5, 5)
+    at = qfi_surrogate_eval(s, rng.uniform(-1, 1, 5)).entries
+    assert np.array_equal(at, at.T)
     # the a·b word's overlap column, which the surrogate leaves out, is zero
     _, column = _overlap_coefficients(circuit, theta0)
     assert np.max(np.abs(column)) < 1e-12
 
 
-def test_surrogate_at_anchor_is_half_fBB_and_matches_exact():
+def test_surrogate_at_anchor_is_the_anchor_metric():
     rng = np.random.default_rng(19)
     circuit = random_circuit(rng, 2, 4)
     s = qfi_surrogate_estimate(circuit, np.zeros(4))
-    at0 = qfi_surrogate_eval(s, np.zeros(4))
-    assert np.array_equal(at0.entries, s.fBB / 2.0)
     exact = qfi_exact(circuit, np.zeros(4)).entries
-    assert np.max(np.abs(at0.entries - exact)) < 1e-12
+    assert np.array_equal(s.entries, exact)
+    assert np.array_equal(qfi_surrogate_eval(s, np.zeros(4)).entries, exact)
 
 
 def test_surrogate_error_shrinks_linearly():
@@ -298,17 +299,17 @@ def test_surrogate_eval_trust_region():
 
 
 def test_surrogate_validation():
-    with pytest.raises(ValueError, match="fBB"):
-        MetricSurrogate(np.zeros(2), np.zeros((3, 3)))
+    circuit = AnsatzCircuit(1, (PauliString("X"),))
     with pytest.raises(ValueError, match="expected 1 parameters"):
-        circuit = AnsatzCircuit(1, (PauliString("X"),))
         qfi_surrogate_estimate(circuit, np.zeros(2))
+    with pytest.raises(ValueError, match="expected parameter vector of length 1"):
+        qfi_surrogate_eval(qfi_surrogate_estimate(circuit, np.zeros(1)), np.zeros(2))
 
 
 def _overlap_coefficients(circuit, theta0):
     """The paper's overlap combinations at ±π/2 single shifts, literally:
-    fBB[m,n] from the four (±m, ±n) pairs, and the a·b word's column [·,n]
-    from ψ and the ±n states."""
+    the b·b coefficient [m,n] from the four (±m, ±n) pairs, and the a·b
+    word's column [·,n] from ψ and the ±n states."""
     nu = circuit.num_parameters
     base = prepare_state(circuit, theta0).amplitudes
     shifted = {}
@@ -321,7 +322,7 @@ def _overlap_coefficients(circuit, theta0):
     def overlap(a, b):
         return abs(np.vdot(a, b)) ** 2
 
-    fBB = np.array([
+    bb = np.array([
         [
             overlap(shifted[m, 1.0], shifted[n, 1.0])
             + overlap(shifted[m, -1.0], shifted[n, -1.0])
@@ -332,39 +333,36 @@ def _overlap_coefficients(circuit, theta0):
         for m in range(nu)
     ])
     column = [overlap(base, shifted[n, 1.0]) - overlap(base, shifted[n, -1.0]) for n in range(nu)]
-    return fBB, np.array(column)
+    return bb, np.array(column)
 
 
-def _monomial_eval(fBB, theta):
-    """``qfi_surrogate_eval``'s b·b word from leave-one-out products of a."""
+def _monomial_eval(bb, theta):
+    """The paper's b·b word, bb[m,n]·2·B'ₘB'ₙ, from leave-one-out products of a."""
     a, _, _ = fourier_components(theta)
     dB = 0.5 * np.cos(theta) * [np.prod(np.delete(a, k)) for k in range(len(a))]
-    raw = 2.0 * fBB * np.outer(dB, dB)
-    return 0.5 * (raw + raw.T)
+    return 2.0 * bb * np.outer(dB, dB)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 4), nu=st.integers(1, 8))
 def test_surrogate_from_the_sweep_is_the_overlap_surrogate(seed, qubits, nu):
-    """fBB = 2F(θ₀) is the overlap combination and the a·b word's overlap
-    column is zero, and the half-angle evaluation is the monomial one inside
-    the trust region."""
+    """The overlap combination is 2F(θ₀) and the a·b word's overlap column
+    is zero, so the paper's b·b word is F(θ₀)∘wwᵀ, which the half-angle
+    evaluation gives inside the trust region."""
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, qubits, nu)
     theta0 = rng.uniform(-np.pi, np.pi, nu)
     s = qfi_surrogate_estimate(circuit, theta0)
-    fBB, column = _overlap_coefficients(circuit, theta0)
-    assert np.max(np.abs(s.fBB - fBB)) < 1e-12
+    bb, column = _overlap_coefficients(circuit, theta0)
+    assert np.max(np.abs(2.0 * s.entries - bb)) < 1e-12
     assert np.max(np.abs(column)) < 1e-12
     exact = qfi_exact(circuit, theta0).entries
     assert np.array_equal(qfi_surrogate_eval(s, np.zeros(nu)).entries, exact)
-    overlaps = MetricSurrogate(theta0, fBB)
-    scale = np.max(np.abs(fBB))
+    scale = np.max(np.abs(exact))
     for _ in range(5):
         theta = rng.uniform(-1.5, 1.5, nu)
-        for surrogate in (s, overlaps):
-            got = qfi_surrogate_eval(surrogate, theta).entries
-            assert np.max(np.abs(got - _monomial_eval(surrogate.fBB, theta))) <= 1e-13 * scale
+        got = qfi_surrogate_eval(s, theta).entries
+        assert np.max(np.abs(got - _monomial_eval(2.0 * exact, theta))) <= 1e-13 * scale
 
 
 def test_surrogate_estimate_is_one_sweep(monkeypatch):

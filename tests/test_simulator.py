@@ -13,18 +13,24 @@ from hypothesis import strategies as st
 
 from analytic_descent import (
     AnsatzCircuit,
+    CircuitOracle,
     PauliString,
     PauliSum,
     StateVector,
+    build_hardware_efficient,
+    energy,
+    energy_gradient,
     expectation,
     ground_energy,
     hamiltonian_matrix,
     parse_pauli_sum,
     prepare_state,
+    qfi_exact,
     spin_ring_hamiltonian,
     zero_state,
 )
 from analytic_descent import pauli, simulator
+from analytic_descent.metric import energy_gradient_metric
 from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_hessian
 from conftest import (
     dense_hamiltonian,
@@ -171,6 +177,29 @@ def test_hamiltonian_matrix_rejects_more_than_ten_qubits():
     h = PauliSum(11, ((1.0, PauliString("Z" * 11)),))
     with pytest.raises(ValueError, match="dense matrix limited to 10 qubits, got 11"):
         hamiltonian_matrix(h)
+
+
+def test_every_simulation_refuses_a_register_over_the_cap(monkeypatch):
+    """The qubit cap is checked where every simulation starts, before a
+    state, tangent block or gate table is built.  The cap is patched to 3,
+    so no large register is allocated."""
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 3)
+    circuit = build_hardware_efficient(4, 1)
+    h = spin_ring_hamiltonian(4, 0.5)
+    theta = np.zeros(circuit.num_parameters)
+    routes = {
+        "energy": lambda: energy(circuit, theta, h),
+        "energy_gradient": lambda: energy_gradient(circuit, theta, h),
+        "qfi_exact": lambda: qfi_exact(circuit, theta),
+        "energy_gradient_metric": lambda: energy_gradient_metric(circuit, theta, h),
+        "reference": lambda: CircuitOracle(circuit, h).reference(),
+    }
+    for name, route in routes.items():
+        with pytest.raises(ValueError, match="qubit count 4 exceeds cap 3"):
+            route()
+    assert "_gate_table" not in vars(circuit)
+    at_cap = build_hardware_efficient(3, 1)
+    assert energy(at_cap, np.zeros(12), spin_ring_hamiltonian(3, 0.5)) == 1.5
 
 
 # The compiled form against the Kronecker-product oracle: random sums on
@@ -380,7 +409,7 @@ def test_sweep_equals_the_gate_by_gate_tangents(case):
         head = _run_gates(zero, gates[: m + 1])
         want = _kicked(head, generator, gates[m + 1 :])
         assert np.max(np.abs(tangents[m] - want)) <= 1e-14
-    got_psi, got_tangents, hessian = _state_tangents_and_hessian(circuit, theta, h)
+    got_psi, got_tangents, hessian, _ = _state_tangents_and_hessian(circuit, theta, h)
     assert np.array_equal(got_psi, psi) and np.array_equal(got_tangents, tangents)
     h_psi = dense_hamiltonian(h) @ want_psi
     for k, (first, _) in enumerate(gates):
@@ -392,16 +421,18 @@ def test_sweep_equals_the_gate_by_gate_tangents(case):
 
 
 def test_second_order_sweep_keeps_the_first_order_rows():
-    """The adjoint Hessian sweep carries ψ and T bit for bit, and fills only
-    the strict upper triangle of the pair block."""
+    """The adjoint Hessian sweep carries ψ and T bit for bit, fills only
+    the strict upper triangle of the pair block, and its Hψ is H applied to
+    that ψ, bit for bit."""
     rng = np.random.default_rng(89)
     circuit = random_circuit(rng, 3, 7)
     h = random_hamiltonian(rng, 3, 6)
     theta = rng.uniform(-1.0, 1.0, 7)
     psi, tangents = _state_and_tangents(circuit, theta)
-    got_psi, got_tangents, hessian = _state_tangents_and_hessian(circuit, theta, h)
+    got_psi, got_tangents, hessian, h_psi = _state_tangents_and_hessian(circuit, theta, h)
     assert np.array_equal(got_psi, psi)
     assert np.array_equal(got_tangents, tangents)
+    assert np.array_equal(h_psi, simulator._apply_hamiltonian(psi, h))
     assert hessian.shape == (7, 7)
     assert np.array_equal(hessian, np.triu(hessian, 1))
 
@@ -414,7 +445,7 @@ def test_pair_tangents_match_central_differences():
     h = random_hamiltonian(rng, 3, 6)
     theta = rng.uniform(-0.5, 0.5, 6)
     psi, _ = _state_and_tangents(circuit, theta)
-    _, _, hessian = _state_tangents_and_hessian(circuit, theta, h)
+    _, _, hessian, _ = _state_tangents_and_hessian(circuit, theta, h)
     h_psi = dense_hamiltonian(h) @ psi
     eps = 1e-4
     for l in range(1, 6):
