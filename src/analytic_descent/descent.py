@@ -11,6 +11,8 @@ Costs are tracked in gradient-step-equivalent units: one per baseline step,
 two per estimation phase; raw query counts are tracked alongside.  All
 noise draws come from ``surrogate._query_rng`` streams keyed by (noise
 seed, run seed, iteration, channel, index), so re-runs are bit-reproducible.
+Both optimizers step and record through ``_Recorder``, which raises
+``DivergenceError`` at the first non-finite parameter or energy.
 """
 
 from __future__ import annotations
@@ -200,8 +202,8 @@ def precision_policy(g_norm: float, nu: int, spec: NoiseSpec) -> NoiseLevels:
     the coarser r·‖g‖, and each of the four eD queries r·‖g‖/2.  Everything
     is floored at 1e-8.
     """
-    if g_norm < 0.0:
-        raise ValueError(f"gradient norm must be >= 0, got {g_norm}")
+    if not 0.0 <= g_norm < np.inf:
+        raise ValueError(f"gradient norm must be finite and >= 0, got {g_norm}")
     r = spec.relative_gradient_precision
     eps_b = r * g_norm / np.sqrt(nu)
     eps = r * g_norm
@@ -242,9 +244,11 @@ def _noisy_gradient_sigma(noise: NoiseSpec, g_norm: float, nu: int) -> float:
 class _Recorder:
     """One run's trace, ground energy and cost/raw-query counters.
 
-    Every record of both optimizers goes through ``record``, which also
+    Every step and record of both optimizers goes through it.  ``record``
     decides convergence: an outer record within ``threshold`` of the ground
-    energy sets the exit to "converged".
+    energy sets the exit to "converged".  ``step`` and ``record`` are the
+    run's divergence guard: non-finite parameters, or a non-finite true or
+    model energy in any phase, raise ``DivergenceError`` with the trace so far.
     """
 
     def __init__(self, method, h, threshold):
@@ -256,11 +260,20 @@ class _Recorder:
             metadata={"method": method, "ground_energy": self.ground, "exit": "budget"}
         )
 
+    def step(self, theta, step_size, direction, outer, inner):
+        """θ − step_size·direction and its ‖·‖∞, which must be finite."""
+        theta = theta - step_size * direction
+        norm = np.abs(theta).max()  # NaN and inf propagate through max
+        if not norm < np.inf:
+            where = f"outer {outer} inner {inner}; step_size {step_size} diverged"
+            raise DivergenceError(f"non-finite parameters at {where}", self.trace)
+        return theta, norm
+
     def record(self, phase, outer, inner, e_true, e_model=None) -> bool:
         """Append one record; True when it is an outer record that converged."""
-        if e_model is not None and not np.isfinite(e_model):
-            message = f"non-finite surrogate energy at outer {outer} inner {inner}"
-            raise DivergenceError(message, self.trace)
+        if not np.isfinite(e_true) or e_model is not None and not np.isfinite(e_model):
+            where = f"the {phase} record at outer {outer} inner {inner}"
+            raise DivergenceError(f"non-finite energy in {where}", self.trace)
         distance = abs(e_true - self.ground)
         self.trace.append(
             TraceRecord(
@@ -306,17 +319,10 @@ def _walk(run, outer, model, current, h, metric, config, noise, levels, g_norm, 
         if metric is None:
             metric = qfi_exact(current, theta)
         direction = regularized_natural_direction(metric, eta, g_model)
-        theta = theta - step_size * direction
+        theta, norm = run.step(theta, step_size, direction, outer, inner)
         if not frozen_metric:
             metric = None
-        norm = np.abs(theta).max()  # NaN and inf propagate through max
         outside = not norm < trust_radius
-        if outside and not np.isfinite(norm):
-            raise DivergenceError(
-                f"non-finite parameters at outer {outer} inner {inner}; "
-                f"step_size {step_size} diverged",
-                run.trace,
-            )
         record = record_every and inner % record_every == 0
         check = feedback_period and not outside and inner % feedback_period == 0
         held = None
@@ -401,8 +407,6 @@ def run_analytic_descent(
         if held is None:
             held = energy(current, zeros, h), None
         e_true, e_model = held
-        if not np.isfinite(e_true):
-            raise DivergenceError(f"non-finite energy after outer {outer}", run.trace)
         if e_model is None:
             e_model = eval_energy(model, theta)
         if run.record("outer", outer, steps, e_true, e_model):
@@ -437,18 +441,10 @@ def run_natural_gradient(
             draws = _query_rng((noise.rng_seed, rng_seed, step), 1).standard_normal(nu)
             g = g + sigma * draws
         direction = regularized_natural_direction(metric, config.eta, g)
-        theta = theta - config.step_size * direction
+        theta, _ = run.step(theta, config.step_size, direction, step, 0)
         run.cost += 1.0
         run.raw += 2 * nu
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(
-                f"non-finite parameters at step {step}; "
-                f"step_size {config.step_size} diverged",
-                run.trace,
-            )
         e_true, g, metric = energy_gradient_metric(circuit, theta, h)
-        if not np.isfinite(e_true):
-            raise DivergenceError(f"non-finite energy at step {step}", run.trace)
         if run.record("outer", step, 0, e_true):
             break
     return run.finish(circuit.theta_ref + theta)

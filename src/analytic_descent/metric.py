@@ -189,8 +189,8 @@ def regularized_natural_direction(F: MetricTensor, eta: float, g) -> np.ndarray:
     LAPACK's triangular Cholesky solve.  A metric solved only once, as in
     a per-step walk, still pays for the whole inverse.
     """
-    if eta < 0.0:
-        raise ValueError(f"regularization must be >= 0, got {eta}")
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"regularization eta must be finite and >= 0, got {eta}")
     g = np.asarray(g, dtype=float)
     if g.shape != (F.nu,):
         raise ValueError(f"expected gradient of length {F.nu}, got shape {g.shape}")

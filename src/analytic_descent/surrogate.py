@@ -34,7 +34,8 @@ share.  Outside it (the schedule shifts ±π/2 and π themselves)
 `eval_energy` switches to a division-free route, whose leave-out products
 of a are products of prefix and suffix products, so an axis at θₖ = ±π,
 where a vanishes, is never divided by; the gradient and variance routines
-are declared only inside the region.
+are declared only inside the region.  Every evaluator refuses a θ with a
+NaN or ±inf entry with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -661,11 +662,14 @@ def _half_angle_tangents(model: SurrogateModel, theta):
     """t = tan(θ/2) and q = 1 + t² = 1/a(θ), inside the trust region only.
 
     Raises ``TrustRegionError`` for ‖θ‖∞ ≥ π/2, where the model's closed
-    form is not declared; inside it |tₖ| < 1 and 1 ≤ qₖ < 2.
+    form is not declared; inside it |tₖ| < 1 and 1 ≤ qₖ < 2.  A NaN or
+    ±inf entry, which fails ‖θ‖∞ < π/2 too, raises a plain ``ValueError``.
     """
     theta = _check_length(model, theta)
-    norm = np.abs(theta).max()
-    if norm >= HALF_PI:
+    norm = np.abs(theta).max()  # NaN and inf propagate through max
+    if not norm < HALF_PI:
+        if not norm < np.inf:
+            raise ValueError("non-finite entries in theta")
         raise TrustRegionError(
             f"‖θ‖∞ = {norm:.6g} is outside the |θₖ| < π/2 "
             "trust region; a(θₖ) may vanish"

@@ -77,6 +77,13 @@ CALLS = {
         "metric.cho_factor": 2_079,
         "surrogate._query_rng": 25,
     },
+    "ring6-ng": {
+        "MetricTensor.__post_init__": 993,
+        "descent.ground_energy": 1,
+        "descent.regularized_natural_direction": 992,
+        "metric._state_and_tangents": 993,
+        "metric.cho_factor": 992,
+    },
 }
 
 
@@ -100,7 +107,12 @@ def _count_package_calls(patch, entries):
 
 @pytest.mark.parametrize(
     "name, cost_units, raw_queries",
-    [("ring6-ad", 24, 42_852), ("ring2-cli", 18, 1_233), ("ring10-estimate", 2, 9_871)],
+    [
+        ("ring6-ad", 24, 42_852),
+        ("ring2-cli", 18, 1_233),
+        ("ring6-ng", 992, 83_328),
+        ("ring10-estimate", 2, 9_871),
+    ],
 )
 def test_a_workload_builds_runs_and_checks_its_result(
     monkeypatch, tmp_path, name, cost_units, raw_queries

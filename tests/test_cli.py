@@ -322,6 +322,37 @@ def test_sidecar_reproduces_the_run_bit_for_bit(tmp_path):
     ]
 
 
+def test_sidecars_of_a_file_preset_and_parameter_run_reproduce_it(tmp_path):
+    """A Hamiltonian file, an initial-parameter file and a [run] preset are
+    written to each method's sidecar, and rerunning from it gives the same
+    trace CSV and sidecar bytes."""
+    ham = _write(tmp_path / "h.txt", "# qubits: 2\n0.5 ZZ\n0.25 XI\n-0.3 IZ\n")
+    params = tmp_path / "init.txt"
+    np.savetxt(params, np.linspace(-0.4, 0.4, 8))
+    config_path = _write(
+        tmp_path / "exp.ini",
+        f"[hamiltonian]\nfile = {ham}\n\n[ansatz]\nblocks = 1\n\n"
+        "[optimizer]\nmethod = both\nmax_outer = 3\nmax_inner = 30\n"
+        "record_inner_every = 7\nng_max_steps = 12\n\n"
+        "[noise]\nenabled = true\nrng_seed = 3\n\n"
+        f"[run]\npreset = molecular\ninit_params = {params}\nseeds = 1\n",
+    )
+    first = tmp_path / "first"
+    assert main(["run", "--config", config_path, "--output-dir", str(first)]) == 0
+    for method in ("analytic_descent", "natural_gradient"):
+        stem = f"{method}_seed1"
+        sidecar = load_experiment_config(first / f"{stem}.cfg")
+        assert sidecar.hamiltonian_file == ham
+        assert sidecar.init_params_file == str(params)
+        assert sidecar.preset == "molecular"
+        again = tmp_path / method
+        rerun = ["run", "--config", str(first / f"{stem}.cfg"), "--output-dir", str(again)]
+        assert main(rerun) == 0
+        for suffix in (".csv", ".cfg"):
+            name = stem + suffix
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_every_setting_round_trips_through_the_sidecar(tmp_path):
     """Every OptimizerConfig and NoiseSpec field is an INI key, and a run's
     sidecar writes it back so that it reloads to the same value."""

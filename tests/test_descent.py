@@ -66,8 +66,10 @@ def test_precision_policy_floors_at_zero_gradient():
 
 
 def test_precision_policy_rejects_negative_norm():
-    with pytest.raises(ValueError):
-        precision_policy(-1.0, 4, NoiseSpec(True, 0.1))
+    # NaN passed the sign check and failed later, naming sigma_a
+    for g_norm in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gradient norm must be finite and >= 0"):
+            precision_policy(g_norm, 4, NoiseSpec(True, 0.1))
 
 
 def test_noise_spec_validation():
@@ -463,6 +465,81 @@ def test_a_divergence_keeps_the_inner_exits_of_finished_outer_steps(monkeypatch)
     (exit_,) = trace.metadata["inner_exits"]
     assert exit_ == {"outer": 1, "reason": "max_inner", "steps": 40}
     assert trace.final.inner == 40
+
+
+def _nan_from_call(monkeypatch, name, first):
+    """``descent.<name>`` with its results turned to NaN from call ``first`` on."""
+    fn = getattr(descent, name)
+    calls = [0]
+
+    def patched(*args):
+        calls[0] += 1
+        value = fn(*args)
+        return value * np.nan if calls[0] >= first else value
+
+    monkeypatch.setattr(descent, name, patched)
+
+
+def _assert_finite_records(trace):
+    assert trace.records
+    for r in trace.records:
+        model = [] if r.energy_model is None else [r.energy_model]
+        assert np.all(np.isfinite([r.energy_true, r.distance_to_ground, *model])), r
+
+
+# (patched name, first NaN call, settings, the record refused); with a frozen
+# metric the walk's records take the true energy from ``energy``.
+FROZEN = dict(frozen_metric=True)
+NAN_ENERGIES = [
+    ("eval_energy", 3, dict(record_inner_every=1), "inner record at outer 1 inner 3"),
+    ("energy", 2, dict(record_inner_every=1, **FROZEN), "inner record at outer 1 inner 1"),
+    ("eval_energy", 2, dict(feedback_period=2), "feedback record at outer 1 inner 4"),
+    ("energy", 3, dict(feedback_period=2, **FROZEN), "feedback record at outer 1 inner 4"),
+    ("energy", 2, {}, "outer record at outer 1 inner 40"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, first, settings, where", NAN_ENERGIES,
+    ids=["inner-model", "inner-true", "feedback-model", "feedback-true", "outer-true"],
+)
+def test_a_non_finite_energy_is_refused_in_every_record_phase(
+    monkeypatch, name, first, settings, where
+):
+    ring, start = _ring3_start()
+    _nan_from_call(monkeypatch, name, first)
+    settings = {"record_inner_every": 0, **settings}
+    config = OptimizerConfig(step_size=0.01, max_outer=3, max_inner=40, **settings)
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+        run_analytic_descent(start, ring, config, NoiseSpec())
+    assert str(info.value) == f"non-finite energy in the {where}"
+    _assert_finite_records(info.value.trace)
+
+
+@pytest.mark.parametrize(
+    "optimizer, where",
+    [(run_analytic_descent, "outer 1 inner 3"), (run_natural_gradient, "outer 3 inner 0")],
+    ids=["analytic_descent", "natural_gradient"],
+)
+def test_a_non_finite_step_is_refused_by_both_optimizers(monkeypatch, optimizer, where):
+    ring, start = _ring3_start()
+    _nan_from_call(monkeypatch, "regularized_natural_direction", 3)
+    config = OptimizerConfig(step_size=0.01, max_outer=5, max_inner=40)
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+        optimizer(start, ring, config, NoiseSpec())
+    assert str(info.value) == f"non-finite parameters at {where}; step_size 0.01 diverged"
+    trace = info.value.trace
+    assert len(trace.records) == 3  # outer 0, then two inner records or NG steps
+    _assert_finite_records(trace)
+
+
+def test_natural_gradient_started_within_the_threshold_converges_at_once():
+    config = OptimizerConfig(step_size=0.01)
+    trace = run_natural_gradient(_rx(np.pi), Z_FIELD, config, NoiseSpec())
+    assert trace.metadata["exit"] == "converged"
+    assert len(trace.records) == 1
+    assert (trace.final.cumulative_cost, trace.final.cumulative_raw_queries) == (0.0, 0)
+    assert np.array_equal(trace.theta, [np.pi])
 
 
 def test_spin_ring_descent_regression():

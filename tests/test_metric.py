@@ -296,6 +296,10 @@ def test_surrogate_eval_trust_region():
     s = qfi_surrogate_estimate(circuit, np.zeros(1))
     with pytest.raises(TrustRegionError):
         qfi_surrogate_eval(s, [0.5 * np.pi])
+    # a NaN θ is named as such, not as the NaN metric entries it would give
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite entries in theta"):
+            qfi_surrogate_eval(s, [value])
 
 
 def test_surrogate_validation():
@@ -482,7 +486,10 @@ def test_direction_rejects_indefinite_system():
 
 def test_direction_input_validation():
     F = MetricTensor(2, np.eye(2))
-    with pytest.raises(ValueError, match=">= 0"):
-        regularized_natural_direction(F, -0.1, np.ones(2))
+    # NaN gave a NaN direction and cached a NaN inverse; inf gave zeros
+    for eta in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+            regularized_natural_direction(F, eta, np.ones(2))
+    assert F._factors == {}
     with pytest.raises(ValueError, match="length 2"):
         regularized_natural_direction(F, 0.0, np.ones(3))

@@ -862,6 +862,23 @@ def test_gradient_trust_region_enforced():
         eval_gradient(model, [-1.8])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "evaluate", [eval_energy, eval_gradient, gradient_variance, gradient_variance_by_class]
+)
+def test_every_evaluator_refuses_a_non_finite_theta(evaluate, value):
+    """A NaN entry passes a ‖θ‖∞ ≥ π/2 compare and ±inf sends eval_energy
+    to the division-free route; either way the evaluator returned NaN.  The
+    entry is refused by name, not as a point outside the trust region."""
+    model = SurrogateModel(
+        np.zeros(2), 0.7, [0.3, -0.2], [0.1, 0.4], [[0.0, 0.5], [0.0, 0.0]],
+        varA=0.01, varB=[0.02, 0.03], varC=[0.01, 0.01], varD=[[0.0, 0.04], [0.0, 0.0]],
+    )
+    with pytest.raises(ValueError, match="non-finite entries in theta") as info:
+        evaluate(model, [0.1, value])
+    assert not isinstance(info.value, TrustRegionError)
+
+
 def test_reference_gradient_covers_the_boundary():
     # the masked-product route has no a(theta) division, so it stays valid
     # at and beyond pi/2 where the fast path refuses
