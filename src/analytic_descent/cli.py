@@ -34,6 +34,7 @@ from .descent import (
 from .pauli import parse_pauli_sum, spin_ring_hamiltonian
 from .simulator import ground_energy
 from .surrogate import (
+    HALF_PI,
     CircuitOracle,
     _query_rng,
     estimate_coefficients,
@@ -135,6 +136,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"init_perturbation must be >= 0, got {self.init_perturbation}"
             )
+        if 2.0 * self.init_perturbation == np.inf:  # the uniform draw's range
+            raise ValueError(
+                f"init_perturbation must be <= {float(np.finfo(float).max) / 2!r} so that "
+                f"the draw range 2·p is finite, got {self.init_perturbation}"
+            )
 
 
 def load_experiment_config(
@@ -221,6 +227,8 @@ def _hamiltonian(file, spin_ring_n, j, omega_seed):
             return parse_pauli_sum(handle.read())
     omega = None
     if omega_seed is not None:
+        if omega_seed < 0:
+            raise ValueError(f"omega_seed must be non-negative, got {omega_seed}")
         omega = np.random.default_rng(omega_seed).uniform(-1.0, 1.0, spin_ring_n)
     return spin_ring_hamiltonian(spin_ring_n, j, omega)
 
@@ -399,13 +407,24 @@ def scaling_study(
     the reference near the optimum; a noiseless surrogate is then built there
     and compared with the simulator at ``samples`` uniform draws from the
     ∞-ball of each radius.  Log-log slopes are fitted through the per-radius
-    mean errors.
+    mean errors.  ``samples`` must be >= 1, ``rng_seed`` non-negative, and
+    ``deltas`` must hold at least two distinct radii, each in (0, π/2),
+    where the surrogate is defined.
 
     The preliminary run deliberately stops short of full convergence: the
     direction-error exponent is only visible while the anchor still carries a
     residual gradient that dominates the curvature term over the sampled
     radii.  At a fully converged anchor the exponent degrades towards 2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    for delta in deltas:
+        if not 0.0 < delta < HALF_PI:
+            raise ValueError(f"deltas must be finite and in (0, π/2), got {delta}")
+    if len(set(deltas)) < 2:
+        raise ValueError(f"deltas must hold at least two distinct radii, got {deltas}")
     prelim_config = OptimizerConfig(
         step_size=0.001,
         max_outer=2000,

@@ -8,10 +8,11 @@ circuit reference and repeats.  The baseline takes conventional
 natural-gradient steps on the true landscape at 2ν queries each.
 
 Costs are tracked in gradient-step-equivalent units: one per baseline step,
-two per estimation phase; raw query counts are tracked alongside.  All
-noise draws come from ``surrogate._query_rng`` streams keyed by (noise
-seed, run seed, iteration, channel, index), so re-runs are bit-reproducible.
-Both optimizers step and record through ``_Recorder``, which raises
+two per estimation phase; raw query counts are tracked alongside.  Both
+optimizers make every device request, step and record through
+``_Recorder``: its ledger charges each request and draws its noise from a
+``surrogate._query_rng`` stream keyed by (noise seed, run seed, iteration,
+channel, index), so re-runs are bit-reproducible, and it raises
 ``DivergenceError`` at the first non-finite parameter or energy.
 """
 
@@ -236,29 +237,74 @@ def feedback_check(
     return abs(e_device - e_model)
 
 
-def _noisy_gradient_sigma(noise: NoiseSpec, g_norm: float, nu: int) -> float:
-    """Per-entry std r·‖g‖/√ν of a noisy device gradient, floored."""
-    return max(noise.relative_gradient_precision * g_norm / np.sqrt(nu), NOISE_FLOOR)
-
-
 class _Recorder:
-    """One run's trace, ground energy and cost/raw-query counters.
+    """One run's trace, ground energy, and ledger of device requests.
 
-    Every step and record of both optimizers goes through it.  ``record``
-    decides convergence: an outer record within ``threshold`` of the ground
-    energy sets the exit to "converged".  ``step`` and ``record`` are the
-    run's divergence guard: non-finite parameters, or a non-finite true or
-    model energy in any phase, raise ``DivergenceError`` with the trace so far.
+    Every step and record of both optimizers goes through it, and so does
+    every device request: ``estimate``, ``feedback`` and ``device_gradient``
+    are the only code that charges cost units and raw queries or draws shot
+    noise.  A draw comes from the ``_query_rng`` stream keyed (noise seed,
+    run seed, ...) below, at the index given; every σ is floored at
+    ``NOISE_FLOOR``, and r is the relative gradient precision:
+
+    ============  =====  =======  ====================  =====================
+    request       units  queries  σ per query           stream, index
+    ============  =====  =======  ====================  =====================
+    estimation    2      2ν²+ν+1  ``precision_policy``  (outer, 0), position
+    feedback      0      1        estimation's σ_a      (outer, 2), check
+    similarity    0      2ν       r·‖g(θ₀)‖/√ν          (outer, 3), check
+    NG step       1      2ν       r·‖g(θ)‖/√ν           (step,), 1
+    ============  =====  =======  ====================  =====================
+
+    ``record`` decides convergence: an outer record within ``threshold`` of
+    the ground energy sets the exit to "converged".  ``step`` and ``record``
+    are the run's divergence guard: non-finite parameters, or a non-finite
+    true or model energy in any phase, raise ``DivergenceError`` with the
+    trace so far.
     """
 
-    def __init__(self, method, h, threshold):
+    def __init__(self, method, h, threshold, noise, rng_seed):
         self.ground = ground_energy(h)
         self.threshold = threshold
+        self.noise = noise
+        self.seed = (noise.rng_seed, rng_seed)
+        self.levels = None  # the outer step's, set by ``estimate`` when noisy
+        self.g_norm = 0.0  # ‖g(θ₀)‖ of the outer step
         self.cost = 0.0
         self.raw = 0
         self.trace = OptimizationTrace(
             metadata={"method": method, "ground_energy": self.ground, "exit": "budget"}
         )
+
+    def estimate(self, oracle, schedule, outer):
+        """The surrogate at the oracle's θ₀, at noise levels set by its ‖g‖."""
+        g = oracle.reference()[2]
+        self.g_norm = float(np.linalg.norm(g))
+        if self.noise.enabled:
+            self.levels = precision_policy(self.g_norm, g.size, self.noise)
+        self.cost += 2.0
+        self.raw += len(schedule)
+        key = self.seed + (outer, 0)
+        return estimate_coefficients(oracle, schedule, self.levels, rng_seed=key)
+
+    def feedback(self, e_true, e_model, outer, check):
+        """``feedback_check`` of one device energy at the outer step's levels."""
+        self.raw += 1
+        rng = None if self.levels is None else _query_rng(self.seed + (outer, 2), check)
+        return feedback_check(e_true, e_model, self.levels, rng)
+
+    def device_gradient(self, g, g_norm, units, *key):
+        """The exact gradient ``g`` as the device's 2ν-query parameter-shift
+        gradient: charged ``units`` plus 2ν queries, with std r·``g_norm``/√ν
+        on every entry when noisy, drawn from stream ``key[:-1]``, index
+        ``key[-1]``."""
+        self.cost += units
+        self.raw += 2 * g.size
+        if not self.noise.enabled:
+            return g
+        r = self.noise.relative_gradient_precision
+        sigma = max(r * g_norm / np.sqrt(g.size), NOISE_FLOOR)
+        return g + sigma * _query_rng(self.seed + key[:-1], key[-1]).standard_normal(g.size)
 
     def step(self, theta, step_size, direction, outer, inner):
         """θ − step_size·direction and its ‖·‖∞, which must be finite."""
@@ -275,11 +321,9 @@ class _Recorder:
             where = f"the {phase} record at outer {outer} inner {inner}"
             raise DivergenceError(f"non-finite energy in {where}", self.trace)
         distance = abs(e_true - self.ground)
-        self.trace.append(
-            TraceRecord(
-                phase, outer, inner, self.cost, self.raw, e_true, e_model, distance
-            )
-        )
+        self.trace.append(TraceRecord(
+            phase, outer, inner, self.cost, self.raw, e_true, e_model, distance
+        ))
         if phase == "outer" and distance < self.threshold:
             self.trace.metadata["exit"] = "converged"
             return True
@@ -290,7 +334,7 @@ class _Recorder:
         return self.trace
 
 
-def _walk(run, outer, model, current, h, metric, config, noise, levels, g_norm, key):
+def _walk(run, outer, model, current, h, metric, config):
     """The inner loop: natural-gradient steps on ``model`` from θ = 0.
 
     The θ₀ ``metric`` serves the first step, and every step under
@@ -308,8 +352,7 @@ def _walk(run, outer, model, current, h, metric, config, noise, levels, g_norm, 
     step_size, eta, trust_radius = config.step_size, config.eta, config.trust_radius
     max_inner, frozen_metric = config.max_inner, config.frozen_metric
     record_every, feedback_period = config.record_inner_every, config.feedback_period
-    nu = model.nu
-    theta = np.zeros(nu)
+    theta = np.zeros(model.nu)
     held = None
     checks = 0
     for inner in range(1, max_inner + 1):
@@ -340,21 +383,14 @@ def _walk(run, outer, model, current, h, metric, config, noise, levels, g_norm, 
             return theta, "trust_radius", inner, held
         if check:
             checks += 1
-            rng = _query_rng(key + (2,), checks)
-            deviation = feedback_check(e_true, e_model, levels, rng)
-            run.raw += 1
+            deviation = run.feedback(e_true, e_model, outer, checks)
             run.record("feedback", outer, inner, e_true, e_model)
             if deviation > config.feedback_tolerance:
                 return theta, "feedback", inner, held
             if config.similarity_feedback:
-                device_grad = g_true
-                if device_grad is None:
-                    device_grad = energy_gradient(current, theta, h)
-                if noise.enabled:
-                    sigma = _noisy_gradient_sigma(noise, g_norm, nu)
-                    draws = _query_rng(key + (3,), checks).standard_normal(nu)
-                    device_grad = device_grad + sigma * draws
-                run.raw += 2 * nu
+                if g_true is None:
+                    g_true = energy_gradient(current, theta, h)
+                device_grad = run.device_gradient(g_true, run.g_norm, 0, outer, 3, checks)
                 g_model = eval_gradient(model, theta)  # at the device's θ
                 if one_minus_f(g_model, device_grad) > config.similarity_abort:
                     return theta, "similarity", inner, held
@@ -377,27 +413,20 @@ def run_analytic_descent(
     there.  Feedback checks add their queries.  Converged when the true
     energy is within ``convergence_threshold`` of the exact ground energy.
     """
-    nu = circuit.num_parameters
-    run = _Recorder("analytic_descent", h, config.convergence_threshold)
+    run = _Recorder("analytic_descent", h, config.convergence_threshold, noise, rng_seed)
     inner_exits = run.trace.metadata["inner_exits"] = []
     current = circuit
-    zeros = np.zeros(nu)
+    zeros = np.zeros(circuit.num_parameters)
     if run.record("outer", 0, 0, energy(current, zeros, h)):
         return run.finish(current.theta_ref)
 
-    schedule = query_schedule(nu)
+    schedule = query_schedule(circuit.num_parameters)
     for outer in range(1, config.max_outer + 1):
         oracle = CircuitOracle(current, h)
-        psi, tangents, g_reference = oracle.reference()
-        g_norm = float(np.linalg.norm(g_reference))
-        levels = precision_policy(g_norm, nu, noise) if noise.enabled else None
-        key = (noise.rng_seed, rng_seed, outer)  # a draw's key adds channel, index
-        model = estimate_coefficients(oracle, schedule, levels, rng_seed=key + (0,))
-        run.raw += len(schedule)
-        run.cost += 2.0
+        model = run.estimate(oracle, schedule, outer)
+        psi, tangents, _ = oracle.reference()
         theta, reason, steps, held = _walk(
-            run, outer, model, current, h, qfi_from_tangents(psi, tangents),
-            config, noise, levels, g_norm, key,
+            run, outer, model, current, h, qfi_from_tangents(psi, tangents), config
         )
         inner_exits.append({"outer": outer, "reason": reason, "steps": steps})
 
@@ -428,22 +457,16 @@ def run_natural_gradient(
     ``max_outer`` caps the number of steps.  One ``energy_gradient_metric``
     sweep per point gives the energy recorded there and the next step's g, F.
     """
-    nu = circuit.num_parameters
-    run = _Recorder("natural_gradient", h, config.convergence_threshold)
-    theta = np.zeros(nu)
+    run = _Recorder("natural_gradient", h, config.convergence_threshold, noise, rng_seed)
+    theta = np.zeros(circuit.num_parameters)
     e_true, g, metric = energy_gradient_metric(circuit, theta, h)
     if run.record("outer", 0, 0, e_true):
         return run.finish(circuit.theta_ref + theta)
 
     for step in range(1, config.max_outer + 1):
-        if noise.enabled:
-            sigma = _noisy_gradient_sigma(noise, float(np.linalg.norm(g)), nu)
-            draws = _query_rng((noise.rng_seed, rng_seed, step), 1).standard_normal(nu)
-            g = g + sigma * draws
+        g = run.device_gradient(g, float(np.linalg.norm(g)), 1, step, 1)
         direction = regularized_natural_direction(metric, config.eta, g)
         theta, _ = run.step(theta, config.step_size, direction, step, 0)
-        run.cost += 1.0
-        run.raw += 2 * nu
         e_true, g, metric = energy_gradient_metric(circuit, theta, h)
         if run.record("outer", step, 0, e_true):
             break

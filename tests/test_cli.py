@@ -467,6 +467,38 @@ def test_list_flags_name_themselves(tmp_path, capsys, command, flag, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_omega_seed_is_named(tmp_path, capsys):
+    text = SPIN_RING_INI.replace("omega_seed = 1", "omega_seed = -2")
+    config_path = _write(tmp_path / "exp.ini", text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: omega_seed must be non-negative, got -2\n"
+    assert not out_dir.exists()
+    assert main(["validate", "--spin-ring", "2", "--omega-seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: omega_seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("perturbation", ["1e308", "8.99e307"])
+def test_overflowing_init_perturbation_is_named(tmp_path, capsys, perturbation):
+    """A draw range 2·p past the largest float is refused before the run."""
+    text = SPIN_RING_INI.replace("0.3", perturbation)
+    config_path = _write(tmp_path / "exp.ini", text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--output-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: init_perturbation must be <= 8.988465674311579e+307 ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_largest_init_perturbation_draws_within_its_range(tmp_path):
+    largest = float(np.finfo(float).max) / 2
+    path = _write(tmp_path / "exp.ini", SPIN_RING_INI.replace("0.3", repr(largest)))
+    config = load_experiment_config(path)
+    shift = _seed_perturbation(config, 1, 8)
+    assert np.all(np.abs(shift) <= largest)
+
+
 def test_non_finite_initial_parameters_name_their_file(tmp_path, capsys):
     params = tmp_path / "init.txt"
     params.write_text("0.1\n" * 7 + "nan\n")
@@ -507,3 +539,39 @@ def test_scaling_study_writes_samples_and_slopes(tmp_path, capsys):
     assert deltas == [0.05] * 5 + [0.1] * 5 + [0.2] * 5
     errors = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(np.isfinite(errors))
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "samples must be >= 1, got 0"),
+        ("--samples", "-3", "samples must be >= 1, got -3"),
+        ("--rng-seed", "-1", "rng_seed must be non-negative, got -1"),
+        ("--deltas", "0,0.1", "deltas must be finite and in (0, π/2), got 0.0"),
+        ("--deltas", "-0.1,0.1", "deltas must be finite and in (0, π/2), got -0.1"),
+        ("--deltas", "nan,0.1", "deltas must be finite and in (0, π/2), got nan"),
+        ("--deltas", "0.1,inf", "deltas must be finite and in (0, π/2), got inf"),
+        ("--deltas", "2.0,3.5", "deltas must be finite and in (0, π/2), got 2.0"),
+        ("--deltas", "0.1", "deltas must hold at least two distinct radii, got (0.1,)"),
+        ("--deltas", "0.1,0.1",
+         "deltas must hold at least two distinct radii, got (0.1, 0.1)"),
+    ],
+    ids=["samples-0", "samples-negative", "rng-seed-negative", "delta-0", "delta-negative",
+         "delta-nan", "delta-inf", "delta-past-half-pi", "one-delta", "repeated-delta"],
+)
+def test_scaling_study_refuses_bad_inputs(tmp_path, capfd, flag, value, message):
+    """One ``error:`` line on stderr, exit 1, and nothing else printed: no
+    LAPACK complaint, no slope fitted, no CSV written."""
+    config_path = _write(
+        tmp_path / "exp.ini",
+        "[hamiltonian]\npreset = spin-ring\nN = 2\nomega_seed = 1\n\n[ansatz]\nblocks = 1\n",
+    )
+    out = tmp_path / "study.csv"
+    status = main([
+        "scaling-study", "--config", config_path, "--output", str(out),
+        "--samples", "3", f"{flag}={value}",
+    ])
+    captured = capfd.readouterr()
+    assert status == 1
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()

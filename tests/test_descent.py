@@ -1,6 +1,8 @@
 """Two-loop surrogate descent, natural-gradient baseline, shot-noise
 policy, feedback checks, traces, and CSV persistence."""
 
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,7 +195,7 @@ def test_noise_floor_lifts_both_optimizers_off_a_stationary_maximum(monkeypatch,
     off the maximum, reproducibly, and both converge."""
     circuit = AnsatzCircuit(1, (PauliString("Y"),))
     noise = NoiseSpec(enabled=True, relative_gradient_precision=0.1, rng_seed=0)
-    levels, sigmas = [], []
+    levels, gradients = [], []
 
     def spy(record, function):
         def wrapped(*args):
@@ -202,9 +204,13 @@ def test_noise_floor_lifts_both_optimizers_off_a_stationary_maximum(monkeypatch,
         return wrapped
 
     monkeypatch.setattr(descent, "precision_policy", spy(levels, descent.precision_policy))
-    monkeypatch.setattr(
-        descent, "_noisy_gradient_sigma", spy(sigmas, descent._noisy_gradient_sigma)
-    )
+    device_gradient = descent._Recorder.device_gradient
+
+    def spy_gradient(run, g, *args):
+        gradients.append((g, device_gradient(run, g, *args)))
+        return gradients[-1][1]
+
+    monkeypatch.setattr(descent._Recorder, "device_gradient", spy_gradient)
     runs = {
         "ad": (run_analytic_descent, OptimizerConfig(step_size=0.01, max_outer=100)),
         "ng": (run_natural_gradient, OptimizerConfig(step_size=0.01, max_outer=30_000)),
@@ -225,7 +231,133 @@ def test_noise_floor_lifts_both_optimizers_off_a_stationary_maximum(monkeypatch,
         assert texts[0] == texts[1]
     first = levels[0]
     assert (first.sigma_a, first.sigma_b, first.sigma_c, first.sigma_d) == (NOISE_FLOOR,) * 4
-    assert sigmas[0] == NOISE_FLOOR
+    # The first noisy device gradient is NG step 1's: its exact g plus the
+    # floor σ times the draw of stream (noise seed, run seed, step 1), index 1.
+    exact, noisy = gradients[0]
+    draws = surrogate._query_rng((0, 1, 1), 1).standard_normal(1)
+    assert np.array_equal(noisy, exact + NOISE_FLOOR * draws)
+
+
+# ---------------------------------------------------------- device ledger
+
+# A noisy analytic-descent run on the 3-qubit ring (ν = 12) whose device
+# checks pass, fail on feedback and fail on similarity, and the noisy
+# natural-gradient baseline on the same start.
+LEDGER_NOISE = NoiseSpec(enabled=True, relative_gradient_precision=0.1, rng_seed=5)
+LEDGER_RUN_SEED = 4
+CHECKED = OptimizerConfig(
+    step_size=0.01, max_outer=8, max_inner=300, trust_radius=0.3, feedback_period=3,
+    feedback_tolerance=0.1, similarity_feedback=True, similarity_abort=0.01,
+    record_inner_every=2,
+)
+BASELINE = OptimizerConfig(step_size=0.01, max_outer=50)
+
+
+def _ledger_start():
+    h = spin_ring_hamiltonian(3, 0.05, np.random.default_rng(7).uniform(-1.0, 1.0, 3))
+    circuit = build_hardware_efficient(3, 1)
+    shift = np.random.default_rng(3).uniform(-0.5, 0.5, circuit.num_parameters)
+    return circuit.rebased(shift), h
+
+
+def _checks(trace, outer):
+    return sum(r.phase == "feedback" and r.outer == outer for r in trace.records)
+
+
+def test_every_device_request_draws_from_its_documented_stream(monkeypatch):
+    """Estimation draws from (noise seed, run seed, outer, 0); a feedback and
+    a similarity check from (…, outer, 2) and (…, outer, 3) at the check's
+    index; natural-gradient step s from (…, s) at index 1."""
+    circuit, h = _ledger_start()
+    requests = []
+    query_rng, estimate = descent._query_rng, descent.estimate_coefficients
+
+    def spy_rng(key, index, *rest):
+        requests.append((tuple(key), index))
+        return query_rng(key, index, *rest)
+
+    def spy_estimate(*args, rng_seed, **kwargs):
+        requests.append((tuple(rng_seed), "schedule"))
+        return estimate(*args, rng_seed=rng_seed, **kwargs)
+
+    monkeypatch.setattr(descent, "_query_rng", spy_rng)
+    monkeypatch.setattr(descent, "estimate_coefficients", spy_estimate)
+    trace = run_analytic_descent(circuit, h, CHECKED, LEDGER_NOISE, LEDGER_RUN_SEED)
+    exits = trace.metadata["inner_exits"]
+    assert {e["reason"] for e in exits} >= {"feedback", "similarity"}
+    assert any(_checks(trace, e["outer"]) > 1 for e in exits)  # a check that passed
+    key = (LEDGER_NOISE.rng_seed, LEDGER_RUN_SEED)
+    expected = []
+    for e in exits:
+        outer, checks = e["outer"], _checks(trace, e["outer"])
+        expected.append((key + (outer, 0), "schedule"))
+        for check in range(1, checks + 1):
+            expected.append((key + (outer, 2), check))
+            if check < checks or e["reason"] != "feedback":
+                expected.append((key + (outer, 3), check))
+    assert requests == expected
+
+    requests.clear()
+    trace = run_natural_gradient(circuit, h, BASELINE, LEDGER_NOISE, LEDGER_RUN_SEED)
+    assert requests == [(key + (step,), 1) for step in range(1, trace.final.outer + 1)]
+
+
+def test_trace_charges_each_request_its_units_and_queries():
+    """Per outer step 2 units and 2ν²+ν+1 + f + 2ν·s raw queries, f the
+    step's feedback records and s its similarity checks (every check but one
+    that ended the walk on feedback); per baseline step 1 unit and 2ν."""
+    circuit, h = _ledger_start()
+    nu = circuit.num_parameters
+    trace = run_analytic_descent(circuit, h, CHECKED, LEDGER_NOISE, LEDGER_RUN_SEED)
+    outers = [r for r in trace.records if r.phase == "outer"]
+    exits = trace.metadata["inner_exits"]
+    assert len(exits) == len(outers) - 1
+    for e, before, after in zip(exits, outers, outers[1:]):
+        f = _checks(trace, e["outer"])
+        s = f - (e["reason"] == "feedback")
+        assert after.cumulative_cost - before.cumulative_cost == 2.0
+        raw = after.cumulative_raw_queries - before.cumulative_raw_queries
+        assert raw == 2 * nu * nu + nu + 1 + f + 2 * nu * s
+    trace = run_natural_gradient(circuit, h, BASELINE, LEDGER_NOISE, LEDGER_RUN_SEED)
+    assert len(trace.records) == BASELINE.max_outer + 1
+    for before, after in zip(trace.records, trace.records[1:]):
+        assert after.cumulative_cost - before.cumulative_cost == 1.0
+        assert after.cumulative_raw_queries - before.cumulative_raw_queries == 2 * nu
+
+
+def _ledger_work(node):
+    """(line, name) of each cost/raw assignment and each guarded call in ``node``."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+            if name in ("_query_rng", "estimate_coefficients", "precision_policy"):
+                found.append((sub.lineno, name))
+        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(sub, "targets", [getattr(sub, "target", None)])
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Attribute) and part.attr in ("cost", "raw"):
+                        found.append((sub.lineno, part.attr))
+    return found
+
+
+def test_only_the_ledger_charges_queries_or_draws_noise():
+    """In descent.py only ``_Recorder``'s methods assign ``cost`` or ``raw``
+    or call ``_query_rng``, ``estimate_coefficients`` or ``precision_policy``;
+    a new device request is a ledger method, not a hand-bumped counter."""
+    with open(descent.__file__) as handle:
+        tree = ast.parse(handle.read())
+    ledger = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "_Recorder"
+    )
+    outside = sum((_ledger_work(node) for node in tree.body if node is not ledger), [])
+    assert outside == []
+    inside = {name for _, name in _ledger_work(ledger)}
+    assert inside == {
+        "cost", "raw", "_query_rng", "estimate_coefficients", "precision_policy"
+    }
 
 
 def test_trust_region_exit_bounds_the_displacement():
