@@ -9,8 +9,6 @@ shot-noise model, with reproducible seeded traces.
 from .ansatz import (
     AnsatzCircuit,
     build_hardware_efficient,
-    circuit_from_text,
-    circuit_to_text,
     energy,
     energy_gradient,
     prepare_state,
@@ -50,7 +48,6 @@ from .simulator import (
     expectation,
     ground_energy,
     hamiltonian_matrix,
-    zero_state,
 )
 from .surrogate import (
     CircuitOracle,
@@ -89,8 +86,6 @@ __all__ = [
     "TraceRecord",
     "TrustRegionError",
     "build_hardware_efficient",
-    "circuit_from_text",
-    "circuit_to_text",
     "cost_to_reach",
     "energy",
     "energy_gradient",
@@ -121,5 +116,4 @@ __all__ = [
     "run_natural_gradient",
     "spin_ring_hamiltonian",
     "write_trace_csv",
-    "zero_state",
 ]

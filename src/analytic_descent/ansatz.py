@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliString, _parse_lines
+from .pauli import PauliString
 from .simulator import (
     StateVector,
     _apply_hamiltonian,
@@ -132,23 +132,3 @@ def energy_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
     psi, tangents = _state_and_tangents(circuit, theta)
     return 2.0 * _real_overlaps(tangents, _apply_hamiltonian(psi, h))
 
-
-def circuit_to_text(circuit: AnsatzCircuit) -> str:
-    """Serialize as one `<theta_ref> <generator letters>` line per gate.
-
-    Mirrors the Pauli-sum text format, but line order is gate order and
-    duplicate generators stay separate lines (each is its own parameter).
-    """
-    lines = [f"# qubits: {circuit.num_qubits}"]
-    for angle, generator in zip(circuit.theta_ref, circuit.generators):
-        lines.append(f"{angle:.17g} {generator.letters}")
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> AnsatzCircuit:
-    """Inverse of ``circuit_to_text``; raises on malformed lines with line numbers."""
-    _, gates = _parse_lines(text, "angle")
-    if not gates:
-        raise ValueError("empty circuit description: no gate lines found")
-    angles, generators = zip(*gates)
-    return AnsatzCircuit(generators[0].num_qubits, generators, np.asarray(angles))

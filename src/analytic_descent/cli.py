@@ -32,7 +32,7 @@ from .descent import (
     write_trace_csv,
 )
 from .pauli import parse_pauli_sum, spin_ring_hamiltonian
-from .simulator import ground_energy
+from .simulator import GroundEnergyError, ground_energy
 from .surrogate import (
     HALF_PI,
     CircuitOracle,
@@ -374,13 +374,11 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 @dataclass(frozen=True)
 class ScalingStudyResult:
-    deltas: tuple
     rows: tuple  # (delta, energy_error, one_minus_f) per sample
     energy_slope: float
     energy_r2: float
     similarity_slope: float
     similarity_r2: float
-    anchor: tuple  # absolute parameter vector the model was anchored at
 
 
 def _loglog_fit(deltas, means) -> tuple[float, float]:
@@ -461,13 +459,7 @@ def scaling_study(
     energy_slope, energy_r2 = _loglog_fit(deltas, energy_means)
     similarity_slope, similarity_r2 = _loglog_fit(deltas, similarity_means)
     return ScalingStudyResult(
-        tuple(float(d) for d in deltas),
-        tuple(rows),
-        energy_slope,
-        energy_r2,
-        similarity_slope,
-        similarity_r2,
-        tuple(float(v) for v in theta_star),
+        tuple(rows), energy_slope, energy_r2, similarity_slope, similarity_r2
     )
 
 
@@ -572,7 +564,7 @@ def main(argv=None) -> int:
             args.source, spin_ring_n=args.spin_ring, j=args.J,
             omega_seed=args.omega_seed,
         )
-    except (ValueError, OSError, DivergenceError) as exc:
+    except (ValueError, OSError, DivergenceError, GroundEnergyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

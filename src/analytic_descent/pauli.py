@@ -3,9 +3,12 @@
 A Pauli string is a dense tensor product of single-qubit operators from
 {I, X, Y, Z}, written as a letter sequence with qubit 0 leftmost.  A Pauli
 sum is a real linear combination of Pauli strings on a common qubit count;
-real coefficients keep the operator Hermitian by construction.  Each
-string's signed-permutation kernel and each sum's compiled flip patterns are
-cached here; the simulator applies H only through the latter.
+real coefficients keep the operator Hermitian by construction.  A sum's
+compiled flip patterns are cached on the sum, and the simulator applies H
+only through them.  A Pauli string's signed-permutation kernel is not cached
+on its own: H's kernels live in its flip patterns, a circuit's in its gate
+table (``simulator._gate_table``).  ``flip_patterns`` builds H's first 2^N
+arrays, so it refuses a register over ``MAX_QUBITS`` qubits.
 
 The text format is one term per line, ``<coefficient> <letters>``, with
 ``#``-prefixed comment lines.  A ``# qubits: N`` header is always emitted so
@@ -15,7 +18,7 @@ that sums with no terms still round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +26,9 @@ _VALID_LETTERS = frozenset("IXYZ")
 
 # Terms with |coefficient| below this are dropped when a sum is canonicalized.
 MERGE_TOLERANCE = 1e-15
+
+# Largest supported register; 2^20 amplitudes is still a small dense vector.
+MAX_QUBITS = 20
 
 
 @dataclass(frozen=True)
@@ -51,15 +57,10 @@ class PauliString:
     def num_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
-
     def __str__(self) -> str:
         return self.letters
 
 
-@lru_cache(maxsize=4096)
 def _pauli_kernel(letters: str):
     """Signed-permutation form of a Pauli string: (source index, phase)."""
     n = len(letters)
@@ -125,16 +126,16 @@ class PauliSum:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
     @cached_property
     def flip_patterns(self) -> tuple[tuple[np.ndarray | None, np.ndarray], ...]:
         """H compiled once: (source index, weight) per flip pattern, so that
         H·v = Σ weight·v[src].  Terms flipping the same qubits share one
         gather, their weighted phases summed in term order (7 patterns for
         the 24 terms of the six-site ring); the diagonal (Z-only) pattern's
-        index is None.  Patterns keep the order of their first term."""
+        index is None.  Patterns keep the order of their first term.  A
+        register over ``MAX_QUBITS`` qubits is refused before any is built."""
+        if self.num_qubits > MAX_QUBITS:
+            raise ValueError(f"qubit count {self.num_qubits} exceeds cap {MAX_QUBITS}")
         patterns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for coeff, string in self.terms:
             src, phase = _pauli_kernel(string.letters)
@@ -145,16 +146,14 @@ class PauliSum:
         return tuple((src if flip else None, w) for flip, (src, w) in patterns.items())
 
 
-def _parse_lines(
-    text: str, value_name: str
-) -> tuple[int | None, list[tuple[float, PauliString]]]:
-    """Parse the shared line format of Pauli sums and circuits.
+def parse_pauli_sum(text: str) -> PauliSum:
+    """Parse the line-oriented Pauli-sum format into a merged PauliSum.
 
-    Each non-empty, non-comment line must be ``<real> <letters>`` with all
-    letter strings of equal length; a ``# qubits: N`` comment header, if
-    present, must agree with that length.  ``value_name`` names the number
-    column in messages.  Returns the header's qubit count (None without one)
-    and the (value, string) rows in file order.
+    Each non-empty, non-comment line must be ``<coefficient> <letters>`` with
+    all letter strings of equal length.  The qubit count is inferred from the
+    letters, or from a ``# qubits: N`` header when the body has no terms; a
+    header beside terms must agree with their length.  Empty input (no
+    terms, no header) raises ValueError.
 
     Raises
     ------
@@ -162,7 +161,7 @@ def _parse_lines(
         On a malformed header or number, inconsistent string lengths, bad
         letters, or a header mismatch, naming the offending line.
     """
-    rows: list[tuple[float, PauliString]] = []
+    terms: list[tuple[float, PauliString]] = []
     header_qubits: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -182,45 +181,34 @@ def _parse_lines(
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(
-                f"line {lineno}: expected '<{value_name}> <letters>', got {line!r}"
+                f"line {lineno}: expected '<coefficient> <letters>', got {line!r}"
             )
         value_text, letters = fields
         try:
             value = float(value_text)
         except ValueError:
             raise ValueError(
-                f"line {lineno}: malformed {value_name} {value_text!r}"
+                f"line {lineno}: malformed coefficient {value_text!r}"
             ) from None
-        if rows and len(letters) != rows[0][1].num_qubits:
+        if terms and len(letters) != terms[0][1].num_qubits:
             raise ValueError(
                 f"line {lineno}: Pauli string {letters!r} has length "
-                f"{len(letters)}, previous lines have length {rows[0][1].num_qubits}"
+                f"{len(letters)}, previous lines have length {terms[0][1].num_qubits}"
             )
         try:
             string = PauliString(letters)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        rows.append((value, string))
-    if rows and header_qubits is not None and header_qubits != rows[0][1].num_qubits:
-        raise ValueError(
-            f"header declares {header_qubits} qubits but terms have length "
-            f"{rows[0][1].num_qubits}"
-        )
-    return header_qubits, rows
-
-
-def parse_pauli_sum(text: str) -> PauliSum:
-    """Parse the line-oriented Pauli-sum format into a merged PauliSum.
-
-    The qubit count is inferred from the letters, or from a ``# qubits: N``
-    header when the body has no terms; see ``_parse_lines`` for the format
-    and its errors.  Empty input (no terms, no header) raises ValueError.
-    """
-    header_qubits, terms = _parse_lines(text, "coefficient")
+        terms.append((value, string))
     if not terms:
         if header_qubits is None:
             raise ValueError("empty input: no terms and no '# qubits: N' header")
         return PauliSum(header_qubits, ())
+    if header_qubits is not None and header_qubits != terms[0][1].num_qubits:
+        raise ValueError(
+            f"header declares {header_qubits} qubits but terms have length "
+            f"{terms[0][1].num_qubits}"
+        )
     return PauliSum(terms[0][1].num_qubits, tuple(terms))
 
 

@@ -12,6 +12,8 @@ the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  A circuit's
 gates are read from one gate table of those kernels (``pauli._pauli_kernel``),
 built once per gate sequence; every use of H, from expectations to the
 dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
+A kernel is not cached on its own: the gate table and the flip patterns
+hold the only copies.
 
 A state is prepared by one loop over the gate table (``_forward``): each
 gate is c·ψ + (-i·s·phase)·ψ[src], with no gather for a diagonal
@@ -25,11 +27,12 @@ metric, the energy gradient and the batched schedule oracle are all built
 from it.
 
 Every simulation starts at ``_rotations``, which refuses a register over
-``MAX_QUBITS`` qubits before any state, block or gate table is allocated.
+``MAX_QUBITS`` qubits before any state, block or gate table is allocated;
+``PauliSum.flip_patterns`` refuses it before any array of H is.
 
-All operations are pure functions over immutable values; kernels, gate
-tables and compiled sums are cached on first use and never changed, and
-importing the module builds none of them.
+All operations are pure functions over immutable values; gate tables and
+compiled sums are cached on first use and never changed, and importing the
+module builds none of them.
 """
 
 from __future__ import annotations
@@ -40,13 +43,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import PauliSum, _pauli_kernel
+from .pauli import MAX_QUBITS, PauliSum, _pauli_kernel
 
 if TYPE_CHECKING:  # import only for annotations; ansatz imports us at runtime
     from .ansatz import AnsatzCircuit
-
-# Largest supported register; 2^20 amplitudes is still a small dense vector.
-MAX_QUBITS = 20
 
 # Dense diagonalization up to this dimension (N ≤ 6), ARPACK above: at
 # dimension 64 eigvalsh takes about 0.5 ms against ARPACK's 3 ms, and ARPACK
@@ -85,10 +85,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
     """H·amps for 1-D amplitudes or batches with amplitudes on the last axis:
@@ -108,15 +104,6 @@ def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
 def _real_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re⟨aᵢ|bⱼ⟩ for the rows of contiguous a and b (a 1-D array is one row)."""
     return a.view(np.float64) @ b.view(np.float64).T
-
-
-def zero_state(N: int) -> StateVector:
-    """Computational zero state |0...0⟩ on N qubits."""
-    if not 1 <= N <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {N}")
-    amps = np.zeros(2**N, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(N, amps)
 
 
 def expectation(psi: StateVector, h: PauliSum) -> float:
@@ -222,8 +209,10 @@ def _gate_table(letters: tuple[str, ...]):
 
     Built on the first simulation of a circuit with these generators and
     shared by every later one (``AnsatzCircuit._gate_table``); read-only.
+    Gates with the same generator share one kernel and so one gather index.
     """
-    kernels = [_pauli_kernel(word) for word in letters]
+    unique = {word: _pauli_kernel(word) for word in set(letters)}
+    kernels = [unique[word] for word in letters]
     srcs = tuple(src if src[0] else None for src, _ in kernels)
     phases = np.stack([phase for _, phase in kernels])
     spawns = -0.5j * phases

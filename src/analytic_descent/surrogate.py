@@ -543,7 +543,8 @@ class CircuitOracle:
     eD_kl = 8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), k < l (``pair_coefficients``).
     A pair point asked of ``schedule_energies`` is prepared and measured on
     its own.  ``reference`` gives the sweep's ψ, tangents and gradient
-    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).
+    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).  The sweep runs at construction,
+    so every oracle is built once, when it is made.
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
@@ -555,7 +556,7 @@ class CircuitOracle:
         self.circuit = circuit
         self.h = h
         self.theta0 = np.array(circuit.theta_ref)
-        self._cache = None
+        self._build_cache()
 
     def __call__(self, shift) -> float:
         return energy(self.circuit, shift, self.h)
@@ -579,20 +580,14 @@ class CircuitOracle:
 
     def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ψ, tangents, energy gradient) at θ₀, from the schedule's sweep."""
-        if self._cache is None:
-            self._build_cache()
         return self._reference
 
     def pair_coefficients(self) -> np.ndarray:
         """The exact eD: ((E₊₊ + E₋₋) − E₋₊) − E₊₋ for every pair k < l, to rounding."""
-        if self._cache is None:
-            self._build_cache()
         return self._pair_block
 
     def schedule_energies(self, points: Sequence[QueryPoint]) -> np.ndarray:
         """Energies at ``points``, in order."""
-        if self._cache is None:
-            self._build_cache()
         nu = len(self.theta0)
         values = np.empty(len(points))
         for position, point in enumerate(points):

@@ -14,6 +14,7 @@ from analytic_descent import (
     read_trace_csv,
     spin_ring_hamiltonian,
 )
+from analytic_descent import pauli
 from analytic_descent.cli import (
     DEFAULT_DELTAS,
     ExperimentConfig,
@@ -283,6 +284,67 @@ def test_validate_error_paths(tmp_path, capsys):
     assert "exactly one source" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.txt")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def _spy_on_kernels(monkeypatch):
+    """The words whose 2^N kernels are built from here on."""
+    kernel = pauli._pauli_kernel
+    built = []
+    monkeypatch.setattr(
+        pauli, "_pauli_kernel", lambda letters: built.append(letters) or kernel(letters)
+    )
+    return built
+
+
+def test_a_register_over_the_cap_is_refused_before_any_kernel(tmp_path, capfd, monkeypatch):
+    """A spin-ring run at N = 21 stops at H's first 2^N arrays: exit 1, one
+    ``error:`` line, and no Pauli kernel built."""
+    built = _spy_on_kernels(monkeypatch)
+    config_path = _write(
+        tmp_path / "exp.ini",
+        "[hamiltonian]\npreset = spin-ring\nN = 21\n\n[run]\npreset = spin-ring\n",
+    )
+    status = main(["run", "--config", config_path, "--output-dir", str(tmp_path / "out")])
+    captured = capfd.readouterr()
+    assert status == 1
+    assert (captured.out, captured.err) == ("", "error: qubit count 21 exceeds cap 20\n")
+    assert built == []
+
+
+def test_validate_reports_a_large_ring_without_building_it(capsys, monkeypatch):
+    built = _spy_on_kernels(monkeypatch)
+    assert main(["validate", "--spin-ring", "25"]) == 0
+    out = capsys.readouterr().out
+    assert "qubits: 25" in out
+    assert "terms: 75" in out
+    assert "ground_energy" not in out
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_eigensolver_failure_is_one_error_line(tmp_path, capfd, monkeypatch, command):
+    """ARPACK's non-convergence at N = 7 ends the command with exit 1 and
+    one ``error:`` line that names the eigensolver, not a traceback."""
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    if command == "validate":
+        argv = ["validate", "--spin-ring", "7"]
+    else:
+        config_path = _write(
+            tmp_path / "exp.ini", SPIN_RING_INI.replace("N = 2", "N = 7")
+        )
+        argv = ["run", "--config", config_path, "--output-dir", str(tmp_path / "out")]
+    status = main(argv)
+    captured = capfd.readouterr()
+    assert status == 1
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "eigensolver did not converge" in errors[0]
+    assert captured.err == errors[0] + "\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ------------------------------------------------------------------ run

@@ -17,9 +17,7 @@ from analytic_descent import (
 def test_pauli_string_basics():
     s = PauliString("XIZ")
     assert s.num_qubits == 3
-    assert not s.is_identity
     assert str(s) == "XIZ"
-    assert PauliString("II").is_identity
 
 
 def test_pauli_string_rejects_bad_letters():

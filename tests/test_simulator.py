@@ -27,7 +27,6 @@ from analytic_descent import (
     prepare_state,
     qfi_exact,
     spin_ring_hamiltonian,
-    zero_state,
 )
 from analytic_descent import pauli, simulator
 from analytic_descent.metric import energy_gradient_metric
@@ -40,12 +39,6 @@ from conftest import (
     random_hamiltonian,
     random_string,
 )
-
-
-def test_zero_state_amplitudes():
-    assert np.array_equal(zero_state(1).amplitudes, [1.0, 0.0])
-    assert np.array_equal(zero_state(2).amplitudes, [1.0, 0.0, 0.0, 0.0])
-    assert abs(np.linalg.norm(zero_state(12).amplitudes) - 1.0) < 1e-15
 
 
 def test_state_vector_rejects_unnormalized():
@@ -126,7 +119,7 @@ def test_norm_preserved_under_long_sequences():
 
 
 def test_expectation_zero_state_z():
-    assert expectation(zero_state(1), parse_pauli_sum("1 Z")) == 1.0
+    assert expectation(StateVector(1, [1.0, 0.0]), parse_pauli_sum("1 Z")) == 1.0
 
 
 def test_expectation_rx_slice_is_cosine():
@@ -158,7 +151,7 @@ def test_expectation_matches_dense_quadratic_form():
 def test_overlap_properties():
     """|⟨ψ|RX(θ)ψ⟩|² = cos²(θ/2) between prepared states, in either order."""
     rx = AnsatzCircuit(1, (PauliString("X"),))
-    psi = zero_state(1).amplitudes
+    psi = np.array([1.0, 0.0], dtype=complex)
     assert abs(np.vdot(psi, prepare_state(rx, [np.pi]).amplitudes)) < 1e-14
     for theta in (0.3, 1.1, 2.5):
         rotated = prepare_state(rx, [theta]).amplitudes
@@ -261,6 +254,20 @@ def test_a_sum_is_compiled_once(monkeypatch):
     expectation(psi, h)
     hamiltonian_matrix(h)
     assert len(calls) == h.num_terms
+
+
+def test_a_gate_table_builds_each_generator_once(monkeypatch):
+    """Gates with the same generator share one kernel: the layered ansatz
+    repeats its Y layer, and each Y word's gathers are one array."""
+    kernel = simulator._pauli_kernel
+    calls = []
+    monkeypatch.setattr(
+        simulator, "_pauli_kernel", lambda letters: calls.append(letters) or kernel(letters)
+    )
+    letters = tuple(g.letters for g in build_hardware_efficient(3, 2).generators)
+    srcs, _, _ = simulator._gate_table.__wrapped__(letters)
+    assert sorted(calls) == sorted(set(letters))
+    assert srcs[0] is srcs[9] is srcs[18]  # Y on qubit 0, three times
 
 
 def test_ground_energy_single_qubit():
@@ -401,7 +408,8 @@ def test_sweep_equals_the_gate_by_gate_tangents(case):
     gates = list(zip(circuit.generators, circuit.theta_ref + theta))
     h = random_hamiltonian(np.random.default_rng(seed), n, 4)
     psi, tangents = _state_and_tangents(circuit, theta)
-    zero = zero_state(n).amplitudes
+    zero = np.zeros(2**n, dtype=complex)
+    zero[0] = 1.0
     want_psi = _run_gates(zero, gates)
     assert np.max(np.abs(psi - want_psi)) <= 1e-14
     assert np.array_equal(prepare_state(circuit, theta).amplitudes, psi)
