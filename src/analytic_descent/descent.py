@@ -139,6 +139,13 @@ class TraceRecord:
     distance_to_ground: float
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 # The trace CSV's columns are TraceRecord's fields in order; each field's
 # annotation picks its (writer, reader) pair.  Floats print with 17
 # significant digits, so they read back bit for bit.
@@ -146,10 +153,10 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 _CSV_TYPES = {
     "str": (str, str),
     "int": (str, int),
-    "float": ("%.17g".__mod__, float),
+    "float": ("%.17g".__mod__, _finite_float),
     "float | None": (
         lambda value: "" if value is None else "%.17g" % value,
-        lambda text: None if text == "" else float(text),
+        lambda text: None if text == "" else _finite_float(text),
     ),
 }
 
@@ -164,11 +171,10 @@ class OptimizationTrace:
     def append(self, record: TraceRecord) -> None:
         if self.records:
             last = self.records[-1]
-            if (
-                record.cumulative_cost < last.cumulative_cost
-                or record.cumulative_raw_queries < last.cumulative_raw_queries
-            ):
-                raise ValueError("cumulative cost and query counts must not decrease")
+            cost_fell = record.cumulative_cost < last.cumulative_cost
+            if cost_fell or record.cumulative_raw_queries < last.cumulative_raw_queries:
+                column = "cumulative_cost" if cost_fell else "cumulative_raw_queries"
+                raise ValueError(f"{column}: cumulative cost and query counts must not decrease")
         self.records.append(record)
 
     @property
@@ -484,6 +490,8 @@ def write_trace_csv(trace: OptimizationTrace, path) -> None:
 
 
 def read_trace_csv(path) -> OptimizationTrace:
+    """Read a ``write_trace_csv`` file; a malformed or non-finite field, or a
+    decreasing counter, raises ``ValueError`` naming its line and column."""
     readers = [_CSV_TYPES[f.type][1] for f in fields(TraceRecord)]
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -493,5 +501,14 @@ def read_trace_csv(path) -> OptimizationTrace:
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{number}: expected {len(TRACE_COLUMNS)} fields")
-        trace.append(TraceRecord(*(read(text) for read, text in zip(readers, row))))
+        values = []
+        for name, read, text in zip(TRACE_COLUMNS, readers, row):
+            try:
+                values.append(read(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {name}: {exc}") from None
+        try:
+            trace.append(TraceRecord(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     return trace

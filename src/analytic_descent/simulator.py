@@ -10,8 +10,9 @@ and a Pauli string acts as a signed permutation of the computational basis:
 P|i⟩ = i^{n_Y} (-1)^{popcount(i & m_{YZ})} |i ^ m_{XY}⟩, where m_{XY} flips
 the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  A circuit's
 gates are read from one gate table of those kernels (``pauli._pauli_kernel``),
-built once per gate sequence; every use of H, from expectations to the
-dense matrix and the ground-energy matvec, reads ``PauliSum.flip_patterns``.
+built once per gate sequence with one phase array, the spawns -(i/2)·phase;
+every use of H, from expectations to the dense matrix and the ground-energy
+matvec, reads ``PauliSum.flip_patterns``.
 A kernel is not cached on its own: the gate table and the flip patterns
 hold the only copies.
 
@@ -28,7 +29,9 @@ from it.
 
 Every simulation starts at ``_rotations``, which refuses a register over
 ``MAX_QUBITS`` qubits before any state, block or gate table is allocated;
-``PauliSum.flip_patterns`` refuses it before any array of H is.
+``PauliSum.flip_patterns`` refuses it before any array of H is.  Every
+route that applies H goes through ``_apply_hamiltonian``, which refuses an
+H on another register first.
 
 All operations are pure functions over immutable values; gate tables and
 compiled sums are cached on first use and never changed, and importing the
@@ -88,7 +91,13 @@ class StateVector:
 
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
     """H·amps for 1-D amplitudes or batches with amplitudes on the last axis:
-    one gather and one multiply-add per flip pattern of ``h.flip_patterns``."""
+    one gather and one multiply-add per flip pattern of ``h.flip_patterns``.
+    Every route that applies H comes here, so H's register is checked here."""
+    if 2**h.num_qubits != amps.shape[-1]:
+        raise ValueError(
+            f"operator on {h.num_qubits} qubits does not match "
+            f"{amps.shape[-1].bit_length() - 1}-qubit state"
+        )
     out = np.zeros(amps.shape, dtype=np.complex128)
     for src, weight in h.flip_patterns:
         if src is None:
@@ -110,18 +119,14 @@ def expectation(psi: StateVector, h: PauliSum) -> float:
     """⟨ψ|H|ψ⟩ = Σ c_j ⟨ψ|P_j|ψ⟩ for a real-weighted Pauli sum, as ⟨ψ|Hψ⟩.
 
     The imaginary residue must vanish (|Im| < 1e-10) since H is Hermitian;
-    a larger residue indicates a corrupted state or sum and raises.
+    a larger residue (a corrupted state or sum) raises, as does an H on
+    another register than ψ's.
     """
     return _expectation(psi.amplitudes, h)[0]
 
 
 def _expectation(amps: np.ndarray, h: PauliSum) -> tuple[float, np.ndarray]:
     """``expectation`` on raw amplitudes, and the H·amps it was taken from."""
-    if 2**h.num_qubits != len(amps):
-        raise ValueError(
-            f"operator on {h.num_qubits} qubits does not match "
-            f"{len(amps).bit_length() - 1}-qubit state"
-        )
     h_amps = _apply_hamiltonian(amps, h)
     total = np.vdot(amps, h_amps)
     if abs(total.imag) >= 1e-10:
@@ -205,7 +210,7 @@ def ground_energy(h: PauliSum) -> float:
 def _gate_table(letters: tuple[str, ...]):
     """A gate sequence's signed permutations, stacked: per gate the gather
     index (None for a diagonal, Z/I-only generator, whose index is the
-    identity), then the ν×2^N phases and the spawn phases -(i/2)·phase.
+    identity), then the ν×2^N spawn phases -(i/2)·phase, its one phase array.
 
     Built on the first simulation of a circuit with these generators and
     shared by every later one (``AnsatzCircuit._gate_table``); read-only.
@@ -214,16 +219,15 @@ def _gate_table(letters: tuple[str, ...]):
     unique = {word: _pauli_kernel(word) for word in set(letters)}
     kernels = [unique[word] for word in letters]
     srcs = tuple(src if src[0] else None for src, _ in kernels)
-    phases = np.stack([phase for _, phase in kernels])
-    spawns = -0.5j * phases
-    phases.flags.writeable = spawns.flags.writeable = False
-    return srcs, phases, spawns
+    spawns = -0.5j * np.stack([phase for _, phase in kernels])
+    spawns.flags.writeable = False
+    return srcs, spawns
 
 
 def _rotations(circuit: AnsatzCircuit, theta):
     """The gates of ``circuit`` at θ₀+θ, read from its gate table: the
     gathers and spawn phases, every gate's cos(half-angle) and
-    -i·sin(half-angle)·phase, the latter in one product.
+    -i·sin(half-angle)·phase = 2·sin(half-angle)·spawn, in one product.
 
     Every simulation starts here, so the register and θ are checked here:
     at most ``MAX_QUBITS`` qubits, before any 2^N-sized array is built, and
@@ -237,9 +241,9 @@ def _rotations(circuit: AnsatzCircuit, theta):
         raise ValueError(f"expected {nu} parameters, got shape {theta.shape}")
     if not np.isfinite(theta).all():
         raise ValueError("non-finite entries in theta")
-    srcs, phases, spawns = circuit._gate_table
+    srcs, spawns = circuit._gate_table
     half = 0.5 * (circuit.theta_ref + theta)
-    return srcs, spawns, np.cos(half).tolist(), (-1j * np.sin(half))[:, None] * phases
+    return srcs, spawns, np.cos(half).tolist(), (2.0 * np.sin(half))[:, None] * spawns
 
 
 def _forward(circuit: AnsatzCircuit, gates) -> np.ndarray:

@@ -543,16 +543,11 @@ class CircuitOracle:
     eD_kl = 8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), k < l (``pair_coefficients``).
     A pair point asked of ``schedule_energies`` is prepared and measured on
     its own.  ``reference`` gives the sweep's ψ, tangents and gradient
-    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).  The sweep runs at construction,
-    so every oracle is built once, when it is made.
+    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).  The sweep, which refuses an H on
+    another register, runs at construction: each oracle is built once.
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
-        if h.num_qubits != circuit.num_qubits:
-            raise ValueError(
-                f"Hamiltonian on {h.num_qubits} qubits does not match "
-                f"{circuit.num_qubits}-qubit circuit"
-            )
         self.circuit = circuit
         self.h = h
         self.theta0 = np.array(circuit.theta_ref)
@@ -742,5 +737,21 @@ def model_to_json(model: SurrogateModel) -> str:
 
 
 def model_from_json(text: str) -> SurrogateModel:
+    """Read a ``model_to_json`` checkpoint; a field it lacks, or a ``nu``
+    other than len(eB), raises ``ValueError`` naming it."""
     payload = json.loads(text)
-    return SurrogateModel(**{f.name: payload[f.name] for f in fields(SurrogateModel)})
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint must be a JSON object")
+    names = [f.name for f in fields(SurrogateModel)]
+    for name in names:
+        if name not in payload:
+            raise ValueError(f"checkpoint has no field {name!r}")
+    model = SurrogateModel(**{name: payload[name] for name in names})
+    # ``nu`` after the model, so the model's own checks (ν ≥ 1) speak first.
+    if "nu" not in payload:
+        raise ValueError("checkpoint has no field 'nu'")
+    if payload["nu"] != model.nu:
+        raise ValueError(
+            f"checkpoint field 'nu' is {payload['nu']!r}, but eB has {model.nu} entries"
+        )
+    return model

@@ -1056,3 +1056,47 @@ def test_csv_header_and_field_validation(tmp_path):
     bad_row.write_text(",".join(TRACE_COLUMNS) + "\nouter,0,0\n")
     with pytest.raises(ValueError, match=r"bad_row\.csv:2"):
         read_trace_csv(bad_row)
+
+
+def _trace_file(tmp_path, *rows):
+    path = tmp_path / "trace.csv"
+    lines = [",".join(TRACE_COLUMNS), *(",".join(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_ROW = ("outer", "0", "0", "1", "5", "-1.0", "", "0.5")
+
+
+def test_csv_field_errors_name_the_file_line_and_column(tmp_path):
+    bad = list(_ROW)
+    bad[5] = "abc"
+    path = _trace_file(tmp_path, _ROW, bad)
+    with pytest.raises(ValueError, match=r"trace\.csv:3: energy_true: could not convert"):
+        read_trace_csv(path)
+    bad = list(_ROW)
+    bad[4] = "5.5"
+    path = _trace_file(tmp_path, bad)
+    with pytest.raises(ValueError, match=r"trace\.csv:2: cumulative_raw_queries: invalid"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("column", [3, 5, 6, 7])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_csv_refuses_non_finite_floats_by_line_and_column(tmp_path, column, text):
+    bad = list(_ROW)
+    bad[column] = text
+    path = _trace_file(tmp_path, _ROW, _ROW, bad)
+    name = TRACE_COLUMNS[column]
+    with pytest.raises(ValueError, match=rf"trace\.csv:4: {name}: non-finite value '{text}'"):
+        read_trace_csv(path)
+
+
+def test_csv_decreasing_counters_name_the_line_and_column(tmp_path):
+    for column, text in [(3, "0.5"), (4, "4")]:
+        bad = list(_ROW)
+        bad[column] = text
+        path = _trace_file(tmp_path, _ROW, bad)
+        name = TRACE_COLUMNS[column]
+        with pytest.raises(ValueError, match=rf"trace\.csv:3: {name}: .* must not decrease"):
+            read_trace_csv(path)

@@ -5,6 +5,7 @@ matrix oracles in conftest."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,9 +266,58 @@ def test_a_gate_table_builds_each_generator_once(monkeypatch):
         simulator, "_pauli_kernel", lambda letters: calls.append(letters) or kernel(letters)
     )
     letters = tuple(g.letters for g in build_hardware_efficient(3, 2).generators)
-    srcs, _, _ = simulator._gate_table.__wrapped__(letters)
+    srcs, _ = simulator._gate_table.__wrapped__(letters)
     assert sorted(calls) == sorted(set(letters))
     assert srcs[0] is srcs[9] is srcs[18]  # Y on qubit 0, three times
+
+
+def test_one_energy_holds_one_table_array():
+    """Memory guard: one energy at N = 10, B = 2 keeps its gate table, one
+    ν×2^N phase array and the gathers, and peaks at that table plus the
+    call's rotation rows."""
+    h = spin_ring_hamiltonian(10, 0.05)
+    h.flip_patterns  # H's arrays are the sum's, built before the trace
+    simulator._gate_table.cache_clear()
+    circuit = build_hardware_efficient(10, 2)
+    table_array = circuit.num_parameters * 2**10 * 16
+    tracemalloc.start()
+    try:
+        energy(circuit, np.zeros(circuit.num_parameters), h)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * table_array
+    assert peak <= 2.5 * table_array
+
+
+def test_every_route_checks_h_against_the_state_before_compiling_h():
+    circuit = build_hardware_efficient(3, 1)
+    theta = np.zeros(circuit.num_parameters)
+    for n in (2, 4):
+        h = spin_ring_hamiltonian(n, 0.5)
+        routes = (
+            lambda: energy(circuit, theta, h),
+            lambda: energy_gradient(circuit, theta, h),
+            lambda: energy_gradient_metric(circuit, theta, h),
+            lambda: CircuitOracle(circuit, h),
+        )
+        for route in routes:
+            with pytest.raises(
+                ValueError, match=f"operator on {n} qubits does not match 3-qubit state"
+            ):
+                route()
+        assert "flip_patterns" not in vars(h)
+
+
+def test_rotation_rows_are_minus_i_sin_times_the_kernel_phase():
+    generators = tuple(PauliString(word) for word in ("ZI", "XY", "YY", "IX"))
+    phases = np.stack([pauli._pauli_kernel(g.letters)[1] for g in generators])
+    assert set(phases.ravel().tolist()) == {1, -1, 1j, -1j}
+    circuit = AnsatzCircuit(2, generators, [0.4, -1.3, 2.9, 0.0])
+    theta = np.array([0.8, 0.2, -2.2, 0.0])  # the last gate's sine is 0
+    half = 0.5 * (circuit.theta_ref + theta)
+    rows = simulator._rotations(circuit, theta)[3]
+    assert np.array_equal(rows, (-1j * np.sin(half))[:, None] * phases)
 
 
 def test_ground_energy_single_qubit():

@@ -4,7 +4,6 @@ brute-force oracle."""
 
 import json
 import re
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -269,7 +268,6 @@ def test_threaded_dispatch_builds_the_oracle_cache_once(monkeypatch):
 
     def counted(self):
         builds.append(self)
-        time.sleep(0.05)  # hold the build open while the other chunks arrive
         build(self)
 
     monkeypatch.setattr(CircuitOracle, "_build_cache", counted)
@@ -1177,6 +1175,20 @@ def test_model_json_round_trips_bit_for_bit(data, nu, noisy):
         assert np.array(getattr(again, f.name)).tobytes() == (
             np.array(getattr(model, f.name)).tobytes()
         )
+
+
+def test_a_checkpoint_without_a_field_or_with_a_wrong_nu_is_refused_by_name():
+    payload = json.loads(model_to_json(_rx_model(0.3)))
+    with pytest.raises(ValueError, match="checkpoint has no field 'theta0'"):
+        model_from_json("{}")
+    for name in ("eB", "varA", "varD", "nu"):
+        partial = {key: value for key, value in payload.items() if key != name}
+        with pytest.raises(ValueError, match=f"checkpoint has no field '{name}'"):
+            model_from_json(json.dumps(partial))
+    with pytest.raises(ValueError, match="checkpoint field 'nu' is 2, but eB has 1 entries"):
+        model_from_json(json.dumps(payload | {"nu": 2}))
+    with pytest.raises(ValueError, match="checkpoint must be a JSON object"):
+        model_from_json("[]")
 
 
 def test_model_validation():
