@@ -20,7 +20,6 @@ from .descent import (
     OptimizerConfig,
     TraceRecord,
     cost_to_reach,
-    feedback_check,
     one_minus_f,
     precision_policy,
     read_trace_csv,
@@ -94,7 +93,6 @@ __all__ = [
     "eval_gradient",
     "expectation",
     "extract_gradient_hessian",
-    "feedback_check",
     "format_pauli_sum",
     "gradient_variance",
     "gradient_variance_by_class",

@@ -222,36 +222,16 @@ def precision_policy(g_norm: float, nu: int, spec: NoiseSpec) -> NoiseLevels:
     )
 
 
-def feedback_check(
-    e_device: float,
-    e_model: float,
-    noise: NoiseLevels | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """|device energy − surrogate energy| at one θ, one raw query.
-
-    ``e_device`` is ``energy`` at θ₀+θ and ``e_model`` is ``eval_energy`` at
-    θ.  The device query is perturbed with the coarse (eA-class) std when
-    noise levels are given, drawn from ``rng``, which is then required;
-    noiseless it measures the pure truncation defect, which vanishes for
-    ν=1 where the surrogate is the full series.
-    """
-    if noise is not None:
-        if rng is None:
-            raise ValueError("noise levels need a generator for the query's draw")
-        e_device += noise.sigma_a * rng.standard_normal()
-    return abs(e_device - e_model)
-
-
 class _Recorder:
     """One run's trace, ground energy, and ledger of device requests.
 
     Every step and record of both optimizers goes through it, and so does
     every device request: ``estimate``, ``feedback`` and ``device_gradient``
     are the only code that charges cost units and raw queries or draws shot
-    noise.  A draw comes from the ``_query_rng`` stream keyed (noise seed,
-    run seed, ...) below, at the index given; every σ is floored at
-    ``NOISE_FLOOR``, and r is the relative gradient precision:
+    noise, which ``feedback`` and ``device_gradient`` draw themselves.  A draw
+    comes from the ``_query_rng`` stream keyed (noise seed, run seed, ...)
+    below, at the index given; every σ is floored at ``NOISE_FLOOR``, and r
+    is the relative gradient precision:
 
     ============  =====  =======  ====================  =====================
     request       units  queries  σ per query           stream, index
@@ -284,7 +264,7 @@ class _Recorder:
 
     def estimate(self, oracle, schedule, outer):
         """The surrogate at the oracle's θ₀, at noise levels set by its ‖g‖."""
-        g = oracle.reference()[2]
+        g = oracle.gradient
         self.g_norm = float(np.linalg.norm(g))
         if self.noise.enabled:
             self.levels = precision_policy(self.g_norm, g.size, self.noise)
@@ -294,10 +274,15 @@ class _Recorder:
         return estimate_coefficients(oracle, schedule, self.levels, rng_seed=key)
 
     def feedback(self, e_true, e_model, outer, check):
-        """``feedback_check`` of one device energy at the outer step's levels."""
+        """|device − surrogate energy| at one θ, for one raw query: ``e_true``
+        is ``energy`` at θ₀+θ, plus a σ_a draw when the outer step is noisy,
+        and ``e_model`` is ``eval_energy`` at θ.  Noiseless it is the pure
+        truncation defect, which vanishes for ν = 1 (the full series)."""
         self.raw += 1
-        rng = None if self.levels is None else _query_rng(self.seed + (outer, 2), check)
-        return feedback_check(e_true, e_model, self.levels, rng)
+        if self.levels is not None:
+            rng = _query_rng(self.seed + (outer, 2), check)
+            e_true += self.levels.sigma_a * rng.standard_normal()
+        return abs(e_true - e_model)
 
     def device_gradient(self, g, g_norm, units, *key):
         """The exact gradient ``g`` as the device's 2ν-query parameter-shift
@@ -430,10 +415,8 @@ def run_analytic_descent(
     for outer in range(1, config.max_outer + 1):
         oracle = CircuitOracle(current, h)
         model = run.estimate(oracle, schedule, outer)
-        psi, tangents, _ = oracle.reference()
-        theta, reason, steps, held = _walk(
-            run, outer, model, current, h, qfi_from_tangents(psi, tangents), config
-        )
+        metric = qfi_from_tangents(oracle.psi, oracle.tangents)
+        theta, reason, steps, held = _walk(run, outer, model, current, h, metric, config)
         inner_exits.append({"outer": outer, "reason": reason, "steps": steps})
 
         current = current.rebased(theta)

@@ -15,10 +15,12 @@ along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 The queries are the fixed schedule `query_schedule(ν)`; a point's index is
 its position there, and `estimate_coefficients` reads each coefficient's
 queries from their positions.  It accepts any callable `shift ↦ energy`; the
-`CircuitOracle` here additionally exposes a batched route from one tangent
-sweep at θ₀.  Every gate is exp(-iθP/2) with P² = I, so shifting axis k by
-σ gives the state cos(σ/2)·ψ + 2·sin(σ/2)·t_k exactly (t_k = ∂ψ/∂θ_k), and
-each unshifted or single-axis energy is a quadratic form in (ψ, t_k).  The
+`CircuitOracle` here answers it from one tangent sweep at θ₀ and keeps the
+sweep's ψ, tangents, gradient and pair block as attributes, which the
+optimizer reads for its noise levels and first metric.  Every gate is
+exp(-iθP/2) with P² = I, so shifting axis k by σ gives the state
+cos(σ/2)·ψ + 2·sin(σ/2)·t_k exactly (t_k = ∂ψ/∂θ_k), and each unshifted
+or single-axis energy is a quadratic form in (ψ, t_k).  The
 pair points enter the model only through eD_kl = ((E₊₊ + E₋₋) − E₋₊) − E₊₋,
 which is 4·∂²E/∂θ_k∂θ_l, the shift-rule Hessian (Mari, Bromley & Killoran,
 arXiv 2008.06517).  The oracle takes it from the same sweep as
@@ -153,14 +155,6 @@ class NoiseLevels:
             value = getattr(self, f.name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{f.name} must be a finite std >= 0, got {value}")
-
-    def for_kind(self, kind: str) -> float:
-        return {
-            "A": self.sigma_a,
-            "B": self.sigma_b,
-            "C": self.sigma_c,
-            "D": self.sigma_d,
-        }[kind[0]]
 
 
 @dataclass(frozen=True)
@@ -468,7 +462,7 @@ def estimate_coefficients(
     values, pair_block = _raw_energies(oracle, schedule, nu)
     if noise is not None:
         counts = (1, 2 * nu, nu, 2 * nu * (nu - 1))
-        sigma = np.repeat([noise.for_kind(kind) for kind in "ABCD"], counts)
+        sigma = np.repeat([noise.sigma_a, noise.sigma_b, noise.sigma_c, noise.sigma_d], counts)
         noisy = np.flatnonzero(sigma > 0.0)
         if noisy.size:
             draws = _first_normals(rng_seed, noisy, _seed_states(rng_seed, noisy))
@@ -507,7 +501,7 @@ def _raw_energies(oracle, schedule, nu) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(oracle, CircuitOracle):
         values = np.zeros(len(schedule))
         values[: 3 * nu + 1] = oracle.schedule_energies(schedule[: 3 * nu + 1])
-        return values, oracle.pair_coefficients()
+        return values, oracle.pair_block
 
     def pointwise(point):
         try:
@@ -537,14 +531,13 @@ class CircuitOracle:
     """Energy oracle E(θ₀ + shift) with a batched schedule route.
 
     The batch route runs ``_state_tangents_and_hessian`` once at θ₀, at
-    every register size.  Its cache holds the unshifted and single-axis
-    energies, quadratic forms in the 2×2 matrix Re⟨u|H|v⟩ over
-    u, v ∈ (ψ, tₖ), and the exact pair block
-    eD_kl = 8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), k < l (``pair_coefficients``).
-    A pair point asked of ``schedule_energies`` is prepared and measured on
-    its own.  ``reference`` gives the sweep's ψ, tangents and gradient
-    2·Re⟨tₖ|H|ψ⟩ (``energy_gradient``'s).  The sweep, which refuses an H on
-    another register, runs at construction: each oracle is built once.
+    every register size, at construction; that sweep refuses an H on another
+    register.  Its cache holds the unshifted and single-axis energies,
+    quadratic forms in the 2×2 matrix Re⟨u|H|v⟩ over u, v ∈ (ψ, tₖ); a pair
+    point asked of ``schedule_energies`` is prepared and measured on its own.
+    The sweep's ``psi``, ``tangents`` tₖ = ∂ψ/∂θₖ, ``gradient`` 2·Re⟨tₖ|H|ψ⟩
+    (``energy_gradient``'s) and ``pair_block``, the exact eD_kl =
+    8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), k < l, are its attributes.
     """
 
     def __init__(self, circuit: AnsatzCircuit, h):
@@ -570,16 +563,8 @@ class CircuitOracle:
         gram[:, 0, 1] = gram[:, 1, 0] = g
         gram[:, 1, 1] = np.diag(G)
         self._cache = np.einsum("si,kij,sj->sk", _SINGLE_WEIGHTS, gram, _SINGLE_WEIGHTS)
-        self._pair_block = np.triu(8.0 * (hessian + G), 1)
-        self._reference = (psi, tangents, 2.0 * g)
-
-    def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ψ, tangents, energy gradient) at θ₀, from the schedule's sweep."""
-        return self._reference
-
-    def pair_coefficients(self) -> np.ndarray:
-        """The exact eD: ((E₊₊ + E₋₋) − E₋₊) − E₊₋ for every pair k < l, to rounding."""
-        return self._pair_block
+        self.pair_block = np.triu(8.0 * (hessian + G), 1)
+        self.psi, self.tangents, self.gradient = psi, tangents, 2.0 * g
 
     def schedule_energies(self, points: Sequence[QueryPoint]) -> np.ndarray:
         """Energies at ``points``, in order."""

@@ -24,7 +24,6 @@ from analytic_descent import (
     estimate_coefficients,
     eval_energy,
     eval_gradient,
-    feedback_check,
     one_minus_f,
     parse_pauli_sum,
     precision_policy,
@@ -114,16 +113,16 @@ def test_one_minus_f_geometry():
 # ------------------------------------------------------- feedback check
 
 
-def _energies(model, circuit, h, theta):
-    # (device energy, surrogate energy) at θ, as the inner loop holds them
-    return energy(circuit, theta, h), eval_energy(model, theta)
+def _deviation(model, circuit, h, theta):
+    # |device energy − surrogate energy| at θ, the noiseless feedback deviation
+    return abs(energy(circuit, theta, h) - eval_energy(model, theta))
 
 
 def test_feedback_zero_for_single_parameter_model():
     circuit = _rx(0.3)
     model = estimate_coefficients(CircuitOracle(circuit, Z_FIELD), query_schedule(1))
     for t in (-1.2, -0.3, 0.0, 0.8):
-        assert feedback_check(*_energies(model, circuit, Z_FIELD, [t])) < 1e-12
+        assert _deviation(model, circuit, Z_FIELD, [t]) < 1e-12
 
 
 def test_feedback_deviation_grows_cubically():
@@ -136,7 +135,7 @@ def test_feedback_deviation_grows_cubically():
     for radius in radii:
         sampler = np.random.default_rng(13)
         worst.append(max(
-            feedback_check(*_energies(model, circuit, h, sampler.uniform(-radius, radius, 4)))
+            _deviation(model, circuit, h, sampler.uniform(-radius, radius, 4))
             for _ in range(30)
         ))
     slope = np.polyfit(np.log10(radii), np.log10(worst), 1)[0]
@@ -144,17 +143,25 @@ def test_feedback_deviation_grows_cubically():
 
 
 def test_feedback_noise_injection_is_seeded():
+    """The ledger's feedback adds σ_a times the first draw of stream
+    (noise seed, run seed, outer, 2) at the check's index to the device
+    energy, and charges one raw query."""
     circuit = _rx(0.3)
     model = estimate_coefficients(CircuitOracle(circuit, Z_FIELD), query_schedule(1))
+    e_true, e_model = energy(circuit, [0.1], Z_FIELD), eval_energy(model, [0.1])
+
+    def feedback(levels):
+        run = descent._Recorder("analytic_descent", Z_FIELD, 1e-3, NoiseSpec(True), 7)
+        run.levels = levels
+        return run.feedback(e_true, e_model, 3, 2), run.raw
+
     levels = NoiseLevels(0.5, 0.5, 0.5, 0.5)
-    at = _energies(model, circuit, Z_FIELD, [0.1])
-    a = feedback_check(*at, levels, np.random.default_rng(7))
-    b = feedback_check(*at, levels, np.random.default_rng(7))
-    clean = feedback_check(*at)
+    a, b, clean = feedback(levels), feedback(levels), feedback(None)
     assert a == b
-    assert abs(a - clean) > 1e-4
-    with pytest.raises(ValueError, match="noise levels need a generator"):
-        feedback_check(*at, levels)
+    assert clean == (abs(e_true - e_model), 1)
+    draw = np.random.default_rng([0, 7, 3, 2, 2]).standard_normal()
+    assert a == (abs(e_true + 0.5 * draw - e_model), 1)
+    assert abs(a[0] - clean[0]) > 1e-4
 
 
 # ------------------------------------------------ surrogate descent runs

@@ -186,7 +186,7 @@ def test_every_simulation_refuses_a_register_over_the_cap(monkeypatch):
         "energy_gradient": lambda: energy_gradient(circuit, theta, h),
         "qfi_exact": lambda: qfi_exact(circuit, theta),
         "energy_gradient_metric": lambda: energy_gradient_metric(circuit, theta, h),
-        "reference": lambda: CircuitOracle(circuit, h).reference(),
+        "CircuitOracle": lambda: CircuitOracle(circuit, h),
     }
     for name, route in routes.items():
         with pytest.raises(ValueError, match="qubit count 4 exceeds cap 3"):

@@ -416,9 +416,10 @@ def test_batched_noise_equals_one_default_rng_per_query(nu, key, levels):
     parts = list(key) if isinstance(key, tuple) else [key]
     clean = oracle.schedule_energies(schedule)
     table = {tuple(p.shift(nu)): value for p, value in zip(schedule, clean)}
+    sigmas = dict(zip("ABCD", (levels.sigma_a, levels.sigma_b, levels.sigma_c, levels.sigma_d)))
     values = {}
     for point, value in zip(schedule, clean):
-        sigma = levels.for_kind(point.kind)
+        sigma = sigmas[point.kind[0]]
         if sigma > 0.0:
             draw = np.random.default_rng(parts + [point.index]).standard_normal()
             value += sigma * draw
