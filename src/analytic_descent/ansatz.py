@@ -119,8 +119,10 @@ def prepare_state(circuit: AnsatzCircuit, theta) -> StateVector:
 
 
 def energy(circuit: AnsatzCircuit, theta, h) -> float:
-    """E(θ) = ⟨ψ(θ₀+θ)|H|ψ(θ₀+θ)⟩."""
-    return expectation(prepare_state(circuit, theta), h)
+    """E(θ) = ⟨ψ(θ₀+θ)|H|ψ(θ₀+θ)⟩ of ``prepare_state``'s state, whose
+    simulation checks H's register before it starts."""
+    psi = _forward(circuit, _rotations(circuit, theta, h))
+    return expectation(StateVector(circuit.num_qubits, psi), h)
 
 
 def energy_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
@@ -129,6 +131,6 @@ def energy_gradient(circuit: AnsatzCircuit, theta, h) -> np.ndarray:
     For Pauli-generated gates this equals the parameter-shift combination
     [E(+π/2)-E(-π/2)]/2 exactly.
     """
-    psi, tangents = _state_and_tangents(circuit, theta)
+    psi, tangents = _state_and_tangents(circuit, theta, h)
     return 2.0 * _real_overlaps(tangents, _apply_hamiltonian(psi, h))
 

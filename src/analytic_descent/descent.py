@@ -19,6 +19,7 @@ channel, index), so re-runs are bit-reproducible, and it raises
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -78,6 +79,10 @@ class NoiseSpec:
                 f"relative gradient precision must be > 0, got "
                 f"{self.relative_gradient_precision}"
             )
+        try:
+            operator.index(self.rng_seed)
+        except TypeError:
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed}") from None
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -404,11 +409,14 @@ def run_analytic_descent(
     there.  Feedback checks add their queries.  Converged when the true
     energy is within ``convergence_threshold`` of the exact ground energy.
     """
+    zeros = np.zeros(circuit.num_parameters)
+    # The first simulation refuses an H on another register before the
+    # ledger solves its ground energy.
+    e_start = energy(circuit, zeros, h)
     run = _Recorder("analytic_descent", h, config.convergence_threshold, noise, rng_seed)
     inner_exits = run.trace.metadata["inner_exits"] = []
     current = circuit
-    zeros = np.zeros(circuit.num_parameters)
-    if run.record("outer", 0, 0, energy(current, zeros, h)):
+    if run.record("outer", 0, 0, e_start):
         return run.finish(current.theta_ref)
 
     schedule = query_schedule(circuit.num_parameters)
@@ -446,9 +454,9 @@ def run_natural_gradient(
     ``max_outer`` caps the number of steps.  One ``energy_gradient_metric``
     sweep per point gives the energy recorded there and the next step's g, F.
     """
-    run = _Recorder("natural_gradient", h, config.convergence_threshold, noise, rng_seed)
     theta = np.zeros(circuit.num_parameters)
-    e_true, g, metric = energy_gradient_metric(circuit, theta, h)
+    e_true, g, metric = energy_gradient_metric(circuit, theta, h)  # as above
+    run = _Recorder("natural_gradient", h, config.convergence_threshold, noise, rng_seed)
     if run.record("outer", 0, 0, e_true):
         return run.finish(circuit.theta_ref + theta)
 

@@ -123,7 +123,7 @@ def qfi_exact(circuit: AnsatzCircuit, theta) -> MetricTensor:
 
 def energy_gradient_metric(circuit: AnsatzCircuit, theta, h):
     """``energy``, ``energy_gradient`` and ``qfi_exact`` from one sweep, bit for bit."""
-    psi, tangents = _state_and_tangents(circuit, theta)
+    psi, tangents = _state_and_tangents(circuit, theta, h)
     e, h_psi = _expectation(psi, h)
     return e, 2.0 * _real_overlaps(tangents, h_psi), qfi_from_tangents(psi, tangents)
 

@@ -29,9 +29,10 @@ from it.
 
 Every simulation starts at ``_rotations``, which refuses a register over
 ``MAX_QUBITS`` qubits before any state, block or gate table is allocated;
-``PauliSum.flip_patterns`` refuses it before any array of H is.  Every
-route that applies H goes through ``_apply_hamiltonian``, which refuses an
-H on another register first.
+``PauliSum.flip_patterns`` refuses it before any array of H is.  Given the
+H the simulation will apply, ``_rotations`` also refuses an H on another
+register there, and ``expectation`` does for a caller's state
+(``_check_register``), so a mismatch costs no simulation.
 
 All operations are pure functions over immutable values; gate tables and
 compiled sums are cached on first use and never changed, and importing the
@@ -89,15 +90,18 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _check_register(num_qubits: int, h: PauliSum) -> None:
+    """Refuse an H on another register than a ``num_qubits``-qubit state's."""
+    if h.num_qubits != num_qubits:
+        raise ValueError(
+            f"operator on {h.num_qubits} qubits does not match {num_qubits}-qubit state"
+        )
+
+
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
     """H·amps for 1-D amplitudes or batches with amplitudes on the last axis:
     one gather and one multiply-add per flip pattern of ``h.flip_patterns``.
-    Every route that applies H comes here, so H's register is checked here."""
-    if 2**h.num_qubits != amps.shape[-1]:
-        raise ValueError(
-            f"operator on {h.num_qubits} qubits does not match "
-            f"{amps.shape[-1].bit_length() - 1}-qubit state"
-        )
+    The register was checked where the amplitudes' simulation started."""
     out = np.zeros(amps.shape, dtype=np.complex128)
     for src, weight in h.flip_patterns:
         if src is None:
@@ -122,6 +126,7 @@ def expectation(psi: StateVector, h: PauliSum) -> float:
     a larger residue (a corrupted state or sum) raises, as does an H on
     another register than ψ's.
     """
+    _check_register(psi.num_qubits, h)
     return _expectation(psi.amplitudes, h)[0]
 
 
@@ -224,17 +229,20 @@ def _gate_table(letters: tuple[str, ...]):
     return srcs, spawns
 
 
-def _rotations(circuit: AnsatzCircuit, theta):
+def _rotations(circuit: AnsatzCircuit, theta, h: PauliSum | None = None):
     """The gates of ``circuit`` at θ₀+θ, read from its gate table: the
     gathers and spawn phases, every gate's cos(half-angle) and
     -i·sin(half-angle)·phase = 2·sin(half-angle)·spawn, in one product.
 
-    Every simulation starts here, so the register and θ are checked here:
-    at most ``MAX_QUBITS`` qubits, before any 2^N-sized array is built, and
-    ν entries of θ, all finite.
+    Every simulation starts here, so the register and θ are checked here,
+    before any 2^N-sized array is built: at most ``MAX_QUBITS`` qubits, the
+    register of ``h`` when the simulation will apply one, and ν entries of
+    θ, all finite.
     """
     if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(f"qubit count {circuit.num_qubits} exceeds cap {MAX_QUBITS}")
+    if h is not None:
+        _check_register(circuit.num_qubits, h)
     theta = np.asarray(theta, dtype=float)
     nu = circuit.num_parameters
     if theta.shape != (nu,):
@@ -291,13 +299,14 @@ def _sweep(circuit: AnsatzCircuit, gates, adjoint=None):
     return block[0], block[1:], overlaps
 
 
-def _state_and_tangents(circuit: AnsatzCircuit, theta):
-    """Final state and all ν analytic tangents ∂|ψ⟩/∂θ_m in one sweep.
+def _state_and_tangents(circuit: AnsatzCircuit, theta, h: PauliSum | None = None):
+    """Final state and all ν analytic tangents ∂|ψ⟩/∂θ_m in one sweep; the
+    H the caller will apply, if given, is checked against the register first.
 
     Gate m contributes tangent U_ν...U_{m+1}·(-i/2)P_m·U_m...U_1|0⟩.  The
     work is O(ν²·2^N) flops in O(ν) vectorized operations.
     """
-    psi, tangents, _ = _sweep(circuit, _rotations(circuit, theta))
+    psi, tangents, _ = _sweep(circuit, _rotations(circuit, theta, h))
     return psi, tangents
 
 
@@ -312,7 +321,7 @@ def _state_tangents_and_hessian(circuit: AnsatzCircuit, theta, h: PauliSum):
     on one vector gives ψ, a backward pass from Hψ every aₗ, and the tangent
     sweep each row's overlaps: O(ν²·2^N) work, and no pair tangent is formed.
     """
-    gates = _rotations(circuit, theta)
+    gates = _rotations(circuit, theta, h)
     srcs, spawns, cos, rotate = gates
     # The forward ψ is the sweep's, value for value (the same products in
     # the same order), so its Hψ serves the caller too.

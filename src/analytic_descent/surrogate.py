@@ -221,7 +221,10 @@ def _key_words(parts) -> list[int]:
     # a list of ints (0 is one word).
     words = []
     for part in parts:
-        part = int(part)
+        try:
+            part = operator.index(part)
+        except TypeError:
+            raise ValueError(f"noise key parts must be integers, got {part}") from None
         if part < 0:
             raise ValueError(f"noise key parts must be non-negative, got {part}")
         while True:
@@ -254,7 +257,7 @@ def _query_rng(rng_seed, index: int, state=None) -> np.random.Generator:
     Counter-based stream per canonical point: identical noise regardless of
     evaluation order or concurrency.  ``rng_seed`` is an int or a tuple of
     ints (e.g. (noise seed, run seed, outer iteration, channel)); every part
-    must be non-negative.  Without ``state`` this is the reference
+    must be a non-negative integer.  Without ``state`` this is the reference
     ``default_rng(list(key) + [index])``, seeded from the key's 32-bit words.
     ``state`` is the query's row of ``_seed_states(rng_seed, indices)``: the
     same PCG64 seed, without hashing the key again for every query.  An
@@ -437,6 +440,8 @@ def estimate_coefficients(
     queries' noise is added as to measured pair energies.  ``schedule`` is
     ``query_schedule(ν)``, or a sequence equal to it point for point; each
     coefficient is read from the positions that schedule gives its queries.
+    An oracle's ``theta0``, if it has one, must have the schedule's ν
+    entries; that is checked before the first query.
     Each raw query is perturbed by an independent zero-mean Gaussian whose
     std is the class level from ``noise``.  Its draw is the first
     ``standard_normal()`` of ``default_rng(list(key) + [index])``, keyed by
@@ -458,6 +463,12 @@ def estimate_coefficients(
         )
     if tuple(schedule) != _canonical_schedule(nu):
         raise ValueError(f"schedule is not query_schedule({nu}) point for point")
+    theta0 = getattr(oracle, "theta0", None)
+    theta0 = np.zeros(nu) if theta0 is None else np.asarray(theta0, dtype=float)
+    if theta0.shape != (nu,):
+        raise ValueError(
+            f"oracle has {theta0.size} parameters, but the schedule is for ν = {nu}"
+        )
 
     values, pair_block = _raw_energies(oracle, schedule, nu)
     if noise is not None:
@@ -485,9 +496,6 @@ def estimate_coefficients(
         varC = np.full(nu, noise.sigma_c**2)
         varD = np.triu(np.full((nu, nu), 4.0 * noise.sigma_d**2), 1)
 
-    theta0 = getattr(oracle, "theta0", None)
-    if theta0 is None:
-        theta0 = np.zeros(nu)
     return SurrogateModel(theta0, eA, eB, eC, eD, varA, varB, varC, varD)
 
 
@@ -567,10 +575,16 @@ class CircuitOracle:
         self.psi, self.tangents, self.gradient = psi, tangents, 2.0 * g
 
     def schedule_energies(self, points: Sequence[QueryPoint]) -> np.ndarray:
-        """Energies at ``points``, in order."""
+        """Energies at ``points``, in order; a point on an axis the circuit
+        lacks is refused."""
         nu = len(self.theta0)
         values = np.empty(len(points))
         for position, point in enumerate(points):
+            if point.axes and max(point.axes) >= nu:
+                raise ValueError(
+                    f"query point {point.index} ({point.kind}, axes {point.axes}) "
+                    f"shifts an axis the {nu}-parameter circuit lacks"
+                )
             if len(point.axes) < 2:
                 axis = point.axes[0] if point.axes else 0
                 values[position] = self._cache[_KIND_INDEX[point.kind], axis]

@@ -78,6 +78,10 @@ def test_noise_spec_validation():
         NoiseSpec(True, 0.0)
     with pytest.raises(ValueError):
         NoiseSpec(True, 0.1, -1)
+    for seed in (0.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"rng_seed must be an integer, got {seed}"):
+            NoiseSpec(True, 0.1, seed)
+    assert NoiseSpec(True, 0.1, np.int64(3)).rng_seed == 3
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="relative_gradient_precision must be finite"):
             NoiseSpec(True, value)
@@ -332,13 +336,21 @@ def test_trace_charges_each_request_its_units_and_queries():
         assert after.cumulative_raw_queries - before.cumulative_raw_queries == 2 * nu
 
 
+# Every device request goes through these calls: the noise streams, the
+# estimation, its noise levels, and a generator's draw methods.
+_LEDGER_CALLS = (
+    "_query_rng", "estimate_coefficients", "precision_policy",
+    "standard_normal", "normal", "uniform", "integers", "random",
+)
+
+
 def _ledger_work(node):
     """(line, name) of each cost/raw assignment and each guarded call in ``node``."""
     found = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-            if name in ("_query_rng", "estimate_coefficients", "precision_policy"):
+            if name in _LEDGER_CALLS:
                 found.append((sub.lineno, name))
         if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = getattr(sub, "targets", [getattr(sub, "target", None)])
@@ -350,9 +362,10 @@ def _ledger_work(node):
 
 
 def test_only_the_ledger_charges_queries_or_draws_noise():
-    """In descent.py only ``_Recorder``'s methods assign ``cost`` or ``raw``
-    or call ``_query_rng``, ``estimate_coefficients`` or ``precision_policy``;
-    a new device request is a ledger method, not a hand-bumped counter."""
+    """In descent.py only ``_Recorder``'s methods assign ``cost`` or ``raw``,
+    call ``_query_rng``, ``estimate_coefficients`` or ``precision_policy``,
+    or draw from a generator; a new device request is a ledger method, not a
+    hand-bumped counter or a draw made elsewhere."""
     with open(descent.__file__) as handle:
         tree = ast.parse(handle.read())
     ledger = next(
@@ -363,7 +376,8 @@ def test_only_the_ledger_charges_queries_or_draws_noise():
     assert outside == []
     inside = {name for _, name in _ledger_work(ledger)}
     assert inside == {
-        "cost", "raw", "_query_rng", "estimate_coefficients", "precision_policy"
+        "cost", "raw", "_query_rng", "estimate_coefficients", "precision_policy",
+        "standard_normal",
     }
 
 

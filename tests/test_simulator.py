@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from analytic_descent import (
     AnsatzCircuit,
     CircuitOracle,
+    NoiseSpec,
+    OptimizerConfig,
     PauliString,
     PauliSum,
     StateVector,
@@ -27,9 +29,11 @@ from analytic_descent import (
     parse_pauli_sum,
     prepare_state,
     qfi_exact,
+    run_analytic_descent,
+    run_natural_gradient,
     spin_ring_hamiltonian,
 )
-from analytic_descent import pauli, simulator
+from analytic_descent import descent, pauli, simulator
 from analytic_descent.metric import energy_gradient_metric
 from analytic_descent.simulator import _state_and_tangents, _state_tangents_and_hessian
 from conftest import (
@@ -290,9 +294,18 @@ def test_one_energy_holds_one_table_array():
     assert peak <= 2.5 * table_array
 
 
-def test_every_route_checks_h_against_the_state_before_compiling_h():
+def test_every_route_checks_h_against_the_state_before_compiling_h(monkeypatch):
+    """A mismatched H is refused before any simulation: no gate table is
+    built, H is not compiled, and neither optimizer solves its ground energy."""
+
+    def no_ground_energy(h):
+        raise AssertionError("the ground energy of a mismatched H was solved")
+
+    monkeypatch.setattr(descent, "ground_energy", no_ground_energy)
     circuit = build_hardware_efficient(3, 1)
     theta = np.zeros(circuit.num_parameters)
+    state = StateVector(3, np.eye(8)[5])
+    config = OptimizerConfig(step_size=0.01, max_outer=1)
     for n in (2, 4):
         h = spin_ring_hamiltonian(n, 0.5)
         routes = (
@@ -300,12 +313,16 @@ def test_every_route_checks_h_against_the_state_before_compiling_h():
             lambda: energy_gradient(circuit, theta, h),
             lambda: energy_gradient_metric(circuit, theta, h),
             lambda: CircuitOracle(circuit, h),
+            lambda: expectation(state, h),
+            lambda: run_analytic_descent(circuit, h, config, NoiseSpec()),
+            lambda: run_natural_gradient(circuit, h, config, NoiseSpec()),
         )
         for route in routes:
             with pytest.raises(
                 ValueError, match=f"operator on {n} qubits does not match 3-qubit state"
             ):
                 route()
+            assert "_gate_table" not in vars(circuit)
         assert "flip_patterns" not in vars(h)
 
 

@@ -128,6 +128,46 @@ def test_estimation_rejects_partial_schedule():
         estimate_coefficients(oracle, query_schedule(1)[:-1])
 
 
+def test_estimation_refuses_an_oracle_of_another_size_before_any_query():
+    """An oracle's theta0 must have the schedule's ν entries, in both
+    directions and for both oracle kinds; a refused callable is never asked."""
+    rng = np.random.default_rng(43)
+    oracle = CircuitOracle(random_circuit(rng, 2, 8), random_hamiltonian(rng, 2, 4))
+    for nu in (6, 10):
+        message = f"oracle has 8 parameters, but the schedule is for ν = {nu}$"
+        with pytest.raises(ValueError, match=message):
+            estimate_coefficients(oracle, query_schedule(nu))
+
+    calls = []
+
+    class Counted:
+        def __init__(self, size):
+            self.theta0 = np.zeros(size)
+
+        def __call__(self, shift):
+            calls.append(shift)
+            return 0.0
+
+    for size, nu in ((8, 6), (6, 8)):
+        message = f"oracle has {size} parameters, but the schedule is for ν = {nu}$"
+        with pytest.raises(ValueError, match=message):
+            estimate_coefficients(Counted(size), query_schedule(nu))
+    assert calls == []
+    estimate_coefficients(Counted(2), query_schedule(2))
+    assert len(calls) == 11
+
+
+def test_schedule_energies_refuses_a_point_on_a_missing_axis():
+    rng = np.random.default_rng(47)
+    oracle = CircuitOracle(random_circuit(rng, 2, 3), random_hamiltonian(rng, 2, 4))
+    last_axis = [QueryPoint(5, "C", (2,)), QueryPoint(9, "D++", (0, 2))]
+    assert len(oracle.schedule_energies(last_axis)) == 2
+    for point in (QueryPoint(7, "B-", (3,)), QueryPoint(20, "D-+", (1, 4))):
+        message = f"query point {point.index} ({point.kind}, axes {point.axes}) shifts an axis"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle.schedule_energies([QueryPoint(0, "A", ()), point])
+
+
 def test_estimation_rejects_a_schedule_of_no_canonical_length():
     """The point count alone fixes ν; any other count, none included, is refused."""
     point = QueryPoint(0, "A", ())
@@ -262,7 +302,7 @@ def test_noise_is_keyed_by_point_not_by_order():
     assert model_to_json(threaded) == model_to_json(straight)
 
 
-def test_threaded_dispatch_builds_the_oracle_cache_once(monkeypatch):
+def test_one_oracle_builds_its_cache_once_whatever_max_workers(monkeypatch):
     builds = []
     build = CircuitOracle._build_cache
 
@@ -285,7 +325,9 @@ def test_threaded_dispatch_builds_the_oracle_cache_once(monkeypatch):
     assert model_to_json(threaded) == model_to_json(serial)
 
 
-@pytest.mark.parametrize("part", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize(
+    "part", [0, 2**32 - 1, 2**32, 2**64 + 5, np.int64(7), np.uint64(2**64 - 1)]
+)
 def test_query_rng_draws_equal_the_seed_sequence_of_the_key(part):
     # (3, part, 1, 0) + [index] is an estimation's query.  4-part keys are
     # (noise seed, run seed, step) + [1] for an NG gradient and (…, 0) + [4]
@@ -317,6 +359,26 @@ def test_query_rng_rejects_negative_key_parts():
             _query_rng(key, index)
         with pytest.raises(ValueError, match="non-negative"):
             _seed_states(key, [5, index])
+
+
+@pytest.mark.parametrize(
+    "key, index, part",
+    [
+        ((0, 1.5), 0, "1.5"),
+        (0.5, 0, "0.5"),
+        ((3, np.float64(2.0)), 1, "2.0"),
+        ((0, 1), 1.5, "1.5"),
+    ],
+)
+def test_a_non_integer_noise_key_part_is_refused(key, index, part):
+    """A part is taken as an integer, not truncated to one: (0, 1.5) would
+    otherwise draw exactly what (0, 1) draws."""
+    message = f"noise key parts must be integers, got {part}$"
+    with pytest.raises(ValueError, match=message):
+        _query_rng(key, index)
+    if isinstance(index, int):
+        with pytest.raises(ValueError, match=message):
+            _seed_states(key, [index])
 
 
 @pytest.mark.parametrize("index", [2**32, 2**63 - 1])
@@ -467,7 +529,7 @@ def test_fast_oracle_agrees_with_pointwise_energies():
     assert np.max(np.abs(fast - naive)) < 1e-12
 
 
-def test_large_register_oracle_falls_back_to_pointwise():
+def test_an_eight_qubit_register_takes_the_sweep_route():
     # dim 256 takes the same sweep route as small registers
     rng = np.random.default_rng(41)
     circuit = random_circuit(rng, 8, 3)
