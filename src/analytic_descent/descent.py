@@ -455,7 +455,9 @@ def run_natural_gradient(
     sweep per point gives the energy recorded there and the next step's g, F.
     """
     theta = np.zeros(circuit.num_parameters)
-    e_true, g, metric = energy_gradient_metric(circuit, theta, h)  # as above
+    # The first simulation refuses an H on another register before the
+    # ledger solves its ground energy.
+    e_true, g, metric = energy_gradient_metric(circuit, theta, h)
     run = _Recorder("natural_gradient", h, config.convergence_threshold, noise, rng_seed)
     if run.record("outer", 0, 0, e_true):
         return run.finish(circuit.theta_ref + theta)
