@@ -8,6 +8,7 @@ work in a local frame around the current reference and move it with
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,13 +74,20 @@ class AnsatzCircuit:
 
     @cached_property
     def _gate_table(self):
-        """The simulator's table of these generators, looked up on first use."""
+        """The simulator's table of these generators, built on first use and
+        kept here, the only cache of it."""
         return _gate_table_of(tuple(g.letters for g in self.generators))
 
     def rebased(self, delta) -> "AnsatzCircuit":
-        """New circuit with θ₀ ← θ₀ + delta (the local frame resets to 0)."""
+        """New circuit with θ₀ ← θ₀ + delta (the local frame resets to 0).
+
+        It shares this circuit's gate table once one is built, and never
+        builds one itself."""
         delta = _frozen_array(delta, (self.num_parameters,), "delta")
-        return AnsatzCircuit(self.num_qubits, self.generators, self.theta_ref + delta)
+        moved = copy.copy(self)
+        ref = _frozen_array(self.theta_ref + delta, (self.num_parameters,), "theta_ref")
+        object.__setattr__(moved, "theta_ref", ref)
+        return moved
 
 
 def build_hardware_efficient(N: int, blocks: int) -> AnsatzCircuit:

@@ -143,17 +143,34 @@ class ExperimentConfig:
             )
 
 
+def _ini_error(path, exc: configparser.Error) -> str:
+    """One line naming a malformed INI's file and its first offending line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}:{exc.lineno}: key before any [section]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}:{exc.lineno}: section [{exc.section}] given twice"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}:{exc.lineno}: option {exc.option!r} in section [{exc.section}] given twice"
+    # a ParsingError, the one other error reading a file raises
+    return f"{path}:{exc.errors[0][0]}: not a key = value line"
+
+
 def load_experiment_config(
     path, method=None, output_dir=None, seeds=None
 ) -> ExperimentConfig:
-    """Parse an INI experiment file; optional arguments override its values."""
+    """Parse an INI experiment file; optional arguments override its values.
+    Values are literal text (no ``%`` interpolation)."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), converters={"seeds": _parse_list}
+        inline_comment_prefixes=("#", ";"), converters={"seeds": _parse_list},
+        interpolation=None,
     )
     with open(path) as handle:
-        parser.read_file(handle, source=str(path))
+        try:
+            parser.read_file(handle, source=str(path))
+        except configparser.Error as exc:
+            raise ValueError(_ini_error(path, exc)) from None
     for name in ("hamiltonian", "ansatz", "optimizer", "noise", "run"):
         if not parser.has_section(name):
             parser.add_section(name)
@@ -290,7 +307,7 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _write_sidecar(path, config: ExperimentConfig, method, seed, trace) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     ham = {}
     if config.hamiltonian_file is not None:
         ham["file"] = config.hamiltonian_file

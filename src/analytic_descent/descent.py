@@ -482,9 +482,17 @@ def write_trace_csv(trace: OptimizationTrace, path) -> None:
             writer.writerow([write(getattr(r, name)) for name, write in columns])
 
 
+# Row checks only the reader makes: fields the writer cannot produce.
+_PHASES = ("outer", "inner", "feedback")
+_NON_NEGATIVE = (
+    "outer", "inner", "cumulative_cost", "cumulative_raw_queries", "distance_to_ground"
+)
+
+
 def read_trace_csv(path) -> OptimizationTrace:
-    """Read a ``write_trace_csv`` file; a malformed or non-finite field, or a
-    decreasing counter, raises ``ValueError`` naming its line and column."""
+    """Read a ``write_trace_csv`` file; a malformed or non-finite field, an
+    unknown phase, a negative count, cost or distance, or a decreasing
+    counter raises ``ValueError`` naming its line and column."""
     readers = [_CSV_TYPES[f.type][1] for f in fields(TraceRecord)]
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -500,8 +508,17 @@ def read_trace_csv(path) -> OptimizationTrace:
                 values.append(read(text))
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {name}: {exc}") from None
+        record = TraceRecord(*values)
+        if record.phase not in _PHASES:
+            raise ValueError(
+                f"{path}:{number}: phase: expected one of {_PHASES}, got {record.phase!r}"
+            )
+        for name in _NON_NEGATIVE:
+            value = getattr(record, name)
+            if value < 0:
+                raise ValueError(f"{path}:{number}: {name}: negative value {value}")
         try:
-            trace.append(TraceRecord(*values))
+            trace.append(record)
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
     return trace

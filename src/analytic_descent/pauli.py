@@ -6,8 +6,8 @@ sum is a real linear combination of Pauli strings on a common qubit count;
 real coefficients keep the operator Hermitian by construction.  A sum's
 compiled flip patterns are cached on the sum, and the simulator applies H
 only through them.  A Pauli string's signed-permutation kernel is not cached
-on its own: H's kernels live in its flip patterns, a circuit's in its gate
-table (``simulator._gate_table``).  ``flip_patterns`` builds H's first 2^N
+on its own: H's kernels live in its flip patterns, a circuit's in the gate
+table that ``simulator._gate_table`` builds and the circuit keeps.  ``flip_patterns`` builds H's first 2^N
 arrays, so it refuses a register over ``MAX_QUBITS`` qubits.
 
 The text format is one term per line, ``<coefficient> <letters>``, with

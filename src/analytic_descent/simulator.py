@@ -9,10 +9,11 @@ letter of a Pauli string).  Every gate is a Pauli rotation
 and a Pauli string acts as a signed permutation of the computational basis:
 P|i⟩ = i^{n_Y} (-1)^{popcount(i & m_{YZ})} |i ^ m_{XY}⟩, where m_{XY} flips
 the X/Y bits and m_{YZ} collects the sign-carrying Y/Z bits.  A circuit's
-gates are read from one gate table of those kernels (``pauli._pauli_kernel``),
-built once per gate sequence with one phase array, the spawns -(i/2)·phase;
-every use of H, from expectations to the dense matrix and the ground-energy
-matvec, reads ``PauliSum.flip_patterns``.
+gates are read from one gate table of those kernels (``pauli._pauli_kernel``)
+with one phase array, the spawns -(i/2)·phase; ``_gate_table`` builds it and
+the circuit keeps it (``AnsatzCircuit._gate_table``, handed on by
+``rebased``).  Every use of H, from expectations to the dense matrix and the
+ground-energy matvec, reads ``PauliSum.flip_patterns``, kept by the sum.
 A kernel is not cached on its own: the gate table and the flip patterns
 hold the only copies.
 
@@ -34,15 +35,15 @@ H the simulation will apply, ``_rotations`` also refuses an H on another
 register there, and ``expectation`` does for a caller's state
 (``_check_register``), so a mismatch costs no simulation.
 
-All operations are pure functions over immutable values; gate tables and
-compiled sums are cached on first use and never changed, and importing the
-module builds none of them.
+All operations are pure functions over immutable values, and the module
+keeps no state between calls: a gate table lives as long as the circuits
+that hold it, a compiled sum as long as its sum, and importing the module
+builds neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -211,14 +212,13 @@ def ground_energy(h: PauliSum) -> float:
     return float(values[0])
 
 
-@lru_cache(maxsize=16)
 def _gate_table(letters: tuple[str, ...]):
     """A gate sequence's signed permutations, stacked: per gate the gather
     index (None for a diagonal, Z/I-only generator, whose index is the
     identity), then the ν×2^N spawn phases -(i/2)·phase, its one phase array.
 
-    Built on the first simulation of a circuit with these generators and
-    shared by every later one (``AnsatzCircuit._gate_table``); read-only.
+    Built on a circuit's first simulation, kept by the circuit and handed on
+    by ``rebased`` (``AnsatzCircuit._gate_table``); read-only.
     Gates with the same generator share one kernel and so one gather index.
     """
     unique = {word: _pauli_kernel(word) for word in set(letters)}

@@ -276,10 +276,13 @@ def _seed_states(rng_seed, indices) -> np.ndarray:
 
     The seed words of ``default_rng(list(key) + [index])`` for every index in
     one batch.  Indices are schedule positions, one 32-bit word each: a
-    negative index is refused, and so is one of 2**32 or more.
+    non-integer or negative index is refused, and so is one of 2**32 or more.
     """
     key = [np.array([word], dtype=np.uint32) for word in _key_words(_key_parts(rng_seed))]
-    index = np.asarray(indices, dtype=np.int64)
+    index = np.asarray(indices)
+    if index.size and index.dtype.kind not in "iu":
+        _key_words(indices)  # refuses the first non-integer index, as for a key
+    index = index.astype(np.int64)
     if index.size and index.min() < 0:
         raise ValueError(f"noise key parts must be non-negative, got {index.min()}")
     if index.size and index.max() > _MASK32:

@@ -485,6 +485,61 @@ def test_run_missing_config_is_an_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+_MALFORMED_INI = {
+    "key-before-section": ("seed = 1\n" + SPIN_RING_INI, "seed = 1", "key before any [section]"),
+    "key-twice": (
+        SPIN_RING_INI.replace("seeds = 1", "seeds = 1\nseeds = 2"), "seeds = 2",
+        "option 'seeds' in section [run] given twice",
+    ),
+    "section-twice": (
+        SPIN_RING_INI + "\n[noise]\nrng_seed = 1\n", "[noise]",
+        "section [noise] given twice",
+    ),
+    "no-equals": (
+        SPIN_RING_INI.replace("blocks = 1", "blocks = 1\nlayers"), "layers",
+        "not a key = value line",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "scaling-study"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INI))
+def test_a_malformed_ini_is_one_error_line(tmp_path, capfd, command, case):
+    """A file configparser cannot read ends the command with exit 1 and one
+    ``error:`` line naming the file and its first offending line."""
+    text, offending, message = _MALFORMED_INI[case]
+    config_path = _write(tmp_path / "exp.ini", text)
+    # the offending line is the last that holds it: a repeated header's second
+    line = len(text.splitlines()) - text.splitlines()[::-1].index(offending)
+    out = str(tmp_path / "out")
+    where = ["--output-dir", out] if command == "run" else ["--output", out]
+    assert main([command, "--config", config_path, *where]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == f"error: {config_path}:{line}: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_ini_values_are_literal_text(tmp_path):
+    """A ``%`` in a value is a character, not interpolation: a run whose
+    parameter file and output directory hold one completes, and rerunning
+    its sidecar reproduces its trace."""
+    params = tmp_path / "a%b.txt"
+    np.savetxt(params, np.linspace(-0.4, 0.4, 8))
+    first = tmp_path / "out%dir"
+    text = SPIN_RING_INI.replace("method = both", "method = analytic_descent")
+    text += f"init_params = {params}\noutput_dir = {first}\n"
+    config_path = _write(tmp_path / "exp.ini", text)
+    assert main(["run", "--config", config_path]) == 0
+    sidecar = load_experiment_config(first / "analytic_descent_seed1.cfg")
+    assert sidecar.init_params_file == str(params)
+    again = tmp_path / "again"
+    sidecar_path = str(first / "analytic_descent_seed1.cfg")
+    assert main(["run", "--config", sidecar_path, "--output-dir", str(again)]) == 0
+    name = "analytic_descent_seed1.csv"
+    assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [

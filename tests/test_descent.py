@@ -36,7 +36,8 @@ from analytic_descent import (
     spin_ring_hamiltonian,
     write_trace_csv,
 )
-from analytic_descent import descent, simulator, surrogate
+from analytic_descent import ansatz as ansatz_module
+from analytic_descent import descent, surrogate
 from analytic_descent import metric as metric_module
 from analytic_descent.descent import NOISE_FLOOR, TRACE_COLUMNS
 from conftest import random_circuit, random_hamiltonian
@@ -743,18 +744,17 @@ def _ring3_start(seed=6):
     return ring, ansatz.rebased(shift)
 
 
-def test_gate_table_is_built_once_per_gate_sequence():
+def test_gate_table_is_built_once_per_gate_sequence(monkeypatch):
     """Every rebased circuit of a run, the oracle's sweep and the per-step
-    metric's sweeps read one gate table."""
-    simulator._gate_table.cache_clear()
+    metric's sweeps read one gate table: the start circuit builds it and
+    ``rebased`` hands it on, so both runs from one start build it once."""
     ring, start = _ring3_start()
+    counts = _counting(monkeypatch, ansatz_module, ("_gate_table_of",))
     config = OptimizerConfig(step_size=0.01, max_outer=3, max_inner=40, frozen_metric=False)
     trace = run_analytic_descent(start, ring, config, NoiseSpec())
     assert len(trace.metadata["inner_exits"]) == 3
     run_natural_gradient(start, ring, config, NoiseSpec())
-    info = simulator._gate_table.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert info.hits >= 2  # the rebased circuits; each circuit keeps its table
+    assert counts["_gate_table_of"] == 1
 
 
 def _counting(monkeypatch, module, names):
@@ -1039,6 +1039,7 @@ _EDGE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _BIG_INTS = st.integers(0, 2**80)
+_EDGE_MAGNITUDES = _EDGE_FLOATS.map(abs)  # cost and distance are never negative
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -1046,8 +1047,8 @@ _BIG_INTS = st.integers(0, 2**80)
     rows=st.lists(
         st.tuples(
             st.sampled_from(["outer", "inner", "feedback"]),
-            _BIG_INTS, _BIG_INTS, _EDGE_FLOATS, _BIG_INTS, _EDGE_FLOATS,
-            st.none() | _EDGE_FLOATS, _EDGE_FLOATS,
+            _BIG_INTS, _BIG_INTS, _EDGE_MAGNITUDES, _BIG_INTS, _EDGE_FLOATS,
+            st.none() | _EDGE_FLOATS, _EDGE_MAGNITUDES,
         ),
         max_size=6,
     )
@@ -1121,3 +1122,25 @@ def test_csv_decreasing_counters_name_the_line_and_column(tmp_path):
         name = TRACE_COLUMNS[column]
         with pytest.raises(ValueError, match=rf"trace\.csv:3: {name}: .* must not decrease"):
             read_trace_csv(path)
+
+
+@pytest.mark.parametrize(
+    "column, text, message",
+    [
+        (0, "bogus", "expected one of"),
+        (1, "-1", "negative value -1"),
+        (2, "-5", "negative value -5"),
+        (3, "-1.0", "negative value -1.0"),
+        (4, "-1", "negative value -1"),
+        (7, "-0.5", "negative value -0.5"),
+    ],
+)
+def test_csv_refuses_rows_the_writer_cannot_produce(tmp_path, column, text, message):
+    """An unknown phase and a negative step index, cost, query count or
+    distance are refused by line and column; the writer makes none of them."""
+    bad = list(_ROW)
+    bad[column] = text
+    path = _trace_file(tmp_path, bad)
+    name = TRACE_COLUMNS[column]
+    with pytest.raises(ValueError, match=rf"trace\.csv:2: {name}: {message}"):
+        read_trace_csv(path)

@@ -133,21 +133,21 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 
 
 def test_importing_the_package_and_cli_builds_no_table():
-    """Gate tables, canonical schedules and the ziggurat table are built on
-    first use; a fresh interpreter pays none of them at import."""
+    """Canonical schedules and the ziggurat table, the package's two
+    process-wide tables, are built on first use; a fresh interpreter pays
+    neither at import.  Gate tables live on circuits, and import builds none."""
     src = os.path.dirname(os.path.dirname(metric_module.__file__))
     code = (
         "import analytic_descent, analytic_descent.cli\n"
-        "from analytic_descent import simulator, surrogate\n"
-        "tables = (simulator._gate_table, surrogate._canonical_schedule,\n"
-        "          surrogate._ziggurat_tables)\n"
+        "from analytic_descent import surrogate\n"
+        "tables = (surrogate._canonical_schedule, surrogate._ziggurat_tables)\n"
         "print([table.cache_info().currsize for table in tables])"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0]"
 
 
 def test_a_gram_metric_is_checked_by_its_factorization(monkeypatch):

@@ -87,3 +87,29 @@ def test_readme_quick_start_imports_only_public_names():
     }
     assert imported
     assert imported <= set(analytic_descent.__all__)
+
+
+# Process-wide memos that hold no 2^N array: a schedule per ν, the sampler's
+# constant tables and the identity matrix per size.
+_PROCESS_WIDE_CACHES = {
+    "surrogate._canonical_schedule", "surrogate._ziggurat_tables", "metric._identity",
+}
+
+
+def test_no_process_wide_cache_outside_the_named_few():
+    """A ``functools.cache`` or ``lru_cache`` keeps what it returns for the
+    life of the process.  A state-sized table belongs to the value it
+    serves (a circuit's gate table, a sum's flip patterns), so exactly the
+    named memos use one; the list is kept exact so the search is seen to
+    find them."""
+    cached = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name in ("cache", "lru_cache"):
+                    cached.add(f"{path.stem}.{node.name}")
+    assert cached == _PROCESS_WIDE_CACHES

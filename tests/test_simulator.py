@@ -2,6 +2,7 @@
 vectors.  Every nontrivial value is cross-checked against the dense
 matrix oracles in conftest."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -270,7 +271,7 @@ def test_a_gate_table_builds_each_generator_once(monkeypatch):
         simulator, "_pauli_kernel", lambda letters: calls.append(letters) or kernel(letters)
     )
     letters = tuple(g.letters for g in build_hardware_efficient(3, 2).generators)
-    srcs, _ = simulator._gate_table.__wrapped__(letters)
+    srcs, _ = simulator._gate_table(letters)
     assert sorted(calls) == sorted(set(letters))
     assert srcs[0] is srcs[9] is srcs[18]  # Y on qubit 0, three times
 
@@ -281,7 +282,6 @@ def test_one_energy_holds_one_table_array():
     call's rotation rows."""
     h = spin_ring_hamiltonian(10, 0.05)
     h.flip_patterns  # H's arrays are the sum's, built before the trace
-    simulator._gate_table.cache_clear()
     circuit = build_hardware_efficient(10, 2)
     table_array = circuit.num_parameters * 2**10 * 16
     tracemalloc.start()
@@ -292,6 +292,45 @@ def test_one_energy_holds_one_table_array():
         tracemalloc.stop()
     assert held <= 1.25 * table_array
     assert peak <= 2.5 * table_array
+
+
+def test_a_dropped_circuit_frees_its_gate_table():
+    """The circuit is the table's only owner: once a simulated circuit and
+    its rebase are dropped, nothing keeps the ν×2^N phase array alive."""
+    h = spin_ring_hamiltonian(10, 0.05)
+    h.flip_patterns  # H's arrays are the sum's, built before the trace
+    circuit = build_hardware_efficient(10, 2)
+    table_array = circuit.num_parameters * 2**10 * 16
+    tracemalloc.start()
+    try:
+        energy(circuit, np.zeros(circuit.num_parameters), h)
+        moved = circuit.rebased(np.full(circuit.num_parameters, 0.1))
+        held = tracemalloc.get_traced_memory()[0]
+        del circuit, moved
+        gc.collect()
+        freed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held >= table_array
+    assert freed <= 0.1 * table_array
+
+
+def test_rebased_shares_a_built_table_and_never_builds_one():
+    """A rebase of a simulated circuit reads its parent's table; a rebase of
+    a never-simulated one holds none until its own first simulation."""
+    h = spin_ring_hamiltonian(3, 0.5)
+    fresh = build_hardware_efficient(3, 1)
+    delta = np.full(fresh.num_parameters, 0.25)
+    unbuilt = fresh.rebased(delta)
+    assert "_gate_table" not in vars(fresh) and "_gate_table" not in vars(unbuilt)
+    assert np.array_equal(unbuilt.theta_ref, delta) and not unbuilt.theta_ref.flags.writeable
+    value = energy(unbuilt, np.zeros_like(delta), h)
+    assert "_gate_table" not in vars(fresh)
+    moved = unbuilt.rebased(-delta)
+    assert "_gate_table" in vars(moved)  # handed on, not looked up again
+    assert moved._gate_table is unbuilt._gate_table
+    assert np.array_equal(moved.theta_ref, np.zeros_like(delta))
+    assert energy(moved, delta, h) == value
 
 
 def test_every_route_checks_h_against_the_state_before_compiling_h(monkeypatch):

@@ -372,13 +372,13 @@ def test_query_rng_rejects_negative_key_parts():
 )
 def test_a_non_integer_noise_key_part_is_refused(key, index, part):
     """A part is taken as an integer, not truncated to one: (0, 1.5) would
-    otherwise draw exactly what (0, 1) draws."""
+    otherwise draw exactly what (0, 1) draws.  The batched seeds refuse a
+    non-integer index with the same message."""
     message = f"noise key parts must be integers, got {part}$"
     with pytest.raises(ValueError, match=message):
         _query_rng(key, index)
-    if isinstance(index, int):
-        with pytest.raises(ValueError, match=message):
-            _seed_states(key, [index])
+    with pytest.raises(ValueError, match=message):
+        _seed_states(key, [index])
 
 
 @pytest.mark.parametrize("index", [2**32, 2**63 - 1])
