@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import MAX_QUBITS, PauliString
 from .simulator import (
     StateVector,
     _apply_hamiltonian,
@@ -75,7 +75,10 @@ class AnsatzCircuit:
     @cached_property
     def _gate_table(self):
         """The simulator's table of these generators, built on first use and
-        kept here, the only cache of it."""
+        kept here, the only cache of it.  Like ``PauliSum.flip_patterns``, it
+        refuses a register over ``MAX_QUBITS`` qubits before any 2^N array."""
+        if self.num_qubits > MAX_QUBITS:
+            raise ValueError(f"qubit count {self.num_qubits} exceeds cap {MAX_QUBITS}")
         return _gate_table_of(tuple(g.letters for g in self.generators))
 
     def rebased(self, delta) -> "AnsatzCircuit":

@@ -353,6 +353,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     h = build_hamiltonian(config)
     circuit = build_hardware_efficient(h.num_qubits, config.blocks)
     base = initial_reference(config, circuit, h)
+    circuit._gate_table  # built once here; every seeded rebase below shares it
     os.makedirs(config.output_dir, exist_ok=True)
     methods = (
         ("analytic_descent", "natural_gradient")

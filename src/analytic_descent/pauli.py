@@ -7,8 +7,9 @@ real coefficients keep the operator Hermitian by construction.  A sum's
 compiled flip patterns are cached on the sum, and the simulator applies H
 only through them.  A Pauli string's signed-permutation kernel is not cached
 on its own: H's kernels live in its flip patterns, a circuit's in the gate
-table that ``simulator._gate_table`` builds and the circuit keeps.  ``flip_patterns`` builds H's first 2^N
-arrays, so it refuses a register over ``MAX_QUBITS`` qubits.
+table that ``simulator._gate_table`` builds and the circuit keeps.
+``flip_patterns`` builds H's first 2^N arrays, so it refuses a register
+over ``MAX_QUBITS`` qubits.
 
 The text format is one term per line, ``<coefficient> <letters>``, with
 ``#``-prefixed comment lines.  A ``# qubits: N`` header is always emitted so

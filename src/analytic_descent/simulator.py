@@ -30,7 +30,8 @@ from it.
 
 Every simulation starts at ``_rotations``, which refuses a register over
 ``MAX_QUBITS`` qubits before any state, block or gate table is allocated;
-``PauliSum.flip_patterns`` refuses it before any array of H is.  Given the
+``PauliSum.flip_patterns`` refuses it before any array of H is, and
+``AnsatzCircuit._gate_table`` before its table is.  Given the
 H the simulation will apply, ``_rotations`` also refuses an H on another
 register there, and ``expectation`` does for a caller's state
 (``_check_register``), so a mismatch costs no simulation.

@@ -14,7 +14,8 @@ from analytic_descent import (
     read_trace_csv,
     spin_ring_hamiltonian,
 )
-from analytic_descent import pauli
+from analytic_descent import ansatz as ansatz_module
+from analytic_descent import pauli, simulator
 from analytic_descent.cli import (
     DEFAULT_DELTAS,
     ExperimentConfig,
@@ -311,6 +312,30 @@ def test_a_register_over_the_cap_is_refused_before_any_kernel(tmp_path, capfd, m
     assert built == []
 
 
+def test_a_register_over_the_cap_builds_no_gate_table(tmp_path, capfd, monkeypatch):
+    """Without the basis-state start no array of H is built before the runs,
+    so the start circuit's gate table refuses N = 21 itself: exit 1, one
+    ``error:`` line, no kernel built and no output directory made."""
+    built = []
+
+    def kernel(letters):
+        built.append(letters)
+        raise AssertionError("a gate-table kernel was built")
+
+    monkeypatch.setattr(simulator, "_pauli_kernel", kernel)
+    config_path = _write(
+        tmp_path / "exp.ini",
+        "[hamiltonian]\npreset = spin-ring\nN = 21\n\n"
+        "[run]\npreset = spin-ring\nbasis_state_init = false\n",
+    )
+    out_dir = tmp_path / "out"
+    status = main(["run", "--config", config_path, "--output-dir", str(out_dir)])
+    captured = capfd.readouterr()
+    assert status == 1
+    assert (captured.out, captured.err) == ("", "error: qubit count 21 exceeds cap 20\n")
+    assert built == [] and not out_dir.exists()
+
+
 def test_validate_reports_a_large_ring_without_building_it(capsys, monkeypatch):
     built = _spy_on_kernels(monkeypatch)
     assert main(["validate", "--spin-ring", "25"]) == 0
@@ -457,6 +482,23 @@ def test_run_method_and_seed_overrides(tmp_path):
         "natural_gradient_seed7.cfg",
         "natural_gradient_seed7.csv",
     ]
+
+
+def test_every_run_of_a_config_shares_one_gate_table(tmp_path, monkeypatch):
+    """Both methods at two seeds build one gate table, the start circuit's,
+    which every seeded rebase is handed."""
+    built = []
+    builder = ansatz_module._gate_table_of
+    monkeypatch.setattr(
+        ansatz_module, "_gate_table_of",
+        lambda letters: built.append(letters) or builder(letters),
+    )
+    config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI)
+    assert main([
+        "run", "--config", config_path, "--output-dir", str(tmp_path / "out"),
+        "--seeds", "1,2",
+    ]) == 0
+    assert len(built) == 1
 
 
 def test_negative_run_seeds_are_rejected_up_front(tmp_path, capsys):
