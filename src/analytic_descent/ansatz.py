@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliString
+from . import pauli
+from .pauli import PauliString
 from .simulator import (
     StateVector,
     _apply_hamiltonian,
@@ -38,7 +39,7 @@ def _frozen_array(value, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnsatzCircuit:
     """Ordered Pauli-rotation gates with a stored reference point θ₀.
 
@@ -75,10 +76,13 @@ class AnsatzCircuit:
     @cached_property
     def _gate_table(self):
         """The simulator's table of these generators, built on first use and
-        kept here, the only cache of it.  Like ``PauliSum.flip_patterns``, it
-        refuses a register over ``MAX_QUBITS`` qubits before any 2^N array."""
-        if self.num_qubits > MAX_QUBITS:
-            raise ValueError(f"qubit count {self.num_qubits} exceeds cap {MAX_QUBITS}")
+        kept here, the only cache of it.  Every simulation reads it before
+        its first 2^N array, so this and ``PauliSum.flip_patterns`` are the
+        only checks of the cap ``pauli.MAX_QUBITS``."""
+        if self.num_qubits > pauli.MAX_QUBITS:
+            raise ValueError(
+                f"qubit count {self.num_qubits} exceeds cap {pauli.MAX_QUBITS}"
+            )
         return _gate_table_of(tuple(g.letters for g in self.generators))
 
     def rebased(self, delta) -> "AnsatzCircuit":

@@ -128,6 +128,11 @@ class ExperimentConfig:
         for seed in self.seeds:
             if seed < 0:
                 raise ValueError(f"seeds must be non-negative, got {seed}")
+            # Each seed names its run's trace CSV and sidecar.
+            count = self.seeds.count(seed)
+            if count > 1:
+                times = "twice" if count == 2 else f"{count} times"
+                raise ValueError(f"seeds must be distinct, got {seed} {times}")
         if self.ng_step_size <= 0.0:
             raise ValueError(f"ng_step_size must be > 0, got {self.ng_step_size}")
         if self.ng_max_steps < 1:

@@ -166,7 +166,7 @@ _CSV_TYPES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
     # method, ground_energy, exit; analytic descent: inner_exits, one per _walk

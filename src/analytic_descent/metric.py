@@ -7,8 +7,8 @@ The paper's metric surrogate (O(δ) accurate near θ₀) is provided alongside
 for study.  For a circuit of Pauli rotations its a·b word vanishes and its
 b·b coefficients are 2F(θ₀), so it is F(θ₀)∘wwᵀ with one weight wₘ per
 axis, evaluated from the anchor metric itself; the optimizer uses the exact
-metric.  Every sweep starts at ``simulator._rotations``, which checks θ and
-the register's qubit cap.
+metric.  Every sweep starts at ``simulator._rotations``, which checks θ
+before the circuit's gate table refuses a register over the qubit cap.
 
 The linear algebra is numpy's alone: a Cholesky factorization checks that
 a metric is PSD, and ``regularized_natural_direction`` keeps, per metric
@@ -51,7 +51,7 @@ def _identity(nu: int) -> np.ndarray:
     return eye
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricTensor:
     """Symmetric PSD ν×ν metric: F + 1e-8·I must have a Cholesky factor.
 
@@ -68,7 +68,7 @@ class MetricTensor:
     nu: int
     entries: np.ndarray
     check_psd: InitVar[bool] = True
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, check_psd: bool):
         entries = np.asarray(self.entries, dtype=float)

@@ -8,8 +8,10 @@ compiled flip patterns are cached on the sum, and the simulator applies H
 only through them.  A Pauli string's signed-permutation kernel is not cached
 on its own: H's kernels live in its flip patterns, a circuit's in the gate
 table that ``simulator._gate_table`` builds and the circuit keeps.
-``flip_patterns`` builds H's first 2^N arrays, so it refuses a register
-over ``MAX_QUBITS`` qubits.
+``MAX_QUBITS``, the cap of a register, is bound here alone and checked
+only where a register's first 2^N arrays are built: ``flip_patterns``
+refuses a larger register before building H's, and
+``AnsatzCircuit._gate_table`` before building a circuit's table.
 
 The text format is one term per line, ``<coefficient> <letters>``, with
 ``#``-prefixed comment lines.  A ``# qubits: N`` header is always emitted so
@@ -29,6 +31,7 @@ _VALID_LETTERS = frozenset("IXYZ")
 MERGE_TOLERANCE = 1e-15
 
 # Largest supported register; 2^20 amplitudes is still a small dense vector.
+# Read as ``pauli.MAX_QUBITS`` at check time, never imported by value.
 MAX_QUBITS = 20
 
 

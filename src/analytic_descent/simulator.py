@@ -28,12 +28,13 @@ overlaps with one adjoint row per gate, without forming any t_kl.  The
 metric, the energy gradient and the batched schedule oracle are all built
 from it.
 
-Every simulation starts at ``_rotations``, which refuses a register over
-``MAX_QUBITS`` qubits before any state, block or gate table is allocated;
-``PauliSum.flip_patterns`` refuses it before any array of H is, and
-``AnsatzCircuit._gate_table`` before its table is.  Given the
-H the simulation will apply, ``_rotations`` also refuses an H on another
-register there, and ``expectation`` does for a caller's state
+A register's first 2^N arrays are a circuit's gate table and H's flip
+patterns, so the cap ``pauli.MAX_QUBITS`` is checked there and nowhere
+else: ``AnsatzCircuit._gate_table`` refuses a larger register before its
+table is built, and ``PauliSum.flip_patterns`` before any array of H is.
+Every simulation starts at ``_rotations``, which checks θ and, given the
+H the simulation will apply, refuses an H on another register before it
+reads the gate table; ``expectation`` does for a caller's state
 (``_check_register``), so a mismatch costs no simulation.
 
 All operations are pure functions over immutable values, and the module
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliSum, _pauli_kernel
+from .pauli import PauliSum, _pauli_kernel
 
 if TYPE_CHECKING:  # import only for annotations; ansatz imports us at runtime
     from .ansatz import AnsatzCircuit
@@ -68,7 +69,7 @@ class GroundEnergyError(RuntimeError):
     """Iterative eigensolver failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable 2^num_qubits complex amplitude vector.
 
@@ -103,9 +104,11 @@ def _check_register(num_qubits: int, h: PauliSum) -> None:
 def _apply_hamiltonian(amps: np.ndarray, h: PauliSum) -> np.ndarray:
     """H·amps for 1-D amplitudes or batches with amplitudes on the last axis:
     one gather and one multiply-add per flip pattern of ``h.flip_patterns``.
-    The register was checked where the amplitudes' simulation started."""
+    The register was checked where the amplitudes' simulation started; the
+    patterns are read before ``out``, so a sum over the cap builds neither."""
+    patterns = h.flip_patterns
     out = np.zeros(amps.shape, dtype=np.complex128)
-    for src, weight in h.flip_patterns:
+    for src, weight in patterns:
         if src is None:
             term = amps * weight
         else:
@@ -167,11 +170,11 @@ def ground_energy(h: PauliSum) -> float:
     above that an iterative extremal eigensolver (ARPACK's Lanczos) runs on
     the matrix-free H·v product of the sum's compiled flip patterns.  The
     solver's module is imported on that path only, so importing the package
-    does not load ``scipy.sparse``.
+    does not load ``scipy.sparse``.  The compiled patterns are read first,
+    so a register over the cap is refused before any 2^N array is built;
+    a sum without patterns has no terms, and its ground energy is 0.
     """
-    if h.num_qubits > MAX_QUBITS:
-        raise ValueError(f"qubit count {h.num_qubits} exceeds cap {MAX_QUBITS}")
-    if h.num_terms == 0:
+    if not h.flip_patterns:
         return 0.0
     dim = 2**h.num_qubits
     if dim <= _DENSE_DIM:
@@ -235,13 +238,10 @@ def _rotations(circuit: AnsatzCircuit, theta, h: PauliSum | None = None):
     gathers and spawn phases, every gate's cos(half-angle) and
     -i·sin(half-angle)·phase = 2·sin(half-angle)·spawn, in one product.
 
-    Every simulation starts here, so the register and θ are checked here,
-    before any 2^N-sized array is built: at most ``MAX_QUBITS`` qubits, the
-    register of ``h`` when the simulation will apply one, and ν entries of
-    θ, all finite.
+    Every simulation starts here, so the register of ``h``, when the
+    simulation will apply one, and θ (ν entries, all finite) are checked
+    here; the gate table, read next, refuses a register over the cap.
     """
-    if circuit.num_qubits > MAX_QUBITS:
-        raise ValueError(f"qubit count {circuit.num_qubits} exceeds cap {MAX_QUBITS}")
     if h is not None:
         _check_register(circuit.num_qubits, h)
     theta = np.asarray(theta, dtype=float)

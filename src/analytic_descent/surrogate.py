@@ -100,8 +100,18 @@ class QueryPoint:
                 f"{self.kind} points shift distinct non-negative axes, got axes {self.axes}"
             )
 
+    def _check_axes(self, nu: int) -> None:
+        """Refuse this point if it shifts an axis a ν-parameter circuit lacks."""
+        if self.axes and max(self.axes) >= nu:
+            raise ValueError(
+                f"query point {self.index} ({self.kind}, axes {self.axes}) "
+                f"shifts an axis the {nu}-parameter circuit lacks"
+            )
+
     def shift(self, nu: int) -> np.ndarray:
-        """Dense ν-vector form; at most 2 nonzero entries from {±π/2, π}."""
+        """Dense ν-vector form; at most 2 nonzero entries from {±π/2, π}.
+        A point on an axis the ν-vector lacks is refused."""
+        self._check_axes(nu)
         vec = np.zeros(nu)
         for axis, value in zip(self.axes, self._SHIFTS[self.kind]):
             vec[axis] = value
@@ -157,7 +167,7 @@ class NoiseLevels:
                 raise ValueError(f"{f.name} must be a finite std >= 0, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateModel:
     """Estimated surrogate coefficients and their variances at θ₀.
 
@@ -583,11 +593,7 @@ class CircuitOracle:
         nu = len(self.theta0)
         values = np.empty(len(points))
         for position, point in enumerate(points):
-            if point.axes and max(point.axes) >= nu:
-                raise ValueError(
-                    f"query point {point.index} ({point.kind}, axes {point.axes}) "
-                    f"shifts an axis the {nu}-parameter circuit lacks"
-                )
+            point._check_axes(nu)
             if len(point.axes) < 2:
                 axis = point.axes[0] if point.axes else 0
                 values[position] = self._cache[_KIND_INDEX[point.kind], axis]

@@ -522,6 +522,20 @@ def test_negative_run_seeds_are_rejected_up_front(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("form", ["ini", "flag"])
+def test_repeated_run_seeds_are_refused_up_front(tmp_path, capsys, form):
+    # A repeated seed would run twice and overwrite its own CSV and sidecar.
+    text = SPIN_RING_INI.replace("seeds = 1", "seeds = 1,1") if form == "ini" else SPIN_RING_INI
+    config_path = _write(tmp_path / "exp.ini", text)
+    flags = ["--seeds", "1,1"] if form == "flag" else []
+    out_dir = tmp_path / "out"
+    assert main([
+        "run", "--config", config_path, "--output-dir", str(out_dir), *flags,
+    ]) == 1
+    assert capsys.readouterr() == ("", "error: seeds must be distinct, got 1 twice\n")
+    assert not out_dir.exists()
+
+
 def test_run_missing_config_is_an_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "config file not found" in capsys.readouterr().err

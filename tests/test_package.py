@@ -5,7 +5,24 @@ import pathlib
 import re
 import types
 
+import numpy as np
+import pytest
+
 import analytic_descent
+from analytic_descent import (
+    CircuitOracle,
+    NoiseSpec,
+    OptimizerConfig,
+    build_hardware_efficient,
+    estimate_coefficients,
+    model_from_json,
+    model_to_json,
+    prepare_state,
+    qfi_exact,
+    query_schedule,
+    run_natural_gradient,
+    spin_ring_hamiltonian,
+)
 from analytic_descent.cli import load_experiment_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -113,3 +130,58 @@ def test_no_process_wide_cache_outside_the_named_few():
                 if name in ("cache", "lru_cache"):
                     cached.add(f"{path.stem}.{node.name}")
     assert cached == _PROCESS_WIDE_CACHES
+
+
+def test_the_qubit_cap_is_bound_only_in_pauli():
+    """``MAX_QUBITS`` is bound once, in ``pauli``, and read from there when a
+    register's arrays are built; a module that imported or assigned its own
+    copy would keep checking the old value when the cap changes."""
+    binders = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                bound = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = {node.id}
+            else:
+                continue
+            if "MAX_QUBITS" in bound:
+                binders.add(path.stem)
+    assert binders == {"pauli"}
+
+
+def _equal_pairs():
+    """Two distinct instances with equal contents for each array-holding
+    value type."""
+    circuit = build_hardware_efficient(2, 1)
+    h = spin_ring_hamiltonian(2, 0.5)
+    zeros = np.zeros(circuit.num_parameters)
+    model = estimate_coefficients(
+        CircuitOracle(circuit, h), query_schedule(circuit.num_parameters)
+    )
+    config = OptimizerConfig(step_size=0.01, max_outer=2)
+    return {
+        "AnsatzCircuit": (circuit, circuit.rebased(zeros)),
+        "SurrogateModel": (model, model_from_json(model_to_json(model))),
+        "MetricTensor": (qfi_exact(circuit, zeros), qfi_exact(circuit, zeros)),
+        "StateVector": (prepare_state(circuit, zeros), prepare_state(circuit, zeros)),
+        "OptimizationTrace": tuple(
+            run_natural_gradient(circuit, h, config, NoiseSpec()) for _ in range(2)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["AnsatzCircuit", "SurrogateModel", "MetricTensor", "StateVector", "OptimizationTrace"],
+)
+def test_array_holding_values_compare_and_hash_by_identity(kind):
+    """Field-wise equality would compare arrays, whose truth value is
+    ambiguous, and hashing would hash them; these values compare and hash
+    as themselves."""
+    first, second = _equal_pairs()[kind]
+    assert type(first).__name__ == kind and type(second) is type(first)
+    assert first == first and not first != first
+    assert first != second
+    assert hash(first) == hash(first)
+    assert len({first, second}) == 2

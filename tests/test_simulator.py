@@ -179,24 +179,35 @@ def test_hamiltonian_matrix_rejects_more_than_ten_qubits():
 
 
 def test_every_simulation_refuses_a_register_over_the_cap(monkeypatch):
-    """The qubit cap is checked where every simulation starts, before a
-    state, tangent block or gate table is built.  The cap is patched to 3,
-    so no large register is allocated."""
-    monkeypatch.setattr(simulator, "MAX_QUBITS", 3)
+    """The qubit cap is bound once, in ``pauli``, and checked where a
+    register's first 2^N arrays are built: a circuit's gate table and H's
+    flip patterns.  Every route is refused before either exists.  The cap is
+    patched to 3, so no large register is allocated."""
+    monkeypatch.setattr(pauli, "MAX_QUBITS", 3)
     circuit = build_hardware_efficient(4, 1)
     h = spin_ring_hamiltonian(4, 0.5)
     theta = np.zeros(circuit.num_parameters)
+    state = StateVector(4, np.eye(16)[0])
+    config = OptimizerConfig(step_size=0.01, max_outer=1)
     routes = {
+        "prepare_state": lambda: prepare_state(circuit, theta),
+        "expectation": lambda: expectation(state, h),
         "energy": lambda: energy(circuit, theta, h),
         "energy_gradient": lambda: energy_gradient(circuit, theta, h),
         "qfi_exact": lambda: qfi_exact(circuit, theta),
         "energy_gradient_metric": lambda: energy_gradient_metric(circuit, theta, h),
         "CircuitOracle": lambda: CircuitOracle(circuit, h),
+        "_gate_table": lambda: circuit._gate_table,
+        "flip_patterns": lambda: h.flip_patterns,
+        "ground_energy": lambda: ground_energy(h),
+        "run_analytic_descent": lambda: run_analytic_descent(circuit, h, config, NoiseSpec()),
+        "run_natural_gradient": lambda: run_natural_gradient(circuit, h, config, NoiseSpec()),
     }
     for name, route in routes.items():
         with pytest.raises(ValueError, match="qubit count 4 exceeds cap 3"):
             route()
-    assert "_gate_table" not in vars(circuit)
+        assert "_gate_table" not in vars(circuit), name
+        assert "flip_patterns" not in vars(h), name
     at_cap = build_hardware_efficient(3, 1)
     assert energy(at_cap, np.zeros(12), spin_ring_hamiltonian(3, 0.5)) == 1.5
 

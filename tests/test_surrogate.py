@@ -163,9 +163,16 @@ def test_schedule_energies_refuses_a_point_on_a_missing_axis():
     last_axis = [QueryPoint(5, "C", (2,)), QueryPoint(9, "D++", (0, 2))]
     assert len(oracle.schedule_energies(last_axis)) == 2
     for point in (QueryPoint(7, "B-", (3,)), QueryPoint(20, "D-+", (1, 4))):
-        message = f"query point {point.index} ({point.kind}, axes {point.axes}) shifts an axis"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            oracle.schedule_energies([QueryPoint(0, "A", ()), point])
+        message = (
+            f"query point {point.index} ({point.kind}, axes {point.axes}) "
+            "shifts an axis the 3-parameter circuit lacks"
+        )
+        for route in (
+            lambda: oracle.schedule_energies([QueryPoint(0, "A", ()), point]),
+            lambda: point.shift(3),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                route()
 
 
 def test_estimation_rejects_a_schedule_of_no_canonical_length():
