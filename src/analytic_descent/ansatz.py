@@ -109,23 +109,10 @@ def build_hardware_efficient(N: int, blocks: int) -> AnsatzCircuit:
     if blocks < 1:
         raise ValueError(f"block count must be >= 1, got {blocks}")
 
-    def single(letter: str, i: int) -> PauliString:
-        chars = ["I"] * N
-        chars[i] = letter
-        return PauliString("".join(chars))
-
-    def ring_zz(i: int) -> PauliString:
-        chars = ["I"] * N
-        chars[i] = "Z"
-        chars[(i + 1) % N] = "Z"
-        return PauliString("".join(chars))
-
-    generators: list[PauliString] = [single("Y", i) for i in range(N)]
-    for _ in range(blocks):
-        generators.extend(ring_zz(i) for i in range(N))
-        generators.extend(single("X", i) for i in range(N))
-        generators.extend(single("Y", i) for i in range(N))
-    return AnsatzCircuit(N, tuple(generators))
+    block = [{i: "Z", (i + 1) % N: "Z"} for i in range(N)]
+    block += [{i: letter} for letter in "XY" for i in range(N)]
+    words = [{i: "Y"} for i in range(N)] + block * blocks
+    return AnsatzCircuit(N, tuple(pauli._word(N, word) for word in words))
 
 
 def prepare_state(circuit: AnsatzCircuit, theta) -> StateVector:

@@ -1,13 +1,17 @@
 """Pauli strings, real-weighted Pauli sums, and Hamiltonian generators.
 
 A Pauli string is a dense tensor product of single-qubit operators from
-{I, X, Y, Z}, written as a letter sequence with qubit 0 leftmost.  A Pauli
-sum is a real linear combination of Pauli strings on a common qubit count;
-real coefficients keep the operator Hermitian by construction.  A sum's
-compiled flip patterns are cached on the sum, and the simulator applies H
-only through them.  A Pauli string's signed-permutation kernel is not cached
-on its own: H's kernels live in its flip patterns, a circuit's in the gate
-table that ``simulator._gate_table`` builds and the circuit keeps.
+{I, X, Y, Z}, written as a letter sequence with qubit 0 leftmost.  This
+module owns that word layout, letter q on qubit q and I on the rest, and
+is the only one that builds words: the text format's parser, the spin-ring
+builder and ``ansatz.build_hardware_efficient`` all take theirs from here,
+the builders through ``_word``.  A Pauli sum is a real linear combination
+of Pauli strings on a common qubit count; real coefficients keep the
+operator Hermitian by construction.  A sum's compiled flip patterns are
+cached on the sum, and the simulator applies H only through them.  A Pauli
+string's signed-permutation kernel is not cached on its own: H's kernels
+live in its flip patterns, a circuit's in the gate table that
+``simulator._gate_table`` builds and the circuit keeps.
 ``MAX_QUBITS``, the cap of a register, is bound here alone and checked
 only where a register's first 2^N arrays are built: ``flip_patterns``
 refuses a larger register before building H's, and
@@ -20,6 +24,7 @@ that sums with no terms still round-trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,6 +68,14 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.letters
+
+
+def _word(n: int, letters: dict[int, str]) -> PauliString:
+    """The n-qubit word with ``letters[q]`` on qubit q and I on the rest."""
+    chars = ["I"] * n
+    for qubit, letter in letters.items():
+        chars[qubit] = letter
+    return PauliString("".join(chars))
 
 
 def _pauli_kernel(letters: str):
@@ -162,8 +175,10 @@ def parse_pauli_sum(text: str) -> PauliSum:
     Raises
     ------
     ValueError
-        On a malformed header or number, inconsistent string lengths, bad
-        letters, or a header mismatch, naming the offending line.
+        On a malformed header or number, a qubit count below 1, a non-finite
+        coefficient, inconsistent string lengths, bad letters, or a header
+        mismatch, naming the offending line.  Finite duplicates whose merged
+        sum overflows are refused by ``PauliSum``, as no one line holds them.
     """
     terms: list[tuple[float, PauliString]] = []
     header_qubits: int | None = None
@@ -176,7 +191,7 @@ def parse_pauli_sum(text: str) -> PauliSum:
             if body.lower().startswith("qubits:"):
                 value = body.split(":", 1)[1].strip()
                 try:
-                    header_qubits = int(value)
+                    header_qubits, header_line = int(value), lineno
                 except ValueError:
                     raise ValueError(
                         f"line {lineno}: malformed qubit header {line!r}"
@@ -203,15 +218,20 @@ def parse_pauli_sum(text: str) -> PauliSum:
             string = PauliString(letters)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: non-finite coefficient {value} for {letters}")
         terms.append((value, string))
     if not terms:
         if header_qubits is None:
             raise ValueError("empty input: no terms and no '# qubits: N' header")
-        return PauliSum(header_qubits, ())
+        try:
+            return PauliSum(header_qubits, ())
+        except ValueError as exc:
+            raise ValueError(f"line {header_line}: {exc}") from None
     if header_qubits is not None and header_qubits != terms[0][1].num_qubits:
         raise ValueError(
-            f"header declares {header_qubits} qubits but terms have length "
-            f"{terms[0][1].num_qubits}"
+            f"line {header_line}: header declares {header_qubits} qubits but "
+            f"terms have length {terms[0][1].num_qubits}"
         )
     return PauliSum(terms[0][1].num_qubits, tuple(terms))
 
@@ -251,20 +271,10 @@ def spin_ring_hamiltonian(N: int, J: float, omega=None) -> PauliSum:
     if omega.shape != (N,):
         raise ValueError(f"omega must have length {N}, got shape {omega.shape}")
 
-    def two_site(letter: str, i: int, j: int) -> PauliString:
-        chars = ["I"] * N
-        chars[i] = letter
-        chars[j] = letter
-        return PauliString("".join(chars))
-
-    terms: list[tuple[float, PauliString]] = []
-    for i in range(N):
-        j = (i + 1) % N
-        for letter in "XYZ":
-            terms.append((J, two_site(letter, i, j)))
-    for i in range(N):
-        if omega[i] != 0.0:
-            chars = ["I"] * N
-            chars[i] = "Z"
-            terms.append((float(omega[i]), PauliString("".join(chars))))
+    terms = [
+        (J, _word(N, {i: letter, (i + 1) % N: letter}))
+        for i in range(N)
+        for letter in "XYZ"
+    ]
+    terms += [(float(omega[i]), _word(N, {i: "Z"})) for i in range(N) if omega[i] != 0.0]
     return PauliSum(N, tuple(terms))

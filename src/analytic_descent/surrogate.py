@@ -14,10 +14,11 @@ along every single axis and wrong by O(δ³) in a ball ‖θ‖∞ ≤ δ.
 
 The queries are the fixed schedule `query_schedule(ν)`; a point's index is
 its position there, and `estimate_coefficients` reads each coefficient's
-queries from their positions.  It accepts any callable `shift ↦ energy`; the
-`CircuitOracle` here answers it from one tangent sweep at θ₀ and keeps the
-sweep's ψ, tangents, gradient and pair block as attributes, which the
-optimizer reads for its noise levels and first metric.  Every gate is
+queries from their positions.  The `CircuitOracle` here answers the
+schedule from one tangent sweep at θ₀ and keeps the sweep's ψ, tangents,
+gradient and pair block as attributes, which the optimizer reads for its
+noise levels and first metric; any other oracle is a callable
+`shift ↦ energy`, queried at every point.  Every gate is
 exp(-iθP/2) with P² = I, so shifting axis k by σ gives the state
 cos(σ/2)·ψ + 2·sin(σ/2)·t_k exactly (t_k = ∂ψ/∂θ_k), and each unshifted
 or single-axis energy is a quadratic form in (ψ, t_k).  The
@@ -26,7 +27,7 @@ which is 4·∂²E/∂θ_k∂θ_l, the shift-rule Hessian (Mari, Bromley & Killo
 arXiv 2008.06517).  The oracle takes it from the same sweep as
 8·(Re⟨Hψ|t_kl⟩ + Re⟨t_k|H|t_l⟩), t_kl = ∂²ψ/∂θ_k∂θ_l, the first term from
 one adjoint row per gate, so no pair state is prepared; values agree with
-the pointwise route to rounding.
+prepared pair states to rounding.
 
 Inside the trust region ‖θ‖∞ < π/2 the model is evaluated in the
 half-angle tangents t = tan(θ/2), |tₖ| < 1: there a = 1/(1+t²), b/a = t and
@@ -448,9 +449,10 @@ def estimate_coefficients(
 ) -> SurrogateModel:
     """Combine (optionally noisy) schedule energies into a SurrogateModel.
 
-    ``oracle`` maps a shift vector to an energy; a ``CircuitOracle`` is
-    evaluated batched and supplies eD from its sweep, to which the pair
-    queries' noise is added as to measured pair energies.  ``schedule`` is
+    ``oracle`` is a ``CircuitOracle``, which answers the schedule from its
+    sweep and supplies eD, to which the pair queries' noise is added as to
+    measured pair energies, or a callable mapping a shift vector to an
+    energy, queried at every point.  ``schedule`` is
     ``query_schedule(ν)``, or a sequence equal to it point for point; each
     coefficient is read from the positions that schedule gives its queries.
     An oracle's ``theta0``, if it has one, must have the schedule's ν
@@ -549,9 +551,9 @@ _SINGLE_WEIGHTS = np.array(
 
 
 class CircuitOracle:
-    """Energy oracle E(θ₀ + shift) with a batched schedule route.
+    """Schedule oracle for E(θ₀ + shift), answered from one sweep.
 
-    The batch route runs ``_state_tangents_and_hessian`` once at θ₀, at
+    It runs ``_state_tangents_and_hessian`` once at θ₀, at
     every register size, at construction; that sweep refuses an H on another
     register.  Its cache holds the unshifted and single-axis energies,
     quadratic forms in the 2×2 matrix Re⟨u|H|v⟩ over u, v ∈ (ψ, tₖ); a pair
@@ -566,9 +568,6 @@ class CircuitOracle:
         self.h = h
         self.theta0 = np.array(circuit.theta_ref)
         self._build_cache()
-
-    def __call__(self, shift) -> float:
-        return energy(self.circuit, shift, self.h)
 
     def _build_cache(self):
         circuit, h = self.circuit, self.h
@@ -598,7 +597,7 @@ class CircuitOracle:
                 axis = point.axes[0] if point.axes else 0
                 values[position] = self._cache[_KIND_INDEX[point.kind], axis]
             else:
-                values[position] = self(point.shift(nu))
+                values[position] = energy(self.circuit, point.shift(nu), self.h)
         return values
 
 

@@ -55,6 +55,12 @@ def test_build_rejects_bad_sizes():
         build_hardware_efficient(4, 0)
 
 
+def test_hardware_efficient_words_in_order():
+    gens = [g.letters for g in build_hardware_efficient(3, 2).generators]
+    block = ["ZZI", "IZZ", "ZIZ", "XII", "IXI", "IIX", "YII", "IYI", "IIY"]
+    assert gens == ["YII", "IYI", "IIY"] + block * 2
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError, match="at least one gate"):
         AnsatzCircuit(1, ())

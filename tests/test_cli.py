@@ -287,6 +287,29 @@ def test_validate_error_paths(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_validate_a_header_only_file(tmp_path, capsys):
+    path = _write(tmp_path / "h.txt", "# qubits: 3\n")
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert "qubits: 3" in out and "terms: 0" in out
+    assert "ground_energy: 0\n" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# qubits: 0\n", "line 1: num_qubits must be positive, got 0"),
+        ("# qubits: 2\n1 XXX\n", "line 1: header declares 2 qubits but terms have length 3"),
+        ("1 XX\nnan ZZ\n", "line 2: non-finite coefficient nan for ZZ"),
+    ],
+    ids=["zero-qubits", "header-mismatch", "nan"],
+)
+def test_validate_names_the_line_of_a_refused_file(tmp_path, capsys, text, message):
+    path = _write(tmp_path / "h.txt", text)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _spy_on_kernels(monkeypatch):
     """The words whose 2^N kernels are built from here on."""
     kernel = pauli._pauli_kernel
@@ -574,6 +597,39 @@ def test_a_malformed_ini_is_one_error_line(tmp_path, capfd, command, case):
     assert captured.err == f"error: {config_path}:{line}: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, flags, message",
+    [
+        ("seeds = 1", "seeds = 1", ["--seeds", ","], "at least one seed is required"),
+        ("max_outer = 40", "max_outer = 40\nng_step_size = 0", [],
+         "ng_step_size must be > 0, got 0.0"),
+        ("max_outer = 40", "max_outer = 40\nng_max_steps = 0", [],
+         "ng_max_steps must be >= 1, got 0"),
+        ("init_perturbation = 0.3", "init_perturbation = -0.5", [],
+         "init_perturbation must be >= 0, got -0.5"),
+    ],
+    ids=["no-seeds", "ng_step_size", "ng_max_steps", "init_perturbation"],
+)
+def test_run_settings_out_of_range_are_one_error_line(tmp_path, capsys, old, new, flags, message):
+    config_path = _write(tmp_path / "exp.ini", SPIN_RING_INI.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--output-dir", str(out_dir), *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_a_missing_parameter_file_is_one_error_line(tmp_path, capsys):
+    params = tmp_path / "missing.txt"
+    config_path = _write(
+        tmp_path / "exp.ini",
+        SPIN_RING_INI.replace("seeds = 1", f"seeds = 1\ninit_params = {params}"),
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr() == ("", f"error: initial parameter file not found: {params}\n")
+    assert not out_dir.exists()
 
 
 def test_ini_values_are_literal_text(tmp_path):

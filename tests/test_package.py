@@ -150,6 +150,20 @@ def test_the_qubit_cap_is_bound_only_in_pauli():
     assert binders == {"pauli"}
 
 
+def test_only_pauli_builds_pauli_words():
+    """A word's layout, letter q on qubit q and I on the rest, is spelled
+    out once, in ``pauli``: every other module takes its words from there
+    (the builders through ``pauli._word``) and calls no ``PauliString(…)``."""
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "PauliString":
+                    builders.add(path.stem)
+    assert builders == {"pauli"}
+
+
 def _equal_pairs():
     """Two distinct instances with equal contents for each array-holding
     value type."""

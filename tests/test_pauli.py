@@ -98,6 +98,26 @@ def test_parse_error_lines_are_named():
         parse_pauli_sum("1.0")
     with pytest.raises(ValueError, match="line 1.*allowed letters"):
         parse_pauli_sum("1.0 ZQ")
+    with pytest.raises(ValueError, match="line 1: malformed qubit header '# qubits: two'"):
+        parse_pauli_sum("# qubits: two\n1.0 Z")
+    # the header's line for a header that is refused or disagrees with the terms
+    with pytest.raises(ValueError, match="line 1: num_qubits must be positive, got 0"):
+        parse_pauli_sum("# qubits: 0")
+    with pytest.raises(ValueError, match="line 2: header declares 2 qubits but terms have length 3"):
+        parse_pauli_sum("# a comment\n# qubits: 2\n1.0 XXX")
+    # the term's line for a coefficient that is not finite on its own
+    for text, message in (
+        ("nan XX", "line 1: non-finite coefficient nan for XX"),
+        ("1e400 XX", "line 1: non-finite coefficient inf for XX"),
+        ("1.0 ZZ\n\n-inf XY", "line 3: non-finite coefficient -inf for XY"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_pauli_sum(text)
+
+
+def test_a_sum_needs_a_qubit():
+    with pytest.raises(ValueError, match="num_qubits must be positive, got 0"):
+        PauliSum(0, ())
 
 
 def test_parse_header_mismatch():
@@ -136,6 +156,15 @@ def test_round_trip_random_sums(h):
     for (ca, sa), (cb, sb) in zip(again.terms, h.terms):
         assert sa == sb
         assert np.float64(ca).tobytes() == np.float64(cb).tobytes()
+
+
+def test_spin_ring_words_and_coefficients():
+    h = spin_ring_hamiltonian(3, 0.25, [0.5, 0.0, -1.5])
+    assert [(coeff, string.letters) for coeff, string in h.terms] == [
+        (-1.5, "IIZ"), (0.25, "IXX"), (0.25, "IYY"), (0.25, "IZZ"),
+        (0.25, "XIX"), (0.25, "XXI"), (0.25, "YIY"), (0.25, "YYI"),
+        (0.5, "ZII"), (0.25, "ZIZ"), (0.25, "ZZI"),
+    ]
 
 
 def test_spin_ring_structure():

@@ -52,6 +52,20 @@ def test_state_vector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
 
 
+def test_state_vector_rejects_a_wrong_amplitude_count():
+    with pytest.raises(ValueError, match=r"expected 4 amplitudes for 2 qubits, got shape \(2,\)"):
+        StateVector(2, np.array([1.0, 0.0], dtype=complex))
+
+
+def test_expectation_refuses_an_imaginary_residue():
+    """Compiled patterns made non-Hermitian, diag(i, 0) in place of Z's,
+    give ⟨0|H|0⟩ = i, which is refused rather than dropped to its real part."""
+    h = parse_pauli_sum("1 Z")
+    vars(h)["flip_patterns"] = ((None, np.array([1j, 0j])),)
+    with pytest.raises(ValueError, match="imaginary residue 1.0"):
+        expectation(StateVector(1, np.array([1.0, 0.0], dtype=complex)), h)
+
+
 # Gates act only through circuits: a gate is checked as the last gate of a
 # circuit against the same circuit without it.
 
@@ -431,6 +445,31 @@ def test_ground_energy_is_dense_through_six_qubits(monkeypatch):
         want = float(np.linalg.eigvalsh(hamiltonian_matrix(h))[0])
         assert abs(ground_energy(h) - want) < 1e-10
         assert len(calls) == solves
+
+
+def test_ground_energy_of_a_sum_without_terms_is_zero():
+    assert ground_energy(PauliSum(3, ())) == 0.0
+    assert ground_energy(parse_pauli_sum("0.5 XZ\n-0.5 XZ")) == 0.0
+
+
+def test_an_unconverged_eigensolve_reports_its_partial_residual(monkeypatch):
+    """ARPACK's failure with a partial eigenpair (λ, v) is reported with the
+    residual ‖Hv − λv‖ of that pair, a number."""
+    import scipy.sparse.linalg
+
+    h = spin_ring_hamiltonian(7, 0.05, np.linspace(-1.0, 1.0, 7))
+    vec = np.random.default_rng(5).standard_normal((2**7, 1)).astype(complex)
+    vec /= np.linalg.norm(vec)
+
+    def partial(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([-1.0]), vec)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", partial)
+    with pytest.raises(simulator.GroundEnergyError, match=r"residual: \d") as info:
+        ground_energy(h)
+    residual = float(str(info.value).rsplit("residual: ", 1)[1].rstrip(")"))
+    want = np.linalg.norm(hamiltonian_matrix(h) @ vec[:, 0] + vec[:, 0])
+    assert residual == pytest.approx(want, rel=1e-12)
 
 
 def test_importing_the_package_leaves_scipy_sparse_unloaded():

@@ -246,6 +246,11 @@ def test_query_schedule_is_one_immutable_tuple_per_nu():
         schedule[0] = QueryPoint(0, "A", ())
 
 
+def test_a_schedule_of_no_parameters_is_refused():
+    with pytest.raises(ValueError, match="parameter count must be >= 1, got 0"):
+        query_schedule(0)
+
+
 def test_oracle_failure_names_the_query_point():
     class Faulty:
         theta0 = np.zeros(2)
@@ -1274,6 +1279,9 @@ def test_model_validation():
             np.zeros(2), 1.0, np.zeros(2), np.zeros(2),
             lower, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, 2)),
         )
+    for eA in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite scalar coefficient"):
+            SurrogateModel(np.zeros(1), eA, np.zeros(1), np.zeros(1), np.zeros((1, 1)))
 
 
 def test_models_of_no_parameters_are_rejected_where_they_are_built():
